@@ -11,15 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .compilers import CONSTRUCTIONS, CompileError, CompileOptions, compile_machine, metrics
-from .multiset import MultisetError
-from .regmach import MachineError, enumerate_accepted, load_machine, run
-from .rules import RuleError
+from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
+from .regmach import enumerate_accepted, load_machine, run
 from .tp import TissueSystem, load_tp, render_tp, tp_run, validate_tp
-from .tts import Bounds, FormatError, closure, load_tts, render_tts, results_of_state
+from .tts import Bounds, closure, load_tts, render_tts, results_of_state
 from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
-
-_USER_ERRORS = (MachineError, MultisetError, RuleError, FormatError, CompileError, OSError)
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser):
@@ -191,10 +187,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # the package's own errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -109,6 +109,11 @@ def apply_mate(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset | None:
     """Fuse v1 and v2, or None when the rule does not apply."""
     if not v1.contains(rule._left_need) or not v2.contains(rule._right_need):
         return None
+    return fuse(rule, v1, v2)
+
+
+def fuse(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset:
+    """Fuse v1 and v2, which the caller knows the rule applies to."""
     return v1.minus(rule.a) + rule.x + v2.minus(rule.b)
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .multiset import Multiset, MultisetError
-from .rules import MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, parse_rule
-from .tts import Bounds, FormatError, _SymbolIndex
+from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
+    MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, parse_rule)
+from .tts import Bounds, FormatError, _join, _SymbolIndex
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,24 @@ def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     return TPState(0, tuple(frozenset(c) for c in contents), log, pruned)
 
 
+def _operands(index: _SymbolIndex, need: Multiset) -> dict[int, list[Multiset]]:
+    """The indexed vesicles that contain `need`, as a size -> vesicles map."""
+    by_size: dict[int, list[Multiset]] = {}
+    for v in index.candidates(need):
+        if v.contains(need):
+            by_size.setdefault(len(v), []).append(v)
+    return by_size
+
+
 def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
-    """One synchronous step computed from the pre-step contents."""
+    """One synchronous step computed from the pre-step contents.
+
+    A mate rule applies to every pair of a left and a right operand, so when
+    both kinds are present all of them are consumed, oversize fusions
+    included.  Only the fusions that fit `max_size` are built; `pruned` is
+    set when some do not.
+    """
+    pruned = state.pruned
     used: list[set[Multiset]] = [set() for _ in range(system.cells)]
     arrivals: list[set[Multiset]] = [set() for _ in range(system.cells)]
     indexes: dict[int, _SymbolIndex] = {}
@@ -124,13 +141,13 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
         index = index_of(src)
         rule = tp.rule
         if isinstance(rule, MateRule):
-            for v1 in index.candidates(rule._left_need):
-                for v2 in index.candidates(rule._right_need):
-                    result = apply_mate(rule, v1, v2)
-                    if result is not None:
-                        used[src].add(v1)
-                        used[src].add(v2)
-                        arrivals[tgt].add(result)
+            lefts = _operands(index, rule._left_need)
+            rights = _operands(index, rule._right_need)
+            if lefts and rights:
+                for bucket in (*lefts.values(), *rights.values()):
+                    used[src].update(bucket)
+                if _join(rule, lefts, rights, bounds.max_size, arrivals[tgt].add):
+                    pruned = True
         elif rule.one_sided:
             for v in index.candidates(rule._need):
                 outcome = apply_drip1(rule, v)
@@ -147,7 +164,6 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
                         arrivals[tgt].add(p)
                         arrivals[tgt].add(q)
 
-    pruned = state.pruned
     kept: list[set[Multiset]] = [set(state.contents[c]) - used[c] for c in range(system.cells)]
     population = sum(len(k) for k in kept)
     flat = []

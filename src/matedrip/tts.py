@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .multiset import Multiset, MultisetError
-from .rules import MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, parse_rule
+from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
+    MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, fuse, parse_rule)
 
 
 class FormatError(ValueError):
@@ -117,11 +118,23 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
 
 
 class _SymbolIndex:
-    """Vesicles of a pool bucketed by carried symbol, for operand lookup."""
+    """Vesicles of a pool bucketed for operand lookup.
 
-    def __init__(self, pool=()):
+    `buckets` maps each carried symbol to the vesicles carrying it, for the
+    drip rules.  `operands` maps each mate rule given at construction to its
+    (left, right) operands, each a size -> vesicles map, for the join.  A
+    vesicle's counts are built once when it is added and tested once
+    against each mate rule's two needs.  Buckets are filled in addition
+    order, so the vesicles added last form the tail of every bucket.
+    """
+
+    def __init__(self, pool=(), rules=()):
         self.pool: list[Multiset] = []
         self.buckets: dict[str, list[Multiset]] = {}
+        self.operands: dict[MateRule, tuple[dict, dict]] = {
+            rule: ({}, {}) for rule in rules if isinstance(rule, MateRule)}
+        self._needs = [(tuple(rule._left_need), tuple(rule._right_need), lefts, rights)
+                       for rule, (lefts, rights) in self.operands.items()]
         for v in pool:
             self.add(v)
 
@@ -129,6 +142,14 @@ class _SymbolIndex:
         self.pool.append(vesicle)
         for name in vesicle.support:
             self.buckets.setdefault(name, []).append(vesicle)
+        if self._needs:
+            counts = dict(vesicle)
+            size = len(vesicle)
+            for left_need, right_need, lefts, rights in self._needs:
+                if all(counts.get(n, 0) >= c for n, c in left_need):
+                    lefts.setdefault(size, []).append(vesicle)
+                if all(counts.get(n, 0) >= c for n, c in right_need):
+                    rights.setdefault(size, []).append(vesicle)
 
     def candidates(self, need: Multiset) -> list[Multiset]:
         if not len(need):
@@ -143,35 +164,62 @@ class _SymbolIndex:
         return best
 
 
+def _split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
+    """(old, new) parts of a size -> vesicles map, the new part being the
+    frontier vesicles at the tail of each bucket.  Empty parts are left out."""
+    old, new = {}, {}
+    for size, bucket in by_size.items():
+        i = len(bucket)
+        while i and bucket[i - 1] in frontier:
+            i -= 1
+        if i:
+            old[size] = bucket[:i]
+        if i < len(bucket):
+            new[size] = bucket[i:]
+    return old, new
+
+
+def _join(rule: MateRule, lefts: dict, rights: dict, max_size: int, sink) -> bool:
+    """Fuse every left × right pair whose fusion fits, given size -> operands
+    maps; the maps hold only operands the rule applies to.
+
+    Returns whether some pair was left out because its fusion is oversize.
+    That follows from the largest sizes alone, so no such pair is visited.
+    """
+    if not lefts or not rights:
+        return False
+    room = max_size - len(rule.x) + len(rule.a) + len(rule.b)
+    sizes = sorted(rights)
+    for lsize, lbucket in lefts.items():
+        cap = room - lsize
+        for rsize in sizes:
+            if rsize > cap:
+                break
+            for v2 in rights[rsize]:
+                for v1 in lbucket:
+                    sink(fuse(rule, v1, v2))
+    return max(lefts) + sizes[-1] > room
+
+
 def _rule_productions(rules, index: _SymbolIndex, frontier, sink, max_size, truncated):
     """Rule results inside one tube involving at least one frontier vesicle.
 
-    Mates are evaluated semi-naively: pairs with a new left operand against
-    everything, plus old left operands against new right operands.  Drips
-    only ever see one operand, so only frontier vesicles fire.
-
-    A mate result's size is known before fusing, so oversize results are
-    skipped without building them; `truncated` (a one-element list) records
-    that a genuine firing was dropped.  Once set, the applicability check is
-    skipped too.
+    Mates are evaluated semi-naively over the index's size buckets: new left
+    operands against every right operand, then old left operands against
+    new right operands.  The frontier must be the vesicles added to the
+    index last.  Only pairs whose fusion fits `max_size` are fused;
+    `truncated` (a one-element list) is set when an applicable pair was left
+    out for size.  Drips only ever see one operand, so only frontier
+    vesicles fire.
     """
     for rule in rules:
         if isinstance(rule, MateRule):
-            left = index.candidates(rule._left_need)
-            right = index.candidates(rule._right_need)
-            new_right = [v for v in right if v in frontier]
-            growth = len(rule.x) - len(rule.a) - len(rule.b)
-            for v1 in left:
-                row = right if v1 in frontier else new_right
-                for v2 in row:
-                    if len(v1) + len(v2) + growth > max_size:
-                        if not truncated[0] and v1.contains(rule._left_need) \
-                                and v2.contains(rule._right_need):
-                            truncated[0] = True
-                        continue
-                    result = apply_mate(rule, v1, v2)
-                    if result is not None:
-                        sink(result)
+            lefts, rights = index.operands[rule]
+            old_lefts, new_lefts = _split_frontier(lefts, frontier)
+            _, new_rights = _split_frontier(rights, frontier)
+            for left, right in ((new_lefts, rights), (old_lefts, new_rights)):
+                if _join(rule, left, right, max_size, sink):
+                    truncated[0] = True
         elif rule.one_sided:
             for v in index.candidates(rule._need):
                 if v in frontier:
@@ -194,7 +242,7 @@ def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[i
     for t in range(system.tubes):
         if contents[t]:
             pool = set(contents[t])
-            _rule_productions(system.rules[t], _SymbolIndex(pool), pool,
+            _rule_productions(system.rules[t], _SymbolIndex(pool, system.rules[t]), pool,
                               lambda v, t=t: out.add((t, v)), cap, [False])
     for i, filt, j in system.filters:
         for v in contents[i - 1]:
@@ -214,7 +262,7 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
     contents: list[set[Multiset]] = [set() for _ in range(system.tubes)]
-    indexes = [_SymbolIndex() for _ in range(system.tubes)]
+    indexes = [_SymbolIndex(rules=rules) for rules in system.rules]
     pruned = False
     population = 0
 

@@ -120,6 +120,22 @@ def test_parse_rejects_bad_lines():
         parse_machine("REGISTERS 1\nINPUTS 1\nSTART l0\nl0 ADD 1 missing\nlh HALT\n")
 
 
+@pytest.mark.parametrize("line", [
+    "REGISTERS ²", "INPUTS ²", "l0 ADD ² lh", "l0 SUB ² l0 lh", "l0 SUB ٣ l0 lh",
+])
+def test_parse_rejects_non_ascii_digits(line):
+    # '²' passes str.isdigit but not int(); '٣' passes int() but is no ASCII numeral
+    text = "REGISTERS 1\nINPUTS 1\nSTART l0\nlh HALT\n"
+    head = line.split()[0]
+    if head in ("REGISTERS", "INPUTS"):
+        text = text.replace(f"{head} 1", line)
+    else:
+        text += line + "\n"
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(MachineError, match=f"line {lineno}:"):
+        parse_machine(text)
+
+
 def test_parse_comments_and_arity(even):
     assert even.inputs == 1 and even.registers == 1
     assert even.start == "l0"

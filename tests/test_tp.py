@@ -2,11 +2,18 @@ import pytest
 
 from matedrip import (
     Bounds,
+    CompileOptions,
     EMPTY,
     FormatError,
+    MateRule,
     Multiset,
     TissueSystem,
     TPRule,
+    TPState,
+    apply_drip,
+    apply_drip1,
+    apply_mate,
+    compile_machine,
     initial_state,
     parse_rule,
     parse_tp,
@@ -163,6 +170,81 @@ def test_tp_run_repeatable(even):
     second_results, second_trace = tp_run(system, 24, bounds)
     assert first_results == second_results
     assert first_trace == second_trace
+
+
+def test_oversize_mate_still_consumes_operands():
+    # the only firing makes {X w^3}, one over the cap: both operands leave
+    # cell 1 and nothing arrives in cell 2
+    system = system_of(
+        2,
+        [(1, ms("X w")), (1, ms("Y w^2")), (1, ms("quiet"))],
+        [TPRule(1, parse_rule("MATE (X | . , Y | . ; .)"), 2)],
+        {"X", "Y", "quiet", "w"},
+    )
+    bounds = Bounds(max_size=3)
+    state = tp_step(system, initial_state(system, bounds), bounds)
+    assert state.contents == (fs(ms("quiet")), frozenset())
+    assert state.pruned
+    fits = tp_step(system, initial_state(system, Bounds(max_size=4)), Bounds(max_size=4))
+    assert fits.contents == (fs(ms("quiet")), fs(ms("X w^3")))
+    assert not fits.pruned
+
+
+def _naive_tp_step(system, state, bounds):
+    """Reference step straight from the definition: every applicable firing
+    on the pre-step contents happens, every vesicle that took part leaves
+    its cell, results arrive in the target cells and are admitted in
+    canonical order.  Mates see every pair whose left vesicle holds u+a and
+    whose right vesicle holds b+v, the only pairs that `apply_mate` does not
+    reject; oversize fusions are built and then refused on admission."""
+    used = [set() for _ in range(system.cells)]
+    arrivals = [set() for _ in range(system.cells)]
+    for tp in system.rules:
+        pool, rule = state.contents[tp.source - 1], tp.rule
+        if isinstance(rule, MateRule):
+            lefts = [v for v in pool if v.contains(rule.u + rule.a)]
+            rights = [v for v in pool if v.contains(rule.b + rule.v)]
+            firings = [((v1, v2), [apply_mate(rule, v1, v2)]) for v1 in lefts for v2 in rights]
+        elif rule.one_sided:
+            firings = [((v,), apply_drip1(rule, v)) for v in pool if apply_drip1(rule, v)]
+        else:
+            firings = [((v,), [w for pair in apply_drip(rule, v) for w in pair])
+                       for v in pool if apply_drip(rule, v)]
+        for operands, products in firings:
+            used[tp.source - 1].update(operands)
+            arrivals[tp.target - 1].update(products)
+    pruned = state.pruned
+    kept = [set(state.contents[c]) - used[c] for c in range(system.cells)]
+    fresh = []
+    for c in range(system.cells):
+        for v in arrivals[c] - kept[c]:
+            if len(v) > bounds.max_size:
+                pruned = True
+            elif len(v) > 0 or bounds.keep_empty:
+                fresh.append((c, v))
+    for c, v in sorted(fresh, key=lambda cv: (cv[0], cv[1].render())):
+        if sum(map(len, kept)) >= bounds.max_population:
+            pruned = True
+            break
+        kept[c].add(v)
+    out = kept[system.output_cell - 1]
+    log = state.result_log | {v for v in out if v.support <= system.terminal}
+    return TPState(state.step + 1, tuple(frozenset(k) for k in kept), log, pruned)
+
+
+@pytest.mark.parametrize("fidelity, bounds", [
+    ("faithful", Bounds(max_size=6, max_population=20000, max_iterations=200)),
+    ("faithful", Bounds(max_size=8, max_population=400, max_iterations=200)),
+    ("guarded", Bounds(max_size=6, max_population=20000, max_iterations=200)),
+])
+def test_tp_step_matches_naive_reference(even, fidelity, bounds):
+    system = compile_machine(even, "thm4", CompileOptions(fidelity=fidelity))
+    state = reference = initial_state(system, bounds)
+    for _ in range(32):
+        state = tp_step(system, state, bounds)
+        reference = _naive_tp_step(system, reference, bounds)
+        assert state == reference
+    assert state.pruned
 
 
 def test_validate_tp():

@@ -2,6 +2,7 @@ import pytest
 
 from matedrip import (
     Bounds,
+    CompileOptions,
     EMPTY,
     FormatError,
     MateRule,
@@ -9,7 +10,11 @@ from matedrip import (
     SupportFilter,
     TestTubeSystem,
     TubeFilter,
+    apply_drip,
+    apply_drip1,
+    apply_mate,
     closure,
+    compile_machine,
     is_fixpoint,
     parse_rule,
     parse_tts,
@@ -18,6 +23,7 @@ from matedrip import (
     results_of_state,
     validate_tts,
 )
+from matedrip.tts import _productions
 
 
 def ms(text):
@@ -184,6 +190,17 @@ def test_self_pairing_allowed():
     assert ms("s^2") in state.contents[0]
 
 
+def test_mate_operands_need_full_multiplicity():
+    system = one_tube(
+        [parse_rule("MATE (. | a , b^2 | . ; c)"), parse_rule("MATE (d^2 | . , . | a ; .)")],
+        [ms("a"), ms("b"), ms("b^2 e"), ms("d")],
+        {"a", "b", "c", "d", "e"},
+    )
+    state = closure(system, Bounds(max_size=8, max_population=100, max_iterations=10))
+    assert state.contents[0] == fs(ms("a"), ms("b"), ms("b^2 e"), ms("d"), ms("c e"))
+    assert not state.pruned
+
+
 def test_validate_tts():
     good = one_tube([], [ms("a")], {"a"})
     assert validate_tts(good) == []
@@ -232,45 +249,129 @@ def test_format_roundtrip():
         system.filters[0][1].branches, key=lambda b: " ".join(sorted(b.allowed)))))}
 
 
-def _naive_closure_contents(system, bounds):
-    """Reference saturation: recompute every production from scratch each
-    round.  Independent of the frontier-driven engine's bookkeeping."""
-    from matedrip.tts import _productions
+def _naive_productions(system, contents):
+    """Everything one step could add: every rule on every vesicle or pair of
+    a tube, plus filter passage.  Mates see every pair whose left vesicle
+    holds u+a and whose right vesicle holds b+v, the only pairs that
+    `apply_mate` does not reject; oversize fusions are built too."""
+    out = set()
+    for t, rules in enumerate(system.rules):
+        pool = contents[t]
+        for rule in rules:
+            if isinstance(rule, MateRule):
+                lefts = [v for v in pool if v.contains(rule.u + rule.a)]
+                rights = [v for v in pool if v.contains(rule.b + rule.v)]
+                out.update((t, apply_mate(rule, v1, v2)) for v1 in lefts for v2 in rights)
+            elif rule.one_sided:
+                for v in pool:
+                    outcome = apply_drip1(rule, v)
+                    if outcome is not None:
+                        out.update((t, w) for w in outcome)
+            else:
+                for v in pool:
+                    out.update((t, w) for pair in apply_drip(rule, v) for w in pair)
+    for i, filt, j in system.filters:
+        out.update((j - 1, v) for v in contents[i - 1] if filt.passes(v))
+    return out
 
+
+def _naive_closure(system, bounds):
+    """Reference saturation: recompute every production from scratch each
+    round.  Independent of the engine's operand index, size cut and
+    frontier bookkeeping.  Returns (contents, pruned, iterations)."""
     contents = [set() for _ in range(system.tubes)]
-    population = 0
-    for t in range(system.tubes):
-        for v in system.axioms[t]:
-            if len(v) <= bounds.max_size and (len(v) > 0 or bounds.keep_empty):
-                contents[t].add(v)
-                population += 1
-    for _ in range(bounds.max_iterations + 1):
-        fresh = [
-            (t, v)
-            for t, v in _productions(system, contents)
-            if v not in contents[t]
-            and len(v) <= bounds.max_size
-            and (len(v) > 0 or bounds.keep_empty)
-        ]
-        if not fresh:
-            break
-        for t, v in sorted(fresh, key=lambda tv: (tv[0], tv[1].render())):
-            if population >= bounds.max_population:
-                return contents
+    pruned = False
+    iterations = 0
+
+    def admissible(v):
+        nonlocal pruned
+        if len(v) > bounds.max_size:
+            pruned = True
+            return False
+        return len(v) > 0 or bounds.keep_empty
+
+    batch = [(t, v) for t in range(system.tubes) for v in system.axioms[t] if admissible(v)]
+    while True:
+        for t, v in sorted(batch, key=lambda tv: (tv[0], tv[1].render())):
+            if sum(map(len, contents)) >= bounds.max_population:
+                return contents, True, iterations
             contents[t].add(v)
-            population += 1
-    return contents
+        batch = [(t, v) for t, v in _naive_productions(system, contents)
+                 if v not in contents[t] and admissible(v)]
+        if not batch:
+            return contents, pruned, iterations
+        if iterations >= bounds.max_iterations:
+            return contents, True, iterations
+        iterations += 1
+
+
+def _assert_matches_reference(system, bounds):
+    state = closure(system, bounds)
+    contents, pruned, iterations = _naive_closure(system, bounds)
+    assert [set(c) for c in state.contents] == contents
+    assert (state.pruned, state.iterations) == (pruned, iterations)
 
 
 def test_closure_matches_naive_reference(even):
-    from matedrip.compilers import compile_thm1, compile_cor2, compile_cor3
-
     bounds = Bounds(max_size=9, max_population=4000, max_iterations=100)
-    for build in (compile_thm1, compile_cor2, compile_cor3):
-        system = build(even)
-        state = closure(system, bounds)
-        reference = _naive_closure_contents(system, bounds)
-        assert [set(c) for c in state.contents] == reference
+    for construction in ("thm1", "cor2", "cor3"):
+        _assert_matches_reference(compile_machine(even, construction), bounds)
+
+
+@pytest.mark.parametrize("construction, bounds", [
+    # cut by size only: no population or iteration cap is reached
+    ("thm1", Bounds(4, 3000, 100)),
+    ("cor2", Bounds(4, 3000, 100)),
+    # cut by size and by population
+    ("thm1", Bounds(8, 200, 100)),
+    ("cor2", Bounds(8, 200, 100)),
+    ("cor3", Bounds(8, 400, 100)),
+    # cut by the iteration budget
+    ("thm1", Bounds(8, 3000, 4)),
+])
+def test_faithful_closure_matches_naive_reference(even, construction, bounds):
+    system = compile_machine(even, construction, CompileOptions(fidelity="faithful"))
+    _assert_matches_reference(system, bounds)
+
+
+def test_self_pairing_at_size_limit():
+    # the only applicable pair is {s p} with itself: {p^2 t}, size 2 + 2 - 1
+    system = one_tube([parse_rule("MATE (. | s , s | . ; t)")], [ms("s p")], {"p", "s", "t"})
+    fits = closure(system, Bounds(max_size=3, max_population=100, max_iterations=10))
+    assert fits.contents[0] == fs(ms("s p"), ms("p^2 t"))
+    assert not fits.pruned
+    over = closure(system, Bounds(max_size=2, max_population=100, max_iterations=10))
+    assert over.contents[0] == fs(ms("s p"))
+    assert over.pruned
+
+
+def test_truncation_seen_only_by_old_left_new_right_pass():
+    # {L q^3} is a left operand from the start; the right operand {R} only
+    # appears in round 1, so the oversize pair is an old left with a new right
+    system = one_tube(
+        [parse_rule("MATE (L | . , . | R ; .)"), parse_rule("DRIP1 (. | c | . ; R , .)")],
+        [ms("L q^3"), ms("c")],
+        {"L", "R", "c", "q"},
+    )
+    bounds = Bounds(max_size=4, max_population=100, max_iterations=10)
+    state = closure(system, bounds)
+    assert state.contents[0] == fs(ms("L q^3"), ms("c"), ms("R"), EMPTY)
+    assert state.pruned
+    assert is_fixpoint(system, state, bounds)
+    fits = closure(system, Bounds(max_size=5, max_population=100, max_iterations=2))
+    assert ms("L R q^3") in fits.contents[0]
+
+
+def test_is_fixpoint_sees_oversize_productions_uncapped():
+    system = one_tube([parse_rule("MATE (s | . , . | s ; .)")], [ms("s")], {"s"})
+    bounds = Bounds(max_size=4, max_population=100, max_iterations=50)
+    state = closure(system, bounds)
+    assert state.pruned
+    # without a cap, _productions fuses every pair, s^4 with itself included
+    assert {v for _, v in _productions(system, state.contents)} == {
+        ms(f"s^{n}") for n in range(2, 9)}
+    assert is_fixpoint(system, state, bounds)
+    assert not is_fixpoint(system, state, Bounds(max_size=5, max_population=100, max_iterations=50))
 
 
 def test_format_errors():
