@@ -294,41 +294,31 @@ def _one_sided(entry: _MateEntry) -> list[DripRule]:
     return out
 
 
+def _cor3_tube(mates: list[_MateEntry], axioms: list[Multiset]) -> tuple[DripRule, ...]:
+    """One-sided drips for a working tube: its mates translated, then the
+    seed drips for every axiom no mate uses as a partner."""
+    seed = _single(SYM_SEED)
+    partnered = {partner for entry in mates for partner in entry.partners}
+    rules: list[DripRule] = []
+    for entry in mates:
+        rules.extend(_one_sided(entry))
+    for axiom in axioms:
+        if axiom not in partnered:
+            rules.append(DripRule(EMPTY, seed, EMPTY, axiom, EMPTY, one_sided=True))
+    rules.append(DripRule(EMPTY, seed, EMPTY, seed, EMPTY, one_sided=True))
+    return tuple(rules)
+
+
 def compile_cor3(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TestTubeSystem:
     """One-sided drip rules only, weight at most four, single axiom @g."""
     parts = _build_parts(machine, opts, frozenset({SYM_SEED}))
-    alphabet = frozenset(parts.alphabet)
-    seed = _single(SYM_SEED)
-    seed_axiom = frozenset({seed})
-
-    partnered = set()
-    for entry in parts.mates1:
-        partnered.update(entry.partners)
-    rules1: list[DripRule] = []
-    for entry in parts.mates1:
-        rules1.extend(_one_sided(entry))
-    for axiom in parts.axioms1:
-        if axiom not in partnered:
-            rules1.append(DripRule(EMPTY, seed, EMPTY, axiom, EMPTY, one_sided=True))
-    rules1.append(DripRule(EMPTY, seed, EMPTY, seed, EMPTY, one_sided=True))
-
-    partnered2 = set()
-    for entry in parts.mates2:
-        partnered2.update(entry.partners)
-    rules2: list[DripRule] = []
-    for entry in parts.mates2:
-        rules2.extend(_one_sided(entry))
-    for axiom in parts.axioms2:
-        if axiom not in partnered2:
-            rules2.append(DripRule(EMPTY, seed, EMPTY, axiom, EMPTY, one_sided=True))
-    rules2.append(DripRule(EMPTY, seed, EMPTY, seed, EMPTY, one_sided=True))
-
+    seed_axiom = frozenset({_single(SYM_SEED)})
     return TestTubeSystem(
-        alphabet=alphabet,
+        alphabet=frozenset(parts.alphabet),
         terminal=parts.terminal,
         tubes=3,
         axioms=(seed_axiom, seed_axiom, frozenset()),
-        rules=(tuple(rules1), tuple(rules2), ()),
+        rules=(_cor3_tube(parts.mates1, parts.axioms1), _cor3_tube(parts.mates2, parts.axioms2), ()),
         filters=tuple(parts.filters),
         outputs=frozenset({3}),
     )

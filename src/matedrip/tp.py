@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .multiset import Multiset, MultisetError
-from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
-    MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, parse_rule)
-from .tts import Bounds, FormatError, _join, _SymbolIndex
+from .multiset import Multiset
+from .rules import (  # the apply_* stay module attributes for bench/tracer.py
+    MateRule, Rule, apply_drip, apply_drip1, apply_mate, parse_rule)
+from .tts import (
+    Bounds, FormatError, _admissible, _drip, _fill, _join, _parse_system, _SymbolIndex)
 
 
 @dataclass(frozen=True)
@@ -90,99 +91,58 @@ def validate_tp(system: TissueSystem) -> tuple[list[str], list[str]]:
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
-    pruned = False
     contents: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    for c in range(system.cells):
-        for v in system.axioms[c]:
-            if len(v) > bounds.max_size:
-                pruned = True
-            elif len(v) == 0 and not bounds.keep_empty:
-                pass
-            else:
-                contents[c].add(v)
+    admitted, pruned = _admissible(
+        ((c, v) for c in range(system.cells) for v in system.axioms[c]), bounds)
+    for c, v in admitted:
+        contents[c].add(v)
     log = frozenset(
         v for v in contents[system.output_cell - 1] if v.support <= system.terminal
     )
     return TPState(0, tuple(frozenset(c) for c in contents), log, pruned)
 
 
-def _operands(index: _SymbolIndex, need: Multiset) -> dict[int, list[Multiset]]:
-    """The indexed vesicles that contain `need`, as a size -> vesicles map."""
-    by_size: dict[int, list[Multiset]] = {}
-    for v in index.candidates(need):
-        if v.contains(need):
-            by_size.setdefault(len(v), []).append(v)
-    return by_size
-
-
 def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     """One synchronous step computed from the pre-step contents.
 
-    A mate rule applies to every pair of a left and a right operand, so when
-    both kinds are present all of them are consumed, oversize fusions
-    included.  Only the fusions that fit `max_size` are built; `pruned` is
-    set when some do not.
+    Each cell's operands come from one index over the rules anchored at that
+    cell, so a rule listed for several targets finds its operands once and
+    its results land in every target.  A drip applies to every vesicle in
+    its operand list and consumes all of them.  A mate rule applies to every
+    pair of a left and a right operand, so when both kinds are present all
+    of them are consumed, oversize fusions included.  Only the fusions that
+    fit `max_size` are built; `pruned` is set when some do not.
     """
     pruned = state.pruned
     used: list[set[Multiset]] = [set() for _ in range(system.cells)]
     arrivals: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    indexes: dict[int, _SymbolIndex] = {}
-
-    def index_of(cell: int) -> _SymbolIndex:
-        if cell not in indexes:
-            indexes[cell] = _SymbolIndex(state.contents[cell])
-        return indexes[cell]
-
+    anchored: dict[int, list[TPRule]] = {}
     for tp in system.rules:
-        src = tp.source - 1
-        tgt = tp.target - 1
+        anchored.setdefault(tp.source - 1, []).append(tp)
+
+    for src, tps in anchored.items():
         if not state.contents[src]:
             continue
-        index = index_of(src)
-        rule = tp.rule
-        if isinstance(rule, MateRule):
-            lefts = _operands(index, rule._left_need)
-            rights = _operands(index, rule._right_need)
-            if lefts and rights:
-                for bucket in (*lefts.values(), *rights.values()):
-                    used[src].update(bucket)
-                if _join(rule, lefts, rights, bounds.max_size, arrivals[tgt].add):
-                    pruned = True
-        elif rule.one_sided:
-            for v in index.candidates(rule._need):
-                outcome = apply_drip1(rule, v)
-                if outcome is not None:
-                    used[src].add(v)
-                    arrivals[tgt].add(outcome[0])
-                    arrivals[tgt].add(outcome[1])
-        else:
-            for v in index.candidates(rule._need):
-                outcomes = apply_drip(rule, v)
-                if outcomes:
-                    used[src].add(v)
-                    for p, q in outcomes:
-                        arrivals[tgt].add(p)
-                        arrivals[tgt].add(q)
+        operands = _SymbolIndex(state.contents[src], [tp.rule for tp in tps]).operands
+        for tp in tps:
+            rule, sink = tp.rule, arrivals[tp.target - 1].add
+            if isinstance(rule, MateRule):
+                lefts, rights = operands[rule]
+                if lefts and rights:
+                    for bucket in (*lefts.values(), *rights.values()):
+                        used[src].update(bucket)
+                    if _join(rule, lefts, rights, bounds.max_size, sink):
+                        pruned = True
+            else:
+                used[src].update(operands[rule])
+                for v in operands[rule]:
+                    _drip(rule, v, sink)
 
     kept: list[set[Multiset]] = [set(state.contents[c]) - used[c] for c in range(system.cells)]
-    population = sum(len(k) for k in kept)
-    flat = []
-    for c in range(system.cells):
-        for v in arrivals[c]:
-            if v in kept[c]:
-                continue
-            if len(v) > bounds.max_size:
-                pruned = True
-            elif len(v) == 0 and not bounds.keep_empty:
-                pass
-            else:
-                flat.append((c, v))
-    for c, v in sorted(flat, key=lambda cv: (cv[0], cv[1].render())):
-        if population >= bounds.max_population:
-            pruned = True
-            break
-        kept[c].add(v)
-        population += 1
+    fresh, oversize = _admissible(
+        ((c, v) for c in range(system.cells) for v in arrivals[c] if v not in kept[c]), bounds)
+    capped = _fill(fresh, bounds, sum(map(len, kept)), lambda c, v: kept[c].add(v))
+    pruned = pruned or oversize or capped
 
     out = kept[system.output_cell - 1]
     log = state.result_log | {v for v in out if v.support <= system.terminal}
@@ -222,59 +182,28 @@ def render_tp(system: TissueSystem) -> str:
 
 
 def parse_tp(text: str) -> TissueSystem:
-    alphabet: frozenset[str] | None = None
-    terminal: frozenset[str] | None = None
-    cells: int | None = None
     output: int | None = None
-    axioms: dict[int, set[Multiset]] = {}
     rules: list[TPRule] = []
 
-    def fail(lineno, msg):
-        raise FormatError(f"line {lineno}: {msg}")
+    def on_output(rest):
+        nonlocal output
+        output = int(rest)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        head = head.upper()
-        rest = rest.strip()
-        try:
-            if head == "SYSTEM":
-                if rest.upper() != "TP":
-                    fail(lineno, f"expected SYSTEM TP, got {rest!r}")
-            elif head == "ALPHABET":
-                alphabet = frozenset(rest.split())
-            elif head == "TERMINAL":
-                terminal = frozenset(rest.split())
-            elif head == "CELLS":
-                cells = int(rest)
-            elif head == "OUTPUT":
-                output = int(rest)
-            elif head == "AXIOM":
-                idx, _, body = rest.partition(" ")
-                body = body.strip()
-                if not (body.startswith("{") and body.endswith("}")):
-                    fail(lineno, "axiom must be enclosed in braces")
-                axioms.setdefault(int(idx), set()).add(Multiset.parse(body[1:-1]))
-            elif head == "RULE":
-                idx, _, body = rest.partition(" ")
-                rule_text, arrow, tgt = body.rpartition("->")
-                if not arrow:
-                    fail(lineno, "rule must name a target cell: RULE i KIND (...) -> j")
-                rules.append(TPRule(int(idx), parse_rule(rule_text), int(tgt)))
-            else:
-                fail(lineno, f"unknown directive {head!r}")
-        except (ValueError, MultisetError, RuleError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            fail(lineno, str(exc))
+    def on_rule(rest):
+        idx, _, body = rest.partition(" ")
+        rule_text, arrow, tgt = body.rpartition("->")
+        if not arrow:
+            raise FormatError("rule must name a target cell: RULE i KIND (...) -> j")
+        rules.append(TPRule(int(idx), parse_rule(rule_text), int(tgt)))
+        return int(idx)
 
+    alphabet, terminal, cells, axioms = _parse_system(
+        text, "TP", "CELLS", {"OUTPUT": on_output, "RULE": on_rule})
     if alphabet is None or cells is None or output is None:
         raise FormatError("system must declare ALPHABET, CELLS and OUTPUT")
     system = TissueSystem(
         alphabet=alphabet,
-        terminal=terminal or frozenset(),
+        terminal=terminal,
         cells=cells,
         axioms=tuple(frozenset(axioms.get(i, set())) for i in range(1, cells + 1)),
         rules=tuple(rules),

@@ -8,12 +8,13 @@ that monotone operator, truncated by explicit exploration bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .multiset import Multiset, MultisetError
+from .multiset import Multiset
 from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
-    MateRule, Rule, RuleError, apply_drip, apply_drip1, apply_mate, fuse, parse_rule)
+    DripRule, MateRule, Rule, apply_drip, apply_drip1, apply_mate, fuse, parse_rule)
 
 
 class FormatError(ValueError):
@@ -52,6 +53,11 @@ class Bounds:
     def __post_init__(self):
         if self.max_size < 1 or self.max_population < 1 or self.max_iterations < 1:
             raise ValueError("bounds must be positive")
+
+    def admits(self, vesicle: Multiset) -> bool:
+        """Whether exploration keeps `vesicle`: it fits `max_size`, and it is
+        non-empty unless `keep_empty` holds."""
+        return len(vesicle) <= self.max_size and (self.keep_empty or len(vesicle) > 0)
 
     def loosened(self) -> "Bounds":
         """Strictly looser bounds, used for result-stability checks."""
@@ -118,50 +124,61 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
 
 
 class _SymbolIndex:
-    """Vesicles of a pool bucketed for operand lookup.
+    """The operands of a compartment's rules, kept as vesicles are added.
 
-    `buckets` maps each carried symbol to the vesicles carrying it, for the
-    drip rules.  `operands` maps each mate rule given at construction to its
-    (left, right) operands, each a size -> vesicles map, for the join.  A
-    vesicle's counts are built once when it is added and tested once
-    against each mate rule's two needs.  Buckets are filled in addition
-    order, so the vesicles added last form the tail of every bucket.
+    `operands[rule]` holds, for a mate rule, its (left, right) operands as
+    size -> vesicles maps, and for a drip rule the list of vesicles that
+    contain its need.  Each added vesicle joins them once, in addition
+    order, so the vesicles added last form the tail of every list.  A
+    vesicle is tested only against the needs anchored on one of its
+    symbols.  Each need is anchored on its symbol that the fewest needs of
+    the index's rules share (ties go to the first name), and a need with no
+    symbols is tested against every vesicle.  A rule given twice is indexed
+    once.
     """
 
     def __init__(self, pool=(), rules=()):
-        self.pool: list[Multiset] = []
-        self.buckets: dict[str, list[Multiset]] = {}
-        self.operands: dict[MateRule, tuple[dict, dict]] = {
-            rule: ({}, {}) for rule in rules if isinstance(rule, MateRule)}
-        self._needs = [(tuple(rule._left_need), tuple(rule._right_need), lefts, rights)
-                       for rule, (lefts, rights) in self.operands.items()]
+        self.operands: dict[Rule, tuple[dict, dict] | list[Multiset]] = {}
+        needs: list[tuple[Multiset, dict | list]] = []
+        for rule in rules:
+            if rule in self.operands:
+                continue
+            if isinstance(rule, MateRule):
+                lefts, rights = self.operands[rule] = ({}, {})
+                needs += [(rule._left_need, lefts), (rule._right_need, rights)]
+            else:
+                self.operands[rule] = bucket = []
+                needs.append((rule._need, bucket))
+        shares = Counter(name for need, _ in needs for name in need.support)
+        self._anchored: dict[str, list] = {}
+        self._unanchored: list = []
+        for need, operands in needs:
+            entry = (tuple(need), operands)
+            if len(need):
+                anchor = min(need.support, key=lambda name: (shares[name], name))
+                self._anchored.setdefault(anchor, []).append(entry)
+            else:
+                self._unanchored.append(entry)
         for v in pool:
             self.add(v)
 
     def add(self, vesicle: Multiset):
-        self.pool.append(vesicle)
-        for name in vesicle.support:
-            self.buckets.setdefault(name, []).append(vesicle)
-        if self._needs:
-            counts = dict(vesicle)
-            size = len(vesicle)
-            for left_need, right_need, lefts, rights in self._needs:
-                if all(counts.get(n, 0) >= c for n, c in left_need):
-                    lefts.setdefault(size, []).append(vesicle)
-                if all(counts.get(n, 0) >= c for n, c in right_need):
-                    rights.setdefault(size, []).append(vesicle)
+        counts = dict(vesicle)
+        entries = [e for name in counts for e in self._anchored.get(name, ())]
+        for need, operands in entries + self._unanchored:
+            if all(counts.get(n, 0) >= c for n, c in need):
+                if isinstance(operands, list):
+                    operands.append(vesicle)
+                else:
+                    operands.setdefault(len(vesicle), []).append(vesicle)
 
-    def candidates(self, need: Multiset) -> list[Multiset]:
-        if not len(need):
-            return self.pool
-        best = None
-        for name in need.support:
-            bucket = self.buckets.get(name)
-            if bucket is None:
-                return []
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        return best
+
+def _frontier_start(operands: list, frontier) -> int:
+    """Where the frontier vesicles at the tail of `operands` begin."""
+    i = len(operands)
+    while i and operands[i - 1] in frontier:
+        i -= 1
+    return i
 
 
 def _split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
@@ -169,9 +186,7 @@ def _split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
     frontier vesicles at the tail of each bucket.  Empty parts are left out."""
     old, new = {}, {}
     for size, bucket in by_size.items():
-        i = len(bucket)
-        while i and bucket[i - 1] in frontier:
-            i -= 1
+        i = _frontier_start(bucket, frontier)
         if i:
             old[size] = bucket[:i]
         if i < len(bucket):
@@ -201,38 +216,39 @@ def _join(rule: MateRule, lefts: dict, rights: dict, max_size: int, sink) -> boo
     return max(lefts) + sizes[-1] > room
 
 
-def _rule_productions(rules, index: _SymbolIndex, frontier, sink, max_size, truncated):
-    """Rule results inside one tube involving at least one frontier vesicle.
+def _drip(rule: DripRule, vesicle: Multiset, sink):
+    """Sink both products of every outcome of a drip rule on a vesicle that
+    contains its need."""
+    if rule.one_sided:
+        outcomes = (apply_drip1(rule, vesicle),)
+    else:
+        outcomes = apply_drip(rule, vesicle)
+    for p, q in outcomes:
+        sink(p)
+        sink(q)
 
-    Mates are evaluated semi-naively over the index's size buckets: new left
+
+def _rule_productions(index: _SymbolIndex, frontier, sink, max_size, truncated):
+    """Results of the index's rules inside one tube that involve at least
+    one frontier vesicle; the frontier must be the vesicles added last.
+
+    Mates are evaluated semi-naively over their size buckets: new left
     operands against every right operand, then old left operands against
-    new right operands.  The frontier must be the vesicles added to the
-    index last.  Only pairs whose fusion fits `max_size` are fused;
+    new right operands.  Only pairs whose fusion fits `max_size` are fused;
     `truncated` (a one-element list) is set when an applicable pair was left
-    out for size.  Drips only ever see one operand, so only frontier
-    vesicles fire.
+    out for size.  A drip fires on the frontier tail of its operand list.
     """
-    for rule in rules:
+    for rule, operands in index.operands.items():
         if isinstance(rule, MateRule):
-            lefts, rights = index.operands[rule]
+            lefts, rights = operands
             old_lefts, new_lefts = _split_frontier(lefts, frontier)
             _, new_rights = _split_frontier(rights, frontier)
             for left, right in ((new_lefts, rights), (old_lefts, new_rights)):
                 if _join(rule, left, right, max_size, sink):
                     truncated[0] = True
-        elif rule.one_sided:
-            for v in index.candidates(rule._need):
-                if v in frontier:
-                    outcome = apply_drip1(rule, v)
-                    if outcome is not None:
-                        sink(outcome[0])
-                        sink(outcome[1])
         else:
-            for v in index.candidates(rule._need):
-                if v in frontier:
-                    for p, q in apply_drip(rule, v):
-                        sink(p)
-                        sink(q)
+            for v in operands[_frontier_start(operands, frontier):]:
+                _drip(rule, v, sink)
 
 
 def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[int, Multiset]]:
@@ -242,13 +258,38 @@ def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[i
     for t in range(system.tubes):
         if contents[t]:
             pool = set(contents[t])
-            _rule_productions(system.rules[t], _SymbolIndex(pool, system.rules[t]), pool,
+            _rule_productions(_SymbolIndex(pool, system.rules[t]), pool,
                               lambda v, t=t: out.add((t, v)), cap, [False])
     for i, filt, j in system.filters:
         for v in contents[i - 1]:
             if filt.passes(v):
                 out.add((j - 1, v))
     return out
+
+
+def _admissible(batch, bounds: Bounds) -> tuple[list, bool]:
+    """The (compartment, vesicle) pairs of `batch` that `bounds` admits, and
+    whether one was refused for size: since max_size >= 1, a refused
+    vesicle is oversize unless it is empty."""
+    admitted, oversize = [], False
+    for cv in batch:
+        if bounds.admits(cv[1]):
+            admitted.append(cv)
+        elif len(cv[1]):
+            oversize = True
+    return admitted, oversize
+
+
+def _fill(batch, bounds: Bounds, population: int, place) -> bool:
+    """place(c, v) each (compartment, vesicle) pair of `batch` in (c, render)
+    order while the population stays below max_population.  Returns whether
+    the cap stopped the fill."""
+    for c, v in sorted(batch, key=lambda cv: (cv[0], cv[1].render())):
+        if population >= bounds.max_population:
+            return True
+        place(c, v)
+        population += 1
+    return False
 
 
 def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
@@ -263,33 +304,24 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
         raise ValueError("invalid system: " + "; ".join(problems))
     contents: list[set[Multiset]] = [set() for _ in range(system.tubes)]
     indexes = [_SymbolIndex(rules=rules) for rules in system.rules]
-    pruned = False
-    population = 0
 
     def admit(batch) -> list[set[Multiset]]:
-        # deterministic fill order; returns an empty frontier when the
-        # population cap stopped the fill
-        nonlocal pruned, population
+        # returns an empty frontier when the population cap stopped the fill
+        nonlocal pruned
         added: list[set[Multiset]] = [set() for _ in range(system.tubes)]
-        for t, v in sorted(batch, key=lambda tv: (tv[0], tv[1].render())):
-            if population >= bounds.max_population:
-                pruned = True
-                return []
+
+        def place(t, v):
             contents[t].add(v)
             indexes[t].add(v)
             added[t].add(v)
-            population += 1
+
+        if _fill(batch, bounds, sum(map(len, contents)), place):
+            pruned = True
+            return []
         return added
 
-    initial = []
-    for t in range(system.tubes):
-        for v in system.axioms[t]:
-            if len(v) > bounds.max_size:
-                pruned = True
-            elif len(v) == 0 and not bounds.keep_empty:
-                pass
-            else:
-                initial.append((t, v))
+    initial, pruned = _admissible(
+        ((t, v) for t in range(system.tubes) for v in system.axioms[t]), bounds)
     frontier = admit(initial)
 
     iterations = 0
@@ -298,7 +330,7 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
         truncated = [pruned]
         for t in range(system.tubes):
             if frontier[t]:
-                _rule_productions(system.rules[t], indexes[t], frontier[t],
+                _rule_productions(indexes[t], frontier[t],
                                   lambda v, t=t: produced.add((t, v)),
                                   bounds.max_size, truncated)
         pruned = truncated[0]
@@ -306,16 +338,9 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
             for v in frontier[i - 1]:
                 if filt.passes(v):
                     produced.add((j - 1, v))
-        fresh = []
-        for t, v in produced:
-            if v in contents[t]:
-                continue
-            if len(v) > bounds.max_size:
-                pruned = True
-            elif len(v) == 0 and not bounds.keep_empty:
-                pass
-            else:
-                fresh.append((t, v))
+        fresh, oversize = _admissible(
+            ((t, v) for t, v in produced if v not in contents[t]), bounds)
+        pruned = pruned or oversize
         if not fresh:
             break
         if iterations >= bounds.max_iterations:
@@ -329,15 +354,8 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
 
 def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool:
     """True when no admissible rule result or filter passage is missing."""
-    for t, v in _productions(system, state.contents, bounds.max_size):
-        if v in state.contents[t]:
-            continue
-        if len(v) > bounds.max_size:
-            continue
-        if len(v) == 0 and not bounds.keep_empty:
-            continue
-        return False
-    return True
+    return not any(v not in state.contents[t] and bounds.admits(v)
+                   for t, v in _productions(system, state.contents, bounds.max_size))
 
 
 def results_of_state(system: TestTubeSystem, state: TTSState) -> set[Multiset]:
@@ -385,22 +403,21 @@ def _parse_brace_group(text: str, what: str) -> str:
     return text[1:-1].strip()
 
 
-def _parse_symbols(text: str) -> frozenset[str]:
-    return frozenset(text.split())
+def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tuple:
+    """The skeleton shared by the `.tts` and `.tp` line formats.
 
-
-def parse_tts(text: str) -> TestTubeSystem:
-    alphabet: frozenset[str] | None = None
-    terminal: frozenset[str] | None = None
-    tubes: int | None = None
-    outputs: frozenset[int] | None = None
+    Strips `#` comments, checks `SYSTEM kind` and reads ALPHABET, TERMINAL,
+    the compartment count `count_head` and AXIOM lines.  Every other head
+    goes to `directives[head](rest)`, which returns the compartment index
+    the line names, or None.  Errors carry their line number, and so does a
+    compartment index out of range once the count is known.  Returns
+    (alphabet, terminal, count, axioms by compartment index); the alphabet
+    and count are None when undeclared.
+    """
+    alphabet = count = None
+    terminal: frozenset[str] = frozenset()
     axioms: dict[int, set[Multiset]] = {}
-    rules: dict[int, list[Rule]] = {}
-    filters: dict[tuple[int, int], list[SupportFilter]] = {}
-
-    def fail(lineno, msg):
-        raise FormatError(f"line {lineno}: {msg}")
-
+    named: list[tuple[int, int]] = []  # (compartment index, line number)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -410,52 +427,73 @@ def parse_tts(text: str) -> TestTubeSystem:
         rest = rest.strip()
         try:
             if head == "SYSTEM":
-                if rest.upper() != "TTS":
-                    fail(lineno, f"expected SYSTEM TTS, got {rest!r}")
+                if rest.upper() != kind:
+                    raise FormatError(f"expected SYSTEM {kind}, got {rest!r}")
             elif head == "ALPHABET":
-                alphabet = _parse_symbols(rest)
+                alphabet = frozenset(rest.split())
             elif head == "TERMINAL":
-                terminal = _parse_symbols(rest)
-            elif head == "TUBES":
-                tubes = int(rest)
-            elif head == "OUTPUT":
-                outputs = frozenset(int(tok) for tok in rest.split())
+                terminal = frozenset(rest.split())
+            elif head == count_head:
+                count = int(rest)
             elif head == "AXIOM":
                 idx, _, body = rest.partition(" ")
                 axioms.setdefault(int(idx), set()).add(
                     Multiset.parse(_parse_brace_group(body, "axiom")))
-            elif head == "RULE":
-                idx, _, body = rest.partition(" ")
-                rules.setdefault(int(idx), []).append(parse_rule(body))
-            elif head == "FILTER":
-                src, arrow, tail = rest.partition("->")
-                if not arrow:
-                    fail(lineno, "filter must be FILTER i -> j SUPPORT {symbols}")
-                tgt, _, support = tail.strip().partition(" ")
-                keyword, _, body = support.strip().partition(" ")
-                if keyword.upper() != "SUPPORT":
-                    fail(lineno, "filter must declare a SUPPORT set")
-                branch = SupportFilter(_parse_symbols(_parse_brace_group(body, "filter support")))
-                filters.setdefault((int(src), int(tgt)), []).append(branch)
+                named.append((int(idx), lineno))
+            elif head in directives:
+                idx = directives[head](rest)
+                if idx is not None:
+                    named.append((idx, lineno))
             else:
-                fail(lineno, f"unknown directive {head!r}")
-        except (ValueError, MultisetError, RuleError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            fail(lineno, str(exc))
+                raise FormatError(f"unknown directive {head!r}")
+        except ValueError as exc:  # MultisetError and RuleError included
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    if count is not None:
+        for idx, lineno in named:
+            if not 1 <= idx <= count:
+                raise FormatError(f"line {lineno}: index {idx} out of range for {count_head} {count}")
+    return alphabet, terminal, count, axioms
 
+
+def parse_tts(text: str) -> TestTubeSystem:
+    outputs: frozenset[int] = frozenset()
+    rules: dict[int, list[Rule]] = {}
+    filters: dict[tuple[int, int], list[SupportFilter]] = {}
+
+    def on_output(rest):
+        nonlocal outputs
+        outputs = frozenset(int(tok) for tok in rest.split())
+
+    def on_rule(rest):
+        idx, _, body = rest.partition(" ")
+        rules.setdefault(int(idx), []).append(parse_rule(body))
+        return int(idx)
+
+    def on_filter(rest):
+        src, arrow, tail = rest.partition("->")
+        if not arrow:
+            raise FormatError("filter must be FILTER i -> j SUPPORT {symbols}")
+        tgt, _, support = tail.strip().partition(" ")
+        keyword, _, body = support.strip().partition(" ")
+        if keyword.upper() != "SUPPORT":
+            raise FormatError("filter must declare a SUPPORT set")
+        branch = SupportFilter(frozenset(_parse_brace_group(body, "filter support").split()))
+        filters.setdefault((int(src), int(tgt)), []).append(branch)
+
+    alphabet, terminal, tubes, axioms = _parse_system(
+        text, "TTS", "TUBES", {"OUTPUT": on_output, "RULE": on_rule, "FILTER": on_filter})
     if alphabet is None or tubes is None:
         raise FormatError("system must declare ALPHABET and TUBES")
     system = TestTubeSystem(
         alphabet=alphabet,
-        terminal=terminal or frozenset(),
+        terminal=terminal,
         tubes=tubes,
         axioms=tuple(frozenset(axioms.get(i, set())) for i in range(1, tubes + 1)),
         rules=tuple(tuple(rules.get(i, [])) for i in range(1, tubes + 1)),
         filters=tuple(
             (i, TubeFilter(tuple(branches)), j) for (i, j), branches in sorted(filters.items())
         ),
-        outputs=outputs or frozenset(),
+        outputs=outputs,
     )
     problems = validate_tts(system)
     if problems:

@@ -247,6 +247,40 @@ def test_tp_step_matches_naive_reference(even, fidelity, bounds):
     assert state.pruned
 
 
+def test_drip_rule_with_two_targets_fires_once():
+    drip = parse_rule("DRIP1 (. | s | . ; p , q)")
+    system = system_of(
+        3,
+        [(1, ms("s t")), (1, ms("quiet"))],
+        [TPRule(1, drip, 2), TPRule(1, drip, 3)],
+        {"p", "q", "quiet", "s", "t"},
+    )
+    start = initial_state(system, Bounds())
+    state = tp_step(system, start, Bounds())
+    assert state.contents == (fs(ms("quiet")), fs(ms("p t"), ms("q")), fs(ms("p t"), ms("q")))
+    assert state == _naive_tp_step(system, start, Bounds())
+
+
+def test_mate_with_empty_left_need_consumes_every_vesicle():
+    # every vesicle is a left operand, so a right operand present uses all
+    system = system_of(
+        2,
+        [(1, ms("q")), (1, ms("p")), (1, ms("p^2 q"))],
+        [TPRule(1, parse_rule("MATE (. | . , q | . ; r)"), 2),
+         TPRule(2, parse_rule("MATE (. | . , q | . ; r)"), 1)],
+        {"p", "q", "r"},
+    )
+    bounds = Bounds(max_size=4)
+    state = reference = initial_state(system, bounds)
+    state = tp_step(system, state, bounds)
+    assert state.contents[0] == frozenset()
+    assert ms("p r") in state.contents[1]
+    for _ in range(3):
+        reference = _naive_tp_step(system, reference, bounds)
+        assert state == reference
+        state = tp_step(system, state, bounds)
+
+
 def test_validate_tp():
     good = system_of(2, [(1, ms("a"))], [TPRule(1, parse_rule("MATE (a | . , a | . ; .)"), 2)],
                      {"a"})
@@ -295,3 +329,14 @@ def test_format_errors():
         parse_tp("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nRULE 1 MATE (a | . , a | . ; .)\n")
     with pytest.raises(FormatError):
         parse_tp("SYSTEM TTS\nALPHABET a\nCELLS 1\nOUTPUT 1\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 3 {a}\n", 5),
+    ("SYSTEM TP\nALPHABET a\nAXIOM 3 {a}\nCELLS 1\nOUTPUT 1\n", 3),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 3 MATE (a | . , a | . ; .) -> 1\n", 5),
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 1 a\n", 5),
+])
+def test_format_errors_give_the_line(text, lineno):
+    with pytest.raises(FormatError, match=f"^line {lineno}: "):
+        parse_tp(text)

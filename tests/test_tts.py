@@ -23,7 +23,7 @@ from matedrip import (
     results_of_state,
     validate_tts,
 )
-from matedrip.tts import _productions
+from matedrip.tts import _SymbolIndex, _productions
 
 
 def ms(text):
@@ -374,6 +374,48 @@ def test_is_fixpoint_sees_oversize_productions_uncapped():
     assert not is_fixpoint(system, state, Bounds(max_size=5, max_population=100, max_iterations=50))
 
 
+# A mate and a drip share the symbols X and q, a mate has an empty left
+# need, a drip has no need at all, and one mate is listed twice.
+_SHARED_NEED_RULES = [
+    parse_rule("MATE (X | p , q | . ; .)"),
+    parse_rule("DRIP1 (. | X q | . ; r , .)"),
+    parse_rule("MATE (. | . , q | . ; r)"),
+    parse_rule("DRIP (. | . | . ; r , .)"),
+    parse_rule("MATE (X | p , q | . ; .)"),
+]
+
+
+def test_symbol_index_operands_match_brute_force():
+    pool = [ms("X p"), ms("q"), ms("X q"), ms("X^2 p q"), ms("p r"), EMPTY, ms("q^2 r")]
+    index = _SymbolIndex(pool, _SHARED_NEED_RULES)
+    assert list(index.operands) == _SHARED_NEED_RULES[:4]
+
+    def holding(need):
+        return [v for v in pool if v.contains(need)]
+
+    def by_size(need):
+        out = {}
+        for v in holding(need):
+            out.setdefault(len(v), []).append(v)
+        return out
+
+    for rule, operands in index.operands.items():
+        if isinstance(rule, MateRule):
+            assert operands == (by_size(rule.u + rule.a), by_size(rule.b + rule.v))
+        else:
+            assert operands == holding(rule.u + rule.c + rule.v)
+
+
+@pytest.mark.parametrize("bounds", [
+    Bounds(max_size=5, max_population=2000, max_iterations=50),
+    Bounds(max_size=6, max_population=60, max_iterations=50),
+    Bounds(max_size=6, max_population=2000, max_iterations=2, keep_empty=False),
+])
+def test_shared_need_rules_match_naive_reference(bounds):
+    system = one_tube(_SHARED_NEED_RULES, [ms("X p"), ms("q"), ms("X q")], {"X", "p", "q", "r"})
+    _assert_matches_reference(system, bounds)
+
+
 def test_format_errors():
     with pytest.raises(FormatError, match="line"):
         parse_tts("SYSTEM TTS\nTUBES x\n")
@@ -383,3 +425,16 @@ def test_format_errors():
         parse_tts("ALPHABET a\n")
     with pytest.raises(FormatError):
         parse_tts("SYSTEM TTS\nALPHABET a\nTUBES 1\nFILTER 1 -> 1 SUPPORT {a}\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 5 {a}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 0 MATE (a | . , a | . ; .)\n", 4),
+    # the count may come after the line that names the tube
+    ("SYSTEM TTS\nALPHABET a\nAXIOM 2 {a}\nTUBES 1\n", 3),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 a\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 2 SUPPORT a\n", 4),
+])
+def test_format_errors_give_the_line(text, lineno):
+    with pytest.raises(FormatError, match=f"^line {lineno}: "):
+        parse_tts(text)
