@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
+from .multiset import is_number
 from .regmach import enumerate_accepted, load_machine, run
 from .tp import TissueSystem, load_tp, render_tp, tp_run, validate_tp
 from .tts import Bounds, closure, load_tts, render_tts, results_of_state
@@ -38,7 +39,11 @@ def _bounds_from(args) -> Bounds:
 def _parse_input_vector(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    tokens = text.replace(",", " ").split()
+    for tok in tokens:
+        if not is_number(tok):
+            raise ValueError(f"--input takes non-negative numbers, got {tok!r}")
+    return tuple(map(int, tokens))
 
 
 def _load_system(path: str):

@@ -18,7 +18,16 @@ _FORBIDDEN = frozenset("{};,|^()#")
 
 
 class MultisetError(ValueError):
-    """Malformed symbol name or multiset text."""
+    """Malformed symbol name or multiset text, or a count driven below zero."""
+
+
+def is_number(token: str) -> bool:
+    """Whether `token` is a numeral of ASCII digits only.
+
+    str.isdigit alone passes digits such as '²' that int() rejects, and
+    int() alone accepts '1_0', '+1' and non-ASCII decimal digits.
+    """
+    return token.isascii() and token.isdigit()
 
 
 def check_symbol(name: str) -> str:
@@ -64,11 +73,14 @@ class Multiset:
         return cls(acc)
 
     @classmethod
-    def _wrap(cls, items: tuple) -> "Multiset":
-        # internal fast path: items already sorted, counts positive, names valid
+    def _wrap(cls, items: tuple, size: int) -> "Multiset":
+        """Internal fast path: `items` already sorted, counts positive, names
+        valid.  `size` must be the sum of the counts; every caller knows it
+        from its operands, so it is not recomputed, and a wrong one would
+        silently change what `Bounds.admits`."""
         m = object.__new__(cls)
         m._items = items
-        m._size = sum(c for _, c in items)
+        m._size = size
         m._text = None
         m._hash = None
         return m
@@ -94,7 +106,10 @@ class Multiset:
     def contains(self, sub: "Multiset") -> bool:
         """True iff every count in sub is covered by this multiset."""
         counts = dict(self._items)
-        return all(counts.get(n, 0) >= c for n, c in sub._items)
+        for n, c in sub._items:
+            if counts.get(n, 0) < c:
+                return False
+        return True
 
     # -- algebra ---------------------------------------------------------
 
@@ -106,7 +121,7 @@ class Multiset:
         acc = dict(self._items)
         for n, c in other._items:
             acc[n] = acc.get(n, 0) + c
-        return Multiset._wrap(tuple(sorted(acc.items())))
+        return Multiset._wrap(tuple(sorted(acc.items())), self._size + other._size)
 
     def minus(self, other: "Multiset") -> "Multiset | None":
         """Pointwise difference, or None when other is not contained."""
@@ -119,7 +134,29 @@ class Multiset:
                 del acc[n]
             else:
                 acc[n] = have - c
-        return Multiset._wrap(tuple(sorted(acc.items())))
+        return Multiset._wrap(tuple(sorted(acc.items())), self._size - other._size)
+
+    def shifted(self, other: "Multiset", delta: tuple, dsize: int) -> "Multiset":
+        """self + other + delta in one merge.
+
+        `delta` holds (name, signed count) pairs with distinct names and
+        nonzero counts, and `dsize` is the sum of those counts; a rule
+        computes both once (see rules.py).  Raises MultisetError when a
+        count would go below zero, so a caller that broke the rule's
+        precondition gets an error, never a corrupt multiset.
+        """
+        acc = dict(self._items)
+        for n, c in other._items:
+            acc[n] = acc.get(n, 0) + c
+        for n, c in delta:
+            have = acc.get(n, 0) + c
+            if have > 0:
+                acc[n] = have
+            elif have == 0:
+                del acc[n]
+            else:
+                raise MultisetError(f"count of {n!r} would drop below zero")
+        return Multiset._wrap(tuple(sorted(acc.items())), self._size + other._size + dsize)
 
     def splits(self) -> list[tuple["Multiset", "Multiset"]]:
         """All ordered pairs (s, w) with s + w equal to this multiset.
@@ -131,7 +168,8 @@ class Multiset:
         ranges = [range(c + 1) for _, c in self._items]
         pairs = []
         for choice in product(*ranges):
-            first = Multiset._wrap(tuple((n, c) for n, c in zip(names, choice) if c))
+            first = Multiset._wrap(tuple((n, c) for n, c in zip(names, choice) if c),
+                                   sum(choice))
             second = self.minus(first)
             pairs.append((first, second))
         pairs.sort(key=lambda pq: pq[0].render())
@@ -160,10 +198,9 @@ class Multiset:
         for token in text.split():
             name, sep, suffix = token.partition("^")
             if sep:
-                try:
-                    count = int(suffix)
-                except ValueError:
-                    raise MultisetError(f"malformed count in token {token!r}") from None
+                if not is_number(suffix):
+                    raise MultisetError(f"malformed count in token {token!r}")
+                count = int(suffix)
                 if count <= 0:
                     raise MultisetError(f"count must be positive in token {token!r}")
             else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .multiset import check_symbol, is_reserved
+from .multiset import check_symbol, is_number, is_reserved
 
 
 class MachineError(ValueError):
@@ -179,11 +179,6 @@ def normalize_clearing(machine: RegisterMachine) -> RegisterMachine:
 # -- text format -------------------------------------------------------------
 
 
-def _is_number(token: str) -> bool:
-    # str.isdigit alone passes digits such as '²' that int() rejects
-    return token.isascii() and token.isdigit()
-
-
 def parse_machine(text: str) -> RegisterMachine:
     """Line format: REGISTERS n / INPUTS k / START l / label ADD r next /
     label SUB r nonzero zero / label HALT.  '#' starts a comment."""
@@ -201,11 +196,11 @@ def parse_machine(text: str) -> RegisterMachine:
         tokens = line.split()
         head = tokens[0].upper()
         if head == "REGISTERS":
-            if registers is not None or len(tokens) != 2 or not _is_number(tokens[1]):
+            if registers is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single REGISTERS <n> line")
             registers = int(tokens[1])
         elif head == "INPUTS":
-            if inputs is not None or len(tokens) != 2 or not _is_number(tokens[1]):
+            if inputs is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single INPUTS <k> line")
             inputs = int(tokens[1])
         elif head == "START":
@@ -223,9 +218,9 @@ def parse_machine(text: str) -> RegisterMachine:
             if label in instructions:
                 fail(lineno, f"duplicate label {label!r}")
             op = tokens[1].upper() if len(tokens) > 1 else ""
-            if op == "ADD" and len(tokens) == 4 and _is_number(tokens[2]):
+            if op == "ADD" and len(tokens) == 4 and is_number(tokens[2]):
                 instructions[label] = Add(int(tokens[2]), tokens[3])
-            elif op == "SUB" and len(tokens) == 5 and _is_number(tokens[2]):
+            elif op == "SUB" and len(tokens) == 5 and is_number(tokens[2]):
                 instructions[label] = Sub(int(tokens[2]), tokens[3], tokens[4])
             elif op == "HALT" and len(tokens) == 2:
                 instructions[label] = Halt()

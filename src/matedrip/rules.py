@@ -17,6 +17,16 @@ class RuleError(ValueError):
     """Malformed rule text."""
 
 
+def _delta(gain: Multiset, *losses: Multiset) -> tuple[tuple[str, int], ...]:
+    """gain - losses as sorted (name, signed count) pairs, zeros left out:
+    the `delta` argument of Multiset.shifted."""
+    acc = dict(gain)
+    for loss in losses:
+        for n, c in loss:
+            acc[n] = acc.get(n, 0) - c
+    return tuple(sorted((n, c) for n, c in acc.items() if c))
+
+
 @dataclass(frozen=True)
 class MateRule:
     """(u | a , b | v ; x): fuse two vesicles, replacing a+b by x."""
@@ -30,6 +40,8 @@ class MateRule:
     def __post_init__(self):
         object.__setattr__(self, "_left_need", self.u + self.a)
         object.__setattr__(self, "_right_need", self.b + self.v)
+        object.__setattr__(self, "_delta", _delta(self.x, self.a, self.b))
+        object.__setattr__(self, "_dsize", len(self.x) - len(self.a) - len(self.b))
 
     @property
     def weight(self) -> int:
@@ -56,6 +68,10 @@ class DripRule:
 
     def __post_init__(self):
         object.__setattr__(self, "_need", self.u + self.c + self.v)
+        object.__setattr__(self, "_delta", _delta(self.y, self.c, self.v))
+        object.__setattr__(self, "_dsize", len(self.y) - len(self.c) - len(self.v))
+        object.__setattr__(self, "_first", self.u + self.y)
+        object.__setattr__(self, "_second", self.z + self.v)
 
     @property
     def weight(self) -> int:
@@ -113,8 +129,13 @@ def apply_mate(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset | None:
 
 
 def fuse(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset:
-    """Fuse v1 and v2, which the caller knows the rule applies to."""
-    return v1.minus(rule.a) + rule.x + v2.minus(rule.b)
+    """Fuse v1 and v2, which the caller knows the rule applies to.
+
+    The result (v1 - a) + x + (v2 - b) is one merge of v1 and v2 shifted by
+    the rule's precomputed x - a - b.  The kernel checks only that no count
+    goes below zero (MultisetError); it does not test the rule's needs.
+    """
+    return v1.shifted(v2, rule._delta, rule._dsize)
 
 
 def apply_drip(rule: DripRule, vesicle: Multiset) -> list[tuple[Multiset, Multiset]]:
@@ -127,7 +148,7 @@ def apply_drip(rule: DripRule, vesicle: Multiset) -> list[tuple[Multiset, Multis
     seen = set()
     out = []
     for s, w in residual.splits():
-        pair = (s + rule.u + rule.y, rule.z + rule.v + w)
+        pair = (s + rule._first, rule._second + w)
         if pair not in seen:
             seen.add(pair)
             out.append(pair)
@@ -136,11 +157,15 @@ def apply_drip(rule: DripRule, vesicle: Multiset) -> list[tuple[Multiset, Multis
 
 
 def apply_drip1(rule: DripRule, vesicle: Multiset) -> tuple[Multiset, Multiset] | None:
-    """One-sided drip: the whole residual joins the first output vesicle."""
+    """One-sided drip: the whole residual joins the first output vesicle.
+
+    The outputs are (vesicle - (u + c + v)) + u + y, which is the vesicle
+    shifted by the rule's precomputed y - c - v, and the rule's constant
+    z + v; None when the vesicle lacks u + c + v.
+    """
     if not vesicle.contains(rule._need):
         return None
-    residual = vesicle.minus(rule._need)
-    return (residual + rule.u + rule.y, rule.v + rule.z)
+    return (vesicle.shifted(EMPTY, rule._delta, rule._dsize), rule._second)
 
 
 # -- rule text grammar -----------------------------------------------------

@@ -17,7 +17,7 @@ from .multiset import Multiset
 from .rules import (  # the apply_* stay module attributes for bench/tracer.py
     MateRule, Rule, apply_drip, apply_drip1, apply_mate, parse_rule)
 from .tts import (
-    Bounds, FormatError, _admissible, _drip, _fill, _join, _parse_system, _SymbolIndex)
+    Bounds, FormatError, _admissible, _drip, _fill, _join, _number, _parse_system, _SymbolIndex)
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,17 @@ def parse_tp(text: str) -> TissueSystem:
 
     def on_output(rest):
         nonlocal output
-        output = int(rest)
+        output = _number(rest)
+        return (output,)
 
     def on_rule(rest):
         idx, _, body = rest.partition(" ")
         rule_text, arrow, tgt = body.rpartition("->")
         if not arrow:
             raise FormatError("rule must name a target cell: RULE i KIND (...) -> j")
-        rules.append(TPRule(int(idx), parse_rule(rule_text), int(tgt)))
-        return int(idx)
+        tp = TPRule(_number(idx), parse_rule(rule_text), _number(tgt.strip()))
+        rules.append(tp)
+        return (tp.source, tp.target)
 
     alphabet, terminal, cells, axioms = _parse_system(
         text, "TP", "CELLS", {"OUTPUT": on_output, "RULE": on_rule})

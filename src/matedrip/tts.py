@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .multiset import Multiset
+from .multiset import Multiset, is_number
 from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
     DripRule, MateRule, Rule, apply_drip, apply_drip1, apply_mate, fuse, parse_rule)
 
@@ -164,13 +164,18 @@ class _SymbolIndex:
 
     def add(self, vesicle: Multiset):
         counts = dict(vesicle)
-        entries = [e for name in counts for e in self._anchored.get(name, ())]
-        for need, operands in entries + self._unanchored:
-            if all(counts.get(n, 0) >= c for n, c in need):
-                if isinstance(operands, list):
-                    operands.append(vesicle)
+        groups = [self._anchored[name] for name in counts if name in self._anchored]
+        groups.append(self._unanchored)
+        for entries in groups:
+            for need, operands in entries:
+                for n, c in need:
+                    if counts.get(n, 0) < c:
+                        break
                 else:
-                    operands.setdefault(len(vesicle), []).append(vesicle)
+                    if isinstance(operands, list):
+                        operands.append(vesicle)
+                    else:
+                        operands.setdefault(len(vesicle), []).append(vesicle)
 
 
 def _frontier_start(operands: list, frontier) -> int:
@@ -403,13 +408,20 @@ def _parse_brace_group(text: str, what: str) -> str:
     return text[1:-1].strip()
 
 
+def _number(token: str) -> int:
+    """A count or compartment index, which must be ASCII digits."""
+    if not is_number(token):
+        raise FormatError(f"expected a number, got {token!r}")
+    return int(token)
+
+
 def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
     Strips `#` comments, checks `SYSTEM kind` and reads ALPHABET, TERMINAL,
     the compartment count `count_head` and AXIOM lines.  Every other head
-    goes to `directives[head](rest)`, which returns the compartment index
-    the line names, or None.  Errors carry their line number, and so does a
+    goes to `directives[head](rest)`, which returns the compartment indices
+    the line names.  Errors carry their line number, and so does a
     compartment index out of range once the count is known.  Returns
     (alphabet, terminal, count, axioms by compartment index); the alphabet
     and count are None when undeclared.
@@ -434,16 +446,15 @@ def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tu
             elif head == "TERMINAL":
                 terminal = frozenset(rest.split())
             elif head == count_head:
-                count = int(rest)
+                count = _number(rest)
             elif head == "AXIOM":
                 idx, _, body = rest.partition(" ")
-                axioms.setdefault(int(idx), set()).add(
+                idx = _number(idx)
+                axioms.setdefault(idx, set()).add(
                     Multiset.parse(_parse_brace_group(body, "axiom")))
-                named.append((int(idx), lineno))
+                named.append((idx, lineno))
             elif head in directives:
-                idx = directives[head](rest)
-                if idx is not None:
-                    named.append((idx, lineno))
+                named += [(idx, lineno) for idx in directives[head](rest)]
             else:
                 raise FormatError(f"unknown directive {head!r}")
         except ValueError as exc:  # MultisetError and RuleError included
@@ -462,12 +473,14 @@ def parse_tts(text: str) -> TestTubeSystem:
 
     def on_output(rest):
         nonlocal outputs
-        outputs = frozenset(int(tok) for tok in rest.split())
+        outputs = frozenset(_number(tok) for tok in rest.split())
+        return outputs
 
     def on_rule(rest):
         idx, _, body = rest.partition(" ")
-        rules.setdefault(int(idx), []).append(parse_rule(body))
-        return int(idx)
+        idx = _number(idx)
+        rules.setdefault(idx, []).append(parse_rule(body))
+        return (idx,)
 
     def on_filter(rest):
         src, arrow, tail = rest.partition("->")
@@ -478,7 +491,9 @@ def parse_tts(text: str) -> TestTubeSystem:
         if keyword.upper() != "SUPPORT":
             raise FormatError("filter must declare a SUPPORT set")
         branch = SupportFilter(frozenset(_parse_brace_group(body, "filter support").split()))
-        filters.setdefault((int(src), int(tgt)), []).append(branch)
+        ends = (_number(src.strip()), _number(tgt))
+        filters.setdefault(ends, []).append(branch)
+        return ends
 
     alphabet, terminal, tubes, axioms = _parse_system(
         text, "TTS", "TUBES", {"OUTPUT": on_output, "RULE": on_rule, "FILTER": on_filter})

@@ -35,6 +35,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_input_vector_numerals_exit_2(capsys):
+    for bad in ("-3", "1_0", "+1", "\u0662"):
+        assert main(["rm", "run", machine_path("even.rm"), "--input", bad]) == 2
+        assert "--input" in capsys.readouterr().err
+    assert main(["rm", "run", machine_path("even.rm"), "--input", "10"]) == 0
+    capsys.readouterr()
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.rm"
     bad.write_text("REGISTERS 1\nINPUTS 1\nSTART l0\nl0 WAT\n")

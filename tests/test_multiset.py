@@ -2,10 +2,23 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matedrip import EMPTY, Multiset, MultisetError, check_symbol, is_reserved
 
+KERNEL = settings(derandomize=True, max_examples=150, database=None, deadline=None)
+
 ALPHA = ["a", "b", "c", "d", "e", "f"]
+
+
+def small_multisets(alphabet=ALPHA[:4], max_count=3):
+    return st.dictionaries(st.sampled_from(alphabet), st.integers(1, max_count),
+                           max_size=len(alphabet)).map(Multiset)
+
+
+def sized_right(m):
+    """len() is cached by the kernels, not recomputed; it must be the sum."""
+    return len(m) == sum(c for _, c in m)
 
 
 def rand_multiset(rng, alphabet=ALPHA, max_size=8):
@@ -89,6 +102,33 @@ def test_splits_against_brute_force():
             assert s + w == m
 
 
+@KERNEL
+@given(small_multisets(), small_multisets(), small_multisets(), small_multisets())
+def test_shifted_against_add_then_minus(m, other, gain, loss):
+    acc = dict(gain)
+    for n, c in loss:
+        acc[n] = acc.get(n, 0) - c
+    delta = tuple(sorted((n, c) for n, c in acc.items() if c))
+    expected = (m + other + gain).minus(loss)
+    if expected is None:
+        with pytest.raises(MultisetError):
+            m.shifted(other, delta, len(gain) - len(loss))
+    else:
+        got = m.shifted(other, delta, len(gain) - len(loss))
+        assert got == expected
+        assert len(got) == len(expected) and sized_right(got)
+
+
+@KERNEL
+@given(small_multisets(), small_multisets())
+def test_algebra_sizes(m1, m2):
+    assert sized_right(m1 + m2) and len(m1 + m2) == len(m1) + len(m2)
+    diff = (m1 + m2).minus(m2)
+    assert sized_right(diff) and len(diff) == len(m1)
+    for s, w in m1.splits():
+        assert sized_right(s) and sized_right(w)
+
+
 def test_sum_diff_roundtrip():
     rng = random.Random(1002)
     for _ in range(1000):
@@ -108,7 +148,8 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    for bad in ("a^0", "a^-1", "a^x", "a^", "a .", "^2"):
+    for bad in ("a^0", "a^-1", "a^x", "a^", "a .", "^2",
+                "a^1_0", "a^+2", "a^\u00b2", "a^\u0663"):
         with pytest.raises(MultisetError):
             Multiset.parse(bad)
 

@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matedrip import (
     DripRule,
     EMPTY,
     MateRule,
     Multiset,
+    MultisetError,
     RuleError,
     apply_drip,
     apply_drip1,
@@ -16,8 +18,11 @@ from matedrip import (
     parse_rule,
     weight,
 )
+from matedrip.rules import fuse
 
 ALPHA = ["a", "b", "c", "d", "e", "f"]
+
+KERNEL = settings(derandomize=True, max_examples=150, database=None, deadline=None)
 
 
 def ms(text):
@@ -46,6 +51,67 @@ def brute_drip_outcomes(rule, vesicle):
         w = residual.minus(s)
         out.add((s + rule.u + rule.y, rule.z + rule.v + w))
     return out
+
+
+def small_multisets(max_count=2):
+    return st.dictionaries(st.sampled_from(ALPHA[:4]), st.integers(1, max_count),
+                           max_size=3).map(Multiset)
+
+
+def sized_right(m):
+    """len() is cached by the kernels, not recomputed; it must be the sum."""
+    return len(m) == sum(c for _, c in m)
+
+
+# -- kernels against the formulas of the paper ---------------------------------
+
+
+@KERNEL
+@given(st.builds(MateRule, *[small_multisets()] * 5), small_multisets(), small_multisets())
+def test_fuse_matches_reference(rule, extra1, extra2):
+    v1 = rule.u + rule.a + extra1
+    v2 = rule.b + rule.v + extra2
+    got = fuse(rule, v1, v2)
+    assert got == v1.minus(rule.a) + rule.x + v2.minus(rule.b)
+    assert apply_mate(rule, v1, v2) == got
+    assert sized_right(got)
+
+
+@KERNEL
+@given(st.builds(DripRule, *[small_multisets()] * 5, one_sided=st.just(True)),
+       small_multisets(3), st.booleans())
+def test_apply_drip1_matches_reference(rule, extra, hosted):
+    need = rule.u + rule.c + rule.v
+    vesicle = need + extra if hosted else extra
+    got = apply_drip1(rule, vesicle)
+    if not vesicle.contains(need):
+        assert got is None
+        return
+    assert got == (vesicle.minus(need) + rule.u + rule.y, rule.v + rule.z)
+    assert all(sized_right(m) for m in got)
+
+
+@KERNEL
+@given(st.builds(DripRule, *[small_multisets()] * 5), small_multisets(), st.booleans())
+def test_apply_drip_matches_reference(rule, extra, hosted):
+    need = rule.u + rule.c + rule.v
+    vesicle = need + extra if hosted else extra
+    got = apply_drip(rule, vesicle)
+    expected = []
+    if vesicle.contains(need):
+        expected = {(s + rule.u + rule.y, rule.z + rule.v + w)
+                    for s, w in vesicle.minus(need).splits()}
+        expected = sorted(expected, key=lambda pq: (pq[0].render(), pq[1].render()))
+    assert got == expected
+    assert all(sized_right(m) for pair in got for m in pair)
+
+
+def test_kernel_precondition_violation_raises():
+    rule = MateRule(EMPTY, ms("a"), ms("b"), EMPTY, ms("x"))
+    with pytest.raises(MultisetError):
+        fuse(rule, ms("c"), ms("b"))
+    with pytest.raises(MultisetError):
+        fuse(rule, ms("a"), EMPTY)
 
 
 # -- weights -----------------------------------------------------------------

@@ -336,6 +336,15 @@ def test_format_errors():
     ("SYSTEM TP\nALPHABET a\nAXIOM 3 {a}\nCELLS 1\nOUTPUT 1\n", 3),
     ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 3 MATE (a | . , a | . ; .) -> 1\n", 5),
     ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 1 a\n", 5),
+    # numerals are ASCII digits only
+    ("SYSTEM TP\nALPHABET a\nCELLS 1_0\nOUTPUT 1\n", 3),
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT +1\n", 4),
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 1 {a^1_0}\n", 5),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 1 MATE (a | . , a | . ; .) -> \u0662\n", 5),
+    # output and target cells out of range
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 3\n", 4),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 1 MATE (a | . , a | . ; .) -> 3\n", 5),
+    ("SYSTEM TP\nALPHABET a\nRULE 1 DRIP (. | a | . ; a , .) -> 0\nCELLS 2\nOUTPUT 1\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):

@@ -434,6 +434,19 @@ def test_format_errors():
     ("SYSTEM TTS\nALPHABET a\nAXIOM 2 {a}\nTUBES 1\n", 3),
     ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 a\n", 4),
     ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 2 SUPPORT a\n", 4),
+    # numerals are ASCII digits only
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1_0\n", 3),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM +1 {a}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 {a^1_0}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 {a^+2}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE \u0661 MATE (a | . , a | . ; .)\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nOUTPUT 1 +1\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> \u0662 SUPPORT {a}\n", 4),
+    # output and filter tubes out of range
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nOUTPUT 1 2\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 5 SUPPORT {a}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 0 -> 2 SUPPORT {a}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nFILTER 3 -> 1 SUPPORT {a}\nTUBES 2\nOUTPUT 1\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
