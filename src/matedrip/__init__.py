@@ -11,7 +11,6 @@ from .rules import (
     apply_mate,
     classify,
     parse_rule,
-    weight,
 )
 from .regmach import (
     Add,

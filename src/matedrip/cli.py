@@ -14,8 +14,8 @@ from pathlib import Path
 from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
 from .multiset import is_number
 from .regmach import enumerate_accepted, load_machine, run
-from .tp import TissueSystem, load_tp, render_tp, tp_run, validate_tp
-from .tts import Bounds, closure, load_tts, render_tts, results_of_state
+from .tp import TissueSystem, parse_tp, render_tp, tp_run, validate_tp
+from .tts import Bounds, _directives, closure, parse_tts, render_tts, results_of_state
 from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
 
 
@@ -47,13 +47,10 @@ def _parse_input_vector(text: str) -> tuple[int, ...]:
 
 
 def _load_system(path: str):
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            if line.upper().startswith("SYSTEM TP"):
-                return load_tp(path)
-            break
-    return load_tts(path)
+    """Parse a `.tp` file if its first directive is `SYSTEM TP`, else a `.tts` file."""
+    text = Path(path).read_text(encoding="utf-8")
+    _, head, rest = next(_directives(text), (0, "", ""))
+    return parse_tp(text) if (head, rest.upper()) == ("SYSTEM", "TP") else parse_tts(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,11 +135,7 @@ def cmd_run(args) -> int:
     system = _load_system(args.file)
     bounds = _bounds_from(args)
     if isinstance(system, TissueSystem):
-        problems, warnings = validate_tp(system)
-        if problems:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
-            return 2
+        _, warnings = validate_tp(system)  # parse_tp has raised on any problem
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         result_set, trace = tp_run(system, args.max_steps, bounds)

@@ -123,63 +123,51 @@ def _prepare(machine: RegisterMachine, opts: CompileOptions) -> RegisterMachine:
     return normalize_clearing(machine) if opts.normalize else machine
 
 
+# where a simulation mate sends its result: on to the next instruction, to
+# the zero check of a guessed SUB, or out as a halted configuration
+_STEP, _GUESS, _HALT = "step", "guess", "halt"
+
+
 @dataclass
 class _MateEntry:
     rule: MateRule
     partners: tuple[Multiset, ...]  # axiom vesicles serving as the second operand
+    goes: str = _STEP
+
+    def __post_init__(self):
+        for partner in self.partners:
+            if not partner.contains(self.rule.b + self.rule.v):
+                raise CompileError(f"internal: partner {partner} does not cover {self.rule.render()}")
 
 
 @dataclass
-class _Parts:
-    """Shared skeleton of the three-tube constructions."""
+class _Skeleton:
+    """The register-machine simulation shared by all four constructions:
+    the working vesicles (tube-1 axioms, thm4's species) and their mates."""
 
+    machine: RegisterMachine  # validated and, if asked, normalised
     alphabet: set[str]
     terminal: frozenset[str]
-    axioms1: list[Multiset]
-    axioms2: list[Multiset]
-    mates1: list[_MateEntry]
-    mates2: list[_MateEntry]
-    filters: list[tuple[int, TubeFilter, int]]
+    axioms: list[Multiset]
+    mates: list[_MateEntry]
 
 
 def _sub_instructions(machine: RegisterMachine) -> list[tuple[str, Sub]]:
     return [(l, i) for l, i in machine.instructions.items() if isinstance(i, Sub)]
 
 
-def _build_parts(machine: RegisterMachine, opts: CompileOptions,
-                 extra_symbols: frozenset[str] = frozenset()) -> _Parts:
+def _skeleton(machine: RegisterMachine, opts: CompileOptions) -> _Skeleton:
     machine = _prepare(machine, opts)
     k = machine.inputs
-    n = machine.registers
     guarded = opts.fidelity == "guarded"
     start_symbol = SYM_LOAD if guarded else SYM_X
     halt = machine.halt_label
-    subs = _sub_instructions(machine)
-
-    alphabet = set(machine.instructions) | set(extra_symbols)
-    alphabet.update((SYM_X, SYM_Y, SYM_Z, SYM_F))
-    if guarded:
-        alphabet.add(SYM_LOAD)
-    alphabet.update(term_symbol(i) for i in range(1, k + 1))
-    alphabet.update(reg_symbol(r) for r in range(1, n + 1))
-    for label, inst in machine.instructions.items():
-        if isinstance(inst, Add):
-            alphabet.add(_add_marker(label))
-        elif isinstance(inst, Sub):
-            alphabet.add(_add_marker(label))
-            alphabet.add(_guess_marker(label))
-            alphabet.add(_confirm_marker(label))
-    terminal = frozenset(term_symbol(i) for i in range(1, k + 1))
 
     start_vesicle = _single(start_symbol)
     z_axiom = Multiset.of(SYM_Z, machine.start)
     f_axiom = _single(SYM_F)
     load_axioms = [Multiset.of(term_symbol(i), reg_symbol(i), SYM_Y) for i in range(1, k + 1)]
-
-    axioms1 = [start_vesicle, z_axiom, f_axiom] + list(load_axioms)
-    axioms2: list[Multiset] = []
-    mates1: list[_MateEntry] = []
-    mates2: list[_MateEntry] = []
+    axioms = [start_vesicle, z_axiom, f_axiom] + list(load_axioms)
 
     # input loading and start of the simulation
     if guarded:
@@ -190,47 +178,69 @@ def _build_parts(machine: RegisterMachine, opts: CompileOptions,
         load_rule = MateRule(_single(SYM_X), EMPTY, _single(SYM_Y), EMPTY, EMPTY)
         start_rule = MateRule(_single(SYM_X), EMPTY, _single(SYM_Z),
                               _single(machine.start), EMPTY)
-    mates1.append(_MateEntry(load_rule, tuple(load_axioms)))
-    mates1.append(_MateEntry(start_rule, (z_axiom,)))
-
     # halting: erase the halt label and the configuration marker
     output_rule = MateRule(EMPTY, Multiset.of(halt, SYM_X), _single(SYM_F), EMPTY, EMPTY)
-    mates1.append(_MateEntry(output_rule, (f_axiom,)))
+    mates = [_MateEntry(load_rule, tuple(load_axioms)), _MateEntry(start_rule, (z_axiom,)),
+             _MateEntry(output_rule, (f_axiom,), _HALT)]
 
     for label, inst in machine.instructions.items():
         if isinstance(inst, Add):
             axiom = Multiset.of(_add_marker(label), inst.next_label, reg_symbol(inst.register))
-            axioms1.append(axiom)
+            axioms.append(axiom)
             rule = MateRule(_single(SYM_X), _single(label), _single(_add_marker(label)),
                             Multiset.of(inst.next_label, reg_symbol(inst.register)), EMPTY)
-            mates1.append(_MateEntry(rule, (axiom,)))
+            mates.append(_MateEntry(rule, (axiom,)))
         elif isinstance(inst, Sub):
             dec_axiom = Multiset.of(_add_marker(label), inst.nonzero)
             guess_axiom = _single(_guess_marker(label))
-            axioms1.extend([dec_axiom, guess_axiom])
+            axioms.extend([dec_axiom, guess_axiom])
             dec_rule = MateRule(_single(SYM_X), Multiset.of(label, reg_symbol(inst.register)),
                                 _single(_add_marker(label)), _single(inst.nonzero), EMPTY)
             guess_rule = MateRule(_single(SYM_X), _single(label), EMPTY,
                                   _single(_guess_marker(label)), EMPTY)
-            mates1.append(_MateEntry(dec_rule, (dec_axiom,)))
-            mates1.append(_MateEntry(guess_rule, (guess_axiom,)))
-            confirm_axiom = Multiset.of(_confirm_marker(label), inst.zero)
-            axioms2.append(confirm_axiom)
-            confirm_rule = MateRule(_single(SYM_X), _single(_guess_marker(label)),
-                                    _single(_confirm_marker(label)), _single(inst.zero), EMPTY)
-            mates2.append(_MateEntry(confirm_rule, (confirm_axiom,)))
+            mates.append(_MateEntry(dec_rule, (dec_axiom,)))
+            mates.append(_MateEntry(guess_rule, (guess_axiom,), _GUESS))
 
-    for entry in mates1 + mates2:
-        for partner in entry.partners:
-            if not partner.contains(entry.rule.b + entry.rule.v):
-                raise CompileError(f"internal: partner {partner} does not cover {entry.rule.render()}")
+    alphabet = set(machine.instructions)
+    alphabet.update((SYM_X, SYM_Y, SYM_Z, SYM_F))
+    alphabet.update(term_symbol(i) for i in range(1, k + 1))
+    alphabet.update(reg_symbol(r) for r in range(1, machine.registers + 1))
+    for axiom in axioms:
+        alphabet.update(axiom.support)
+    terminal = frozenset(term_symbol(i) for i in range(1, k + 1))
+    return _Skeleton(machine, alphabet, terminal, axioms, mates)
+
+
+def _three_tube_system(machine: RegisterMachine, opts: CompileOptions, rules,
+                       seeded: bool = False) -> TestTubeSystem:
+    """Tube 1 simulates, tube 2 confirms each zero guess, tube 3 collects.
+
+    `rules(mates, axioms)` gives a working tube's rules from the mates and
+    axioms of the literal construction.  A `seeded` system starts both
+    working tubes from the single axiom @g instead of those axioms.
+    """
+    skel = _skeleton(machine, opts)
+    n = skel.machine.registers
+    subs = _sub_instructions(skel.machine)
+    alphabet = skel.alphabet | {_confirm_marker(l) for l, _ in subs}
+    if seeded:
+        alphabet.add(SYM_SEED)
+
+    axioms2: list[Multiset] = []
+    mates2: list[_MateEntry] = []
+    for label, inst in subs:
+        confirm_axiom = Multiset.of(_confirm_marker(label), inst.zero)
+        axioms2.append(confirm_axiom)
+        confirm_rule = MateRule(_single(SYM_X), _single(_guess_marker(label)),
+                                _single(_confirm_marker(label)), _single(inst.zero), EMPTY)
+        mates2.append(_MateEntry(confirm_rule, (confirm_axiom,)))
 
     filters: list[tuple[int, TubeFilter, int]] = []
     sub_registers = sorted({inst.register for _, inst in subs})
     if sub_registers:
         branches = []
         for r in sub_registers:
-            allowed = set(terminal)
+            allowed = set(skel.terminal)
             allowed.add(SYM_X)
             allowed.update(reg_symbol(i) for i in range(1, n + 1) if i != r)
             allowed.update(_guess_marker(l) for l, i in subs if i.register == r)
@@ -238,49 +248,41 @@ def _build_parts(machine: RegisterMachine, opts: CompileOptions,
         filters.append((1, TubeFilter(tuple(branches)), 2))
         blocked = {_guess_marker(l) for l, _ in subs} | {_confirm_marker(l) for l, _ in subs}
         filters.append((2, TubeFilter((SupportFilter(frozenset(alphabet - blocked)),)), 1))
-    filters.append((1, TubeFilter((SupportFilter(terminal),)), 3))
+    filters.append((1, TubeFilter((SupportFilter(skel.terminal),)), 3))
 
-    return _Parts(alphabet, terminal, axioms1, axioms2, mates1, mates2, filters)
-
-
-def compile_thm1(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TestTubeSystem:
-    """Three tubes, mate rules of weight at most five, axioms of weight at most three."""
-    parts = _build_parts(machine, opts)
+    working = ((skel.mates, skel.axioms), (mates2, axioms2))
+    seed_axiom = frozenset({_single(SYM_SEED)})
     return TestTubeSystem(
-        alphabet=frozenset(parts.alphabet),
-        terminal=parts.terminal,
+        alphabet=frozenset(alphabet),
+        terminal=skel.terminal,
         tubes=3,
-        axioms=(frozenset(parts.axioms1), frozenset(parts.axioms2), frozenset()),
-        rules=(tuple(e.rule for e in parts.mates1), tuple(e.rule for e in parts.mates2), ()),
-        filters=tuple(parts.filters),
+        axioms=(*(seed_axiom if seeded else frozenset(axioms) for _, axioms in working), frozenset()),
+        rules=(*(rules(mates, axioms) for mates, axioms in working), ()),
+        filters=tuple(filters),
         outputs=frozenset({3}),
     )
 
 
-def _generation_drips(axioms: list[Multiset]) -> list[DripRule]:
+def _mate_rules(mates: list[_MateEntry]) -> tuple[MateRule, ...]:
+    return tuple(e.rule for e in mates)
+
+
+def _seed_drips(axioms: list[Multiset], one_sided: bool = False) -> tuple[DripRule, ...]:
+    """Drips growing each axiom, and the seed itself, from the seed @g."""
     seed = _single(SYM_SEED)
-    drips = [DripRule(EMPTY, seed, EMPTY, axiom, EMPTY) for axiom in axioms]
-    drips.append(DripRule(EMPTY, seed, EMPTY, seed, EMPTY))
-    return drips
+    return tuple(DripRule(EMPTY, seed, EMPTY, v, EMPTY, one_sided=one_sided) for v in (*axioms, seed))
+
+
+def compile_thm1(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TestTubeSystem:
+    """Three tubes, mate rules of weight at most five, axioms of weight at most three."""
+    return _three_tube_system(machine, opts, lambda mates, axioms: _mate_rules(mates))
 
 
 def compile_cor2(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TestTubeSystem:
     """As thm1, but both working tubes start from the single axiom @g and
     grow every other axiom with weight-four drip rules."""
-    parts = _build_parts(machine, opts, frozenset({SYM_SEED}))
-    alphabet = frozenset(parts.alphabet)
-    seed_axiom = frozenset({_single(SYM_SEED)})
-    rules1 = tuple(e.rule for e in parts.mates1) + tuple(_generation_drips(parts.axioms1))
-    rules2 = tuple(e.rule for e in parts.mates2) + tuple(_generation_drips(parts.axioms2))
-    return TestTubeSystem(
-        alphabet=alphabet,
-        terminal=parts.terminal,
-        tubes=3,
-        axioms=(seed_axiom, seed_axiom, frozenset()),
-        rules=(rules1, rules2, ()),
-        filters=tuple(parts.filters),
-        outputs=frozenset({3}),
-    )
+    return _three_tube_system(
+        machine, opts, lambda mates, axioms: _mate_rules(mates) + _seed_drips(axioms), seeded=True)
 
 
 def _one_sided(entry: _MateEntry) -> list[DripRule]:
@@ -297,31 +299,16 @@ def _one_sided(entry: _MateEntry) -> list[DripRule]:
 def _cor3_tube(mates: list[_MateEntry], axioms: list[Multiset]) -> tuple[DripRule, ...]:
     """One-sided drips for a working tube: its mates translated, then the
     seed drips for every axiom no mate uses as a partner."""
-    seed = _single(SYM_SEED)
     partnered = {partner for entry in mates for partner in entry.partners}
     rules: list[DripRule] = []
     for entry in mates:
         rules.extend(_one_sided(entry))
-    for axiom in axioms:
-        if axiom not in partnered:
-            rules.append(DripRule(EMPTY, seed, EMPTY, axiom, EMPTY, one_sided=True))
-    rules.append(DripRule(EMPTY, seed, EMPTY, seed, EMPTY, one_sided=True))
-    return tuple(rules)
+    return tuple(rules) + _seed_drips([a for a in axioms if a not in partnered], one_sided=True)
 
 
 def compile_cor3(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TestTubeSystem:
     """One-sided drip rules only, weight at most four, single axiom @g."""
-    parts = _build_parts(machine, opts, frozenset({SYM_SEED}))
-    seed_axiom = frozenset({_single(SYM_SEED)})
-    return TestTubeSystem(
-        alphabet=frozenset(parts.alphabet),
-        terminal=parts.terminal,
-        tubes=3,
-        axioms=(seed_axiom, seed_axiom, frozenset()),
-        rules=(_cor3_tube(parts.mates1, parts.axioms1), _cor3_tube(parts.mates2, parts.axioms2), ()),
-        filters=tuple(parts.filters),
-        outputs=frozenset({3}),
-    )
+    return _three_tube_system(machine, opts, _cor3_tube, seeded=True)
 
 
 def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions()) -> TissueSystem:
@@ -334,43 +321,19 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
     the tested register symbol; survivors leave with the zero-branch label.
     Cell 5 collects the results.
     """
-    machine = _prepare(machine, opts)
-    k = machine.inputs
-    guarded = opts.fidelity == "guarded"
-    start_symbol = SYM_LOAD if guarded else SYM_X
-    halt = machine.halt_label
-    subs = _sub_instructions(machine)
+    skel = _skeleton(machine, opts)
+    subs = _sub_instructions(skel.machine)
     sub_registers = sorted({inst.register for _, inst in subs})
     sub_exits = sorted({(inst.register, inst.zero) for _, inst in subs})
 
-    start_vesicle = _single(start_symbol)
-    z_axiom = Multiset.of(SYM_Z, machine.start)
-    f_axiom = _single(SYM_F)
-    load_axioms = [Multiset.of(term_symbol(i), reg_symbol(i), SYM_Y) for i in range(1, k + 1)]
-    species: list[Multiset] = [start_vesicle, z_axiom, f_axiom] + load_axioms
-    for label, inst in machine.instructions.items():
-        if isinstance(inst, Add):
-            species.append(Multiset.of(_add_marker(label), inst.next_label, reg_symbol(inst.register)))
-        elif isinstance(inst, Sub):
-            species.append(Multiset.of(_add_marker(label), inst.nonzero))
-            species.append(_single(_guess_marker(label)))
-
+    species = skel.axioms
     seed_names = [_seed_symbol(s) for s in species]
     if len(set(seed_names)) != len(seed_names):
         raise CompileError("seed symbol encoding collides; rename the machine labels")
 
-    alphabet = set(machine.instructions)
-    alphabet.update((SYM_X, SYM_Y, SYM_Z, SYM_F, SYM_R, SYM_RSEED))
-    if guarded:
-        alphabet.add(SYM_LOAD)
-    alphabet.update(term_symbol(i) for i in range(1, k + 1))
-    alphabet.update(reg_symbol(r) for r in range(1, machine.registers + 1))
-    for s in species:
-        alphabet.update(s.support)
-    alphabet.update(seed_names)
+    alphabet = skel.alphabet | {SYM_R, SYM_RSEED} | set(seed_names)
     for r in sub_registers:
         alphabet.update(_checker(letter, r) for letter in "ABCDEF")
-    terminal = frozenset(term_symbol(i) for i in range(1, k + 1))
 
     r_token = _single(SYM_R)
     rules: list[TPRule] = []
@@ -392,27 +355,13 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
     # configurations returning from cell 2 are anchored on @X
     add_rule(TPRule(2, MateRule(_single(SYM_X), EMPTY, r_token, EMPTY, EMPTY), 1))
 
-    # input loading and start
-    if guarded:
-        add_rule(TPRule(1, MateRule(_single(SYM_LOAD), EMPTY, _single(SYM_Y), EMPTY, EMPTY), 2))
-        add_rule(TPRule(1, MateRule(EMPTY, _single(SYM_LOAD), _single(SYM_Z),
-                                    _single(machine.start), _single(SYM_X)), 2))
-    else:
-        add_rule(TPRule(1, MateRule(_single(SYM_X), EMPTY, _single(SYM_Y), EMPTY, EMPTY), 2))
-        add_rule(TPRule(1, MateRule(_single(SYM_X), EMPTY, _single(SYM_Z),
-                                    _single(machine.start), EMPTY), 2))
-
-    for label, inst in machine.instructions.items():
-        if isinstance(inst, Add):
-            add_rule(TPRule(1, MateRule(_single(SYM_X), _single(label), _single(_add_marker(label)),
-                                        Multiset.of(inst.next_label, reg_symbol(inst.register)), EMPTY), 2))
-        elif isinstance(inst, Sub):
-            add_rule(TPRule(1, MateRule(_single(SYM_X), Multiset.of(label, reg_symbol(inst.register)),
-                                        _single(_add_marker(label)), _single(inst.nonzero), EMPTY), 2))
-            add_rule(TPRule(1, MateRule(_single(SYM_X), _single(label), EMPTY,
-                                        _single(_guess_marker(label)), EMPTY), 3))
-            add_rule(TPRule(3, MateRule(EMPTY, _single(_guess_marker(label)),
-                                        _single(_checker("E", inst.register)), _single(inst.zero), EMPTY), 2))
+    # the simulation: a step returns through cell 2, a zero guess goes to the
+    # check in cell 3, a halted configuration to the output cell
+    for entry in skel.mates:
+        add_rule(TPRule(1, entry.rule, {_STEP: 2, _GUESS: 3, _HALT: 5}[entry.goes]))
+    for label, inst in subs:
+        add_rule(TPRule(3, MateRule(EMPTY, _single(_guess_marker(label)),
+                                    _single(_checker("E", inst.register)), _single(inst.zero), EMPTY), 2))
 
     for r in sub_registers:
         ka, kb, kc = (_single(_checker(l, r)) for l in "ABC")
@@ -425,8 +374,6 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
         add_rule(TPRule(4, DripRule(EMPTY, kd, EMPTY, e_vesicle, kf + kd), 3))
         add_rule(TPRule(3, MateRule(EMPTY, e_vesicle, kf, kd, EMPTY), 4))
 
-    add_rule(TPRule(1, MateRule(EMPTY, Multiset.of(halt, SYM_X), _single(SYM_F), EMPTY, EMPTY), 5))
-
     axioms1 = frozenset(_single(name) for name in seed_names) | {rseed}
     axioms3 = frozenset(
         v
@@ -438,7 +385,7 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
 
     return TissueSystem(
         alphabet=frozenset(alphabet),
-        terminal=terminal,
+        terminal=skel.terminal,
         cells=5,
         axioms=(axioms1, frozenset(), axioms3, axioms4, frozenset()),
         rules=tuple(rules),

@@ -120,6 +120,8 @@ def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResu
     """
     if len(inputs) != machine.inputs:
         raise MachineError(f"expected {machine.inputs} inputs, got {len(inputs)}")
+    if any(x < 0 for x in inputs):
+        raise MachineError(f"inputs must be non-negative, got {tuple(inputs)}")
     if fuel < 1:
         raise MachineError("fuel must be at least 1")
     regs = tuple(inputs) + (0,) * (machine.registers - len(inputs))

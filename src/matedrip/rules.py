@@ -103,10 +103,6 @@ class RestrictionProfile:
     nonempty_contexts: bool
 
 
-def weight(rule: Rule) -> int:
-    return rule.weight
-
-
 def classify(rule: Rule) -> RestrictionProfile:
     if isinstance(rule, MateRule):
         return RestrictionProfile(

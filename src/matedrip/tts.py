@@ -415,6 +415,16 @@ def _number(token: str) -> int:
     return int(token)
 
 
+def _directives(text: str):
+    """(line number, upper-cased head, rest) of every line that is not blank
+    once its `#` comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield lineno, head.upper(), rest.strip()
+
+
 def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
@@ -430,13 +440,7 @@ def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tu
     terminal: frozenset[str] = frozenset()
     axioms: dict[int, set[Multiset]] = {}
     named: list[tuple[int, int]] = []  # (compartment index, line number)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        head = head.upper()
-        rest = rest.strip()
+    for lineno, head, rest in _directives(text):
         try:
             if head == "SYSTEM":
                 if rest.upper() != kind:

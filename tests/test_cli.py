@@ -131,3 +131,20 @@ def test_tp_run_via_cli(tmp_path, capsys):
     assert main(["run", str(out), "--max-steps", "40", "--max-size", "12"]) == 0
     captured = capsys.readouterr()
     assert {".", "a1^2", "a1^4"} <= set(captured.out.splitlines())
+
+
+def test_tp_file_with_spaced_system_line(tmp_path, capsys):
+    """`SYSTEM  TP` reads as a tissue system, as it does for parse_tp."""
+    out = tmp_path / "even.tp"
+    assert main(["compile", "thm4", machine_path("even.rm"), "-o", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text.startswith("SYSTEM TP\n")
+    out.write_text("# tissue system\nSYSTEM  TP" + text[len("SYSTEM TP"):])
+
+    assert main(["metrics", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("TP cells=5 ")
+    assert main(["run", str(out), "--max-steps", "40", "--max-size", "12"]) == 0
+    captured = capsys.readouterr()
+    assert {".", "a1^2", "a1^4"} <= set(captured.out.splitlines())
+    assert "error" not in captured.err

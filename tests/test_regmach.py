@@ -145,3 +145,10 @@ def test_parse_comments_and_arity(even):
 def test_run_input_arity(even):
     with pytest.raises(MachineError):
         run(even, (1, 2), 10)
+
+
+def test_run_rejects_negative_inputs(even, eq):
+    with pytest.raises(MachineError, match="non-negative"):
+        run(even, (-3,), 100)
+    with pytest.raises(MachineError, match="non-negative"):
+        run(eq, (1, -1), 100)

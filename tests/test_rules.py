@@ -16,7 +16,6 @@ from matedrip import (
     apply_mate,
     classify,
     parse_rule,
-    weight,
 )
 from matedrip.rules import fuse
 
@@ -119,7 +118,7 @@ def test_kernel_precondition_violation_raises():
 
 def test_weight_examples():
     add_rule = MateRule(ms("X"), ms("l1"), ms("A.l1"), ms("l2 b1"), EMPTY)
-    assert weight(add_rule) == 5
+    assert add_rule.weight == 5
     gen = DripRule(EMPTY, ms("g"), EMPTY, ms("A.l1 l2 b1"), EMPTY)
     assert gen.weight == 4
     assert MateRule(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY).weight == 0
