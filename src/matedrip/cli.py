@@ -15,7 +15,7 @@ from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
 from .multiset import is_number
 from .regmach import enumerate_accepted, load_machine, run
 from .tp import TissueSystem, parse_tp, render_tp, tp_run, validate_tp
-from .tts import Bounds, _directives, closure, parse_tts, render_tts, results_of_state
+from .tts import Bounds, closure, directives, parse_tts, render_tts, results_of_state
 from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
 
 
@@ -49,7 +49,7 @@ def _parse_input_vector(text: str) -> tuple[int, ...]:
 def _load_system(path: str):
     """Parse a `.tp` file if its first directive is `SYSTEM TP`, else a `.tts` file."""
     text = Path(path).read_text(encoding="utf-8")
-    _, head, rest = next(_directives(text), (0, "", ""))
+    _, head, rest = next(directives(text), (0, "", ""))
     return parse_tp(text) if (head, rest.upper()) == ("SYSTEM", "TP") else parse_tts(text)
 
 

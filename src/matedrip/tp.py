@@ -10,14 +10,20 @@ accumulated from the output cell as they appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from .engine import (
+    Bounds, Codec, OperandIndex, PackedMate, admissible, drip, fill, join)
+from .engine import drip1 as apply_drip1
 from .multiset import Multiset
-from .rules import (  # the apply_* stay module attributes for bench/tracer.py
-    MateRule, Rule, apply_drip, apply_drip1, apply_mate, parse_rule)
-from .tts import (
-    Bounds, FormatError, _admissible, _drip, _fill, _join, _number, _parse_system, _SymbolIndex)
+from .rules import Rule, apply_drip, apply_mate, parse_rule
+from .tts import FormatError, parse_number, parse_system, split_head
+
+# bench/tracer.py wraps the module attributes apply_drip1 (here the packed
+# one-sided drip), apply_drip and apply_mate.  tp_step looks the first two
+# up when it starts and calls them once per drip firing; no engine calls
+# apply_mate.
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,8 @@ class TPState:
     contents: tuple[frozenset[Multiset], ...]
     result_log: frozenset[Multiset]
     pruned: bool
+    # the packed contents tp_step left, so the next step need not encode them
+    _packed: "_Packed | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def population(self) -> int:
@@ -90,9 +98,47 @@ def validate_tp(system: TissueSystem) -> tuple[list[str], list[str]]:
     return problems, warnings
 
 
+class _Packed:
+    """A tissue state's contents in packed form.
+
+    `cells[c]` maps each packed vesicle of cell c to its Multiset.
+    `anchored[c]` holds an empty operand index over the rules anchored at
+    cell c and the (packed rule, target cell) pairs of those rules.  Valid
+    for the state whose contents tuple is `contents`, for the system whose
+    (alphabet, rules) is `source`.
+    """
+
+    __slots__ = ("source", "codec", "anchored", "cells", "contents")
+
+    def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
+                 cells: list[dict[int, Multiset]], contents: tuple):
+        self.source = source
+        self.codec = codec
+        self.anchored = anchored
+        self.cells = cells
+        self.contents = contents
+
+    def serves(self, system: TissueSystem, state: TPState, bounds: Bounds) -> bool:
+        return (self.contents is state.contents and self.codec.largest >= bounds.max_size
+                and self.source == (system.alphabet, system.rules))
+
+
+def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
+    largest = max((c for cell in state.contents for v in cell for _, c in v), default=0)
+    codec = Codec(system.alphabet, [tp.rule for tp in system.rules],
+                  max(largest, bounds.max_size))
+    firings: dict[int, list] = {}
+    for tp in system.rules:
+        firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
+    anchored = {src: (OperandIndex(codec, [rule for rule, _ in pairs]), pairs)
+                for src, pairs in firings.items()}
+    cells = [{codec.encode(v): v for v in cell} for cell in state.contents]
+    return _Packed((system.alphabet, system.rules), codec, anchored, cells, state.contents)
+
+
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     contents: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    admitted, pruned = _admissible(
+    admitted, pruned = admissible(
         ((c, v) for c in range(system.cells) for v in system.axioms[c]), bounds)
     for c, v in admitted:
         contents[c].add(v)
@@ -108,45 +154,62 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     Each cell's operands come from one index over the rules anchored at that
     cell, so a rule listed for several targets finds its operands once and
     its results land in every target.  A drip applies to every vesicle in
-    its operand list and consumes all of them.  A mate rule applies to every
-    pair of a left and a right operand, so when both kinds are present all
-    of them are consumed, oversize fusions included.  Only the fusions that
-    fit `max_size` are built; `pruned` is set when some do not.
-    """
-    pruned = state.pruned
-    used: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    arrivals: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    anchored: dict[int, list[TPRule]] = {}
-    for tp in system.rules:
-        anchored.setdefault(tp.source - 1, []).append(tp)
+    its operand lists and consumes all of them.  A mate rule applies to
+    every pair of a left and a right operand, so when both kinds are present
+    all of them are consumed, oversize fusions included.  Only the fusions
+    that fit `max_size` are built; `pruned` is set when some do not.
 
-    for src, tps in anchored.items():
-        if not state.contents[src]:
+    The step works on packed vesicles.  It reuses the packed contents the
+    step before left on `state` and decodes only the vesicles it admits.
+    """
+    packed = state._packed
+    if packed is None or not packed.serves(system, state, bounds):
+        packed = _pack(system, state, bounds)
+    codec = packed.codec
+    kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
+    pruned = state.pruned
+    used: list[set[int]] = [set() for _ in range(system.cells)]
+    arrivals: list[set[int]] = [set() for _ in range(system.cells)]
+
+    for src, (template, firings) in packed.anchored.items():
+        cell = packed.cells[src]
+        if not cell:
             continue
-        operands = _SymbolIndex(state.contents[src], [tp.rule for tp in tps]).operands
-        for tp in tps:
-            rule, sink = tp.rule, arrivals[tp.target - 1].add
-            if isinstance(rule, MateRule):
-                lefts, rights = operands[rule]
+        index = template.empty()
+        for v, m in cell.items():
+            index.add(v, len(m))
+        for rule, target in firings:
+            operands, out = index.operands[rule], arrivals[target]
+            if isinstance(rule, PackedMate):
+                lefts, rights = operands
                 if lefts and rights:
                     for bucket in (*lefts.values(), *rights.values()):
                         used[src].update(bucket)
-                    if _join(rule, lefts, rights, bounds.max_size, sink):
+                    if join(rule, lefts, rights, bounds, out):
                         pruned = True
             else:
-                used[src].update(operands[rule])
-                for v in operands[rule]:
-                    _drip(rule, v, sink)
+                for size, bucket in operands.items():
+                    used[src].update(bucket)
+                    if drip(rule, size, bucket, bounds, out, codec, kernels):
+                        pruned = True
 
-    kept: list[set[Multiset]] = [set(state.contents[c]) - used[c] for c in range(system.cells)]
-    fresh, oversize = _admissible(
-        ((c, v) for c in range(system.cells) for v in arrivals[c] if v not in kept[c]), bounds)
-    capped = _fill(fresh, bounds, sum(map(len, kept)), lambda c, v: kept[c].add(v))
-    pruned = pruned or oversize or capped
+    kept = [{v: m for v, m in cell.items() if v not in gone} if gone else dict(cell)
+            for cell, gone in zip(packed.cells, used)]
 
+    def place(c, v, m):
+        kept[c][v] = codec.decode(v) if m is None else m
+
+    fresh = [(c, v) for c in range(system.cells) for v in arrivals[c].difference(kept[c])]
+    if fill(fresh, bounds, sum(map(len, kept)), place, codec.decode):
+        pruned = True
+
+    nonterminal = codec.mask(system.alphabet - system.terminal)
     out = kept[system.output_cell - 1]
-    log = state.result_log | {v for v in out if v.support <= system.terminal}
-    return TPState(state.step + 1, tuple(frozenset(k) for k in kept), log, pruned)
+    log = state.result_log | {m for v, m in out.items() if not v & nonterminal}
+    contents = tuple(frozenset(cell.values()) for cell in kept)
+    after = TPState(state.step + 1, contents, log, pruned)
+    after._packed = _Packed(packed.source, codec, packed.anchored, kept, contents)
+    return after
 
 
 def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Multiset], TPTrace]:
@@ -187,19 +250,19 @@ def parse_tp(text: str) -> TissueSystem:
 
     def on_output(rest):
         nonlocal output
-        output = _number(rest)
+        output = parse_number(rest)
         return (output,)
 
     def on_rule(rest):
-        idx, _, body = rest.partition(" ")
+        idx, body = split_head(rest)
         rule_text, arrow, tgt = body.rpartition("->")
         if not arrow:
             raise FormatError("rule must name a target cell: RULE i KIND (...) -> j")
-        tp = TPRule(_number(idx), parse_rule(rule_text), _number(tgt.strip()))
+        tp = TPRule(parse_number(idx), parse_rule(rule_text), parse_number(tgt.strip()))
         rules.append(tp)
         return (tp.source, tp.target)
 
-    alphabet, terminal, cells, axioms = _parse_system(
+    alphabet, terminal, cells, axioms = parse_system(
         text, "TP", "CELLS", {"OUTPUT": on_output, "RULE": on_rule})
     if alphabet is None or cells is None or output is None:
         raise FormatError("system must declare ALPHABET, CELLS and OUTPUT")

@@ -8,13 +8,19 @@ that monotone operator, truncated by explicit exploration bounds.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .engine import (
+    Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, rule_productions)
+from .engine import drip1 as apply_drip1
 from .multiset import Multiset, is_number
-from .rules import (  # apply_mate stays a module attribute for bench/tracer.py
-    DripRule, MateRule, Rule, apply_drip, apply_drip1, apply_mate, fuse, parse_rule)
+from .rules import Rule, apply_drip, apply_mate, parse_rule
+
+# bench/tracer.py wraps the module attributes apply_drip1 (here the packed
+# one-sided drip), apply_drip and apply_mate.  The closure looks the first
+# two up when it starts and calls them once per drip firing; no engine calls
+# apply_mate.
 
 
 class FormatError(ValueError):
@@ -39,30 +45,6 @@ class TubeFilter:
 
     def passes(self, vesicle: Multiset) -> bool:
         return any(b.passes(vesicle) for b in self.branches)
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Exploration bounds; the unbounded closure is approximated under these."""
-
-    max_size: int = 16
-    max_population: int = 50000
-    max_iterations: int = 500
-    keep_empty: bool = True
-
-    def __post_init__(self):
-        if self.max_size < 1 or self.max_population < 1 or self.max_iterations < 1:
-            raise ValueError("bounds must be positive")
-
-    def admits(self, vesicle: Multiset) -> bool:
-        """Whether exploration keeps `vesicle`: it fits `max_size`, and it is
-        non-empty unless `keep_empty` holds."""
-        return len(vesicle) <= self.max_size and (self.keep_empty or len(vesicle) > 0)
-
-    def loosened(self) -> "Bounds":
-        """Strictly looser bounds, used for result-stability checks."""
-        return Bounds(self.max_size + 4, self.max_population * 2,
-                      self.max_iterations + 100, self.keep_empty)
 
 
 @dataclass
@@ -123,148 +105,30 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
     return problems
 
 
-class _SymbolIndex:
-    """The operands of a compartment's rules, kept as vesicles are added.
-
-    `operands[rule]` holds, for a mate rule, its (left, right) operands as
-    size -> vesicles maps, and for a drip rule the list of vesicles that
-    contain its need.  Each added vesicle joins them once, in addition
-    order, so the vesicles added last form the tail of every list.  A
-    vesicle is tested only against the needs anchored on one of its
-    symbols.  Each need is anchored on its symbol that the fewest needs of
-    the index's rules share (ties go to the first name), and a need with no
-    symbols is tested against every vesicle.  A rule given twice is indexed
-    once.
-    """
-
-    def __init__(self, pool=(), rules=()):
-        self.operands: dict[Rule, tuple[dict, dict] | list[Multiset]] = {}
-        needs: list[tuple[Multiset, dict | list]] = []
-        for rule in rules:
-            if rule in self.operands:
-                continue
-            if isinstance(rule, MateRule):
-                lefts, rights = self.operands[rule] = ({}, {})
-                needs += [(rule._left_need, lefts), (rule._right_need, rights)]
-            else:
-                self.operands[rule] = bucket = []
-                needs.append((rule._need, bucket))
-        shares = Counter(name for need, _ in needs for name in need.support)
-        self._anchored: dict[str, list] = {}
-        self._unanchored: list = []
-        for need, operands in needs:
-            entry = (tuple(need), operands)
-            if len(need):
-                anchor = min(need.support, key=lambda name: (shares[name], name))
-                self._anchored.setdefault(anchor, []).append(entry)
-            else:
-                self._unanchored.append(entry)
-        for v in pool:
-            self.add(v)
-
-    def add(self, vesicle: Multiset):
-        counts = dict(vesicle)
-        groups = [self._anchored[name] for name in counts if name in self._anchored]
-        groups.append(self._unanchored)
-        for entries in groups:
-            for need, operands in entries:
-                for n, c in need:
-                    if counts.get(n, 0) < c:
-                        break
-                else:
-                    if isinstance(operands, list):
-                        operands.append(vesicle)
-                    else:
-                        operands.setdefault(len(vesicle), []).append(vesicle)
-
-
-def _frontier_start(operands: list, frontier) -> int:
-    """Where the frontier vesicles at the tail of `operands` begin."""
-    i = len(operands)
-    while i and operands[i - 1] in frontier:
-        i -= 1
-    return i
-
-
-def _split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
-    """(old, new) parts of a size -> vesicles map, the new part being the
-    frontier vesicles at the tail of each bucket.  Empty parts are left out."""
-    old, new = {}, {}
-    for size, bucket in by_size.items():
-        i = _frontier_start(bucket, frontier)
-        if i:
-            old[size] = bucket[:i]
-        if i < len(bucket):
-            new[size] = bucket[i:]
-    return old, new
-
-
-def _join(rule: MateRule, lefts: dict, rights: dict, max_size: int, sink) -> bool:
-    """Fuse every left × right pair whose fusion fits, given size -> operands
-    maps; the maps hold only operands the rule applies to.
-
-    Returns whether some pair was left out because its fusion is oversize.
-    That follows from the largest sizes alone, so no such pair is visited.
-    """
-    if not lefts or not rights:
-        return False
-    room = max_size - len(rule.x) + len(rule.a) + len(rule.b)
-    sizes = sorted(rights)
-    for lsize, lbucket in lefts.items():
-        cap = room - lsize
-        for rsize in sizes:
-            if rsize > cap:
-                break
-            for v2 in rights[rsize]:
-                for v1 in lbucket:
-                    sink(fuse(rule, v1, v2))
-    return max(lefts) + sizes[-1] > room
-
-
-def _drip(rule: DripRule, vesicle: Multiset, sink):
-    """Sink both products of every outcome of a drip rule on a vesicle that
-    contains its need."""
-    if rule.one_sided:
-        outcomes = (apply_drip1(rule, vesicle),)
-    else:
-        outcomes = apply_drip(rule, vesicle)
-    for p, q in outcomes:
-        sink(p)
-        sink(q)
-
-
-def _rule_productions(index: _SymbolIndex, frontier, sink, max_size, truncated):
-    """Results of the index's rules inside one tube that involve at least
-    one frontier vesicle; the frontier must be the vesicles added last.
-
-    Mates are evaluated semi-naively over their size buckets: new left
-    operands against every right operand, then old left operands against
-    new right operands.  Only pairs whose fusion fits `max_size` are fused;
-    `truncated` (a one-element list) is set when an applicable pair was left
-    out for size.  A drip fires on the frontier tail of its operand list.
-    """
-    for rule, operands in index.operands.items():
-        if isinstance(rule, MateRule):
-            lefts, rights = operands
-            old_lefts, new_lefts = _split_frontier(lefts, frontier)
-            _, new_rights = _split_frontier(rights, frontier)
-            for left, right in ((new_lefts, rights), (old_lefts, new_rights)):
-                if _join(rule, left, right, max_size, sink):
-                    truncated[0] = True
-        else:
-            for v in operands[_frontier_start(operands, frontier):]:
-                _drip(rule, v, sink)
-
-
 def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[int, Multiset]]:
-    """Everything one application step could add, computed from scratch."""
-    cap = 10**9 if max_size is None else max_size
+    """Everything one application step could add that fits `max_size`,
+    computed from scratch; with no `max_size`, every pair is fused.
+
+    The codec's fields are sized from the contents: an uncapped fusion can
+    reach twice their largest count.
+    """
+    largest = max((c for tube in contents for v in tube for _, c in v), default=0)
+    if max_size is None:
+        bounds, largest = Bounds(max_size=10**9), 2 * largest
+    else:
+        bounds, largest = Bounds(max_size=max_size), max(largest, max_size)
+    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], largest)
+    kernels = (apply_drip1, apply_drip)
     out: set[tuple[int, Multiset]] = set()
     for t in range(system.tubes):
         if contents[t]:
-            pool = set(contents[t])
-            _rule_productions(_SymbolIndex(pool, system.rules[t]), pool,
-                              lambda v, t=t: out.add((t, v)), cap, [False])
+            pool = {codec.encode(v): len(v) for v in contents[t]}
+            index = OperandIndex(codec, map(codec.compile, system.rules[t]))
+            for v, size in pool.items():
+                index.add(v, size)
+            produced: set[int] = set()
+            rule_productions(index, pool, produced, bounds, codec, kernels)
+            out.update((t, codec.decode(v)) for v in produced)
     for i, filt, j in system.filters:
         for v in contents[i - 1]:
             if filt.passes(v):
@@ -272,89 +136,72 @@ def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[i
     return out
 
 
-def _admissible(batch, bounds: Bounds) -> tuple[list, bool]:
-    """The (compartment, vesicle) pairs of `batch` that `bounds` admits, and
-    whether one was refused for size: since max_size >= 1, a refused
-    vesicle is oversize unless it is empty."""
-    admitted, oversize = [], False
-    for cv in batch:
-        if bounds.admits(cv[1]):
-            admitted.append(cv)
-        elif len(cv[1]):
-            oversize = True
-    return admitted, oversize
-
-
-def _fill(batch, bounds: Bounds, population: int, place) -> bool:
-    """place(c, v) each (compartment, vesicle) pair of `batch` in (c, render)
-    order while the population stays below max_population.  Returns whether
-    the cap stopped the fill."""
-    for c, v in sorted(batch, key=lambda cv: (cv[0], cv[1].render())):
-        if population >= bounds.max_population:
-            return True
-        place(c, v)
-        population += 1
-    return False
-
-
 def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
     """Saturate all tubes under rules and filter passage, within bounds.
 
     `pruned` is set whenever any bound truncated the exploration: an oversize
     result was dropped, the population cap was hit, or the iteration budget
-    ran out before a fixpoint.
+    ran out before a fixpoint.  Tubes hold packed vesicles while the closure
+    runs; each vesicle is decoded once, on return.
     """
     problems = validate_tts(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
-    contents: list[set[Multiset]] = [set() for _ in range(system.tubes)]
-    indexes = [_SymbolIndex(rules=rules) for rules in system.rules]
+    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], bounds.max_size)
+    contents, decoded, pruned, iterations = _explore(system, bounds, codec)
+    return TTSState(decode_compartments(codec, contents, decoded), pruned, iterations)
 
-    def admit(batch) -> list[set[Multiset]]:
-        # returns an empty frontier when the population cap stopped the fill
+
+def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
+    """The closure on packed vesicles: (tubes, the vesicles a capped fill
+    decoded, pruned, iterations).  The operand indexes and the round's sets
+    are dropped on return, before the tubes are decoded."""
+    kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
+    contents: list[set[int]] = [set() for _ in range(system.tubes)]
+    indexes = [OperandIndex(codec, map(codec.compile, rules)) for rules in system.rules]
+    filters = [(i - 1, codec.filter(filt), j - 1) for i, filt, j in system.filters]
+    decoded: dict[int, Multiset] = {}  # what a capped fill decoded
+
+    def place(t, v, m):
+        contents[t].add(v)
+        indexes[t].add(v, codec.size(v))
+        if m is not None:
+            decoded[v] = m
+
+    def admit(fresh: list[set[int]]) -> list[set[int]]:
+        # the new frontier; empty when the population cap stopped the fill
         nonlocal pruned
-        added: list[set[Multiset]] = [set() for _ in range(system.tubes)]
-
-        def place(t, v):
-            contents[t].add(v)
-            indexes[t].add(v)
-            added[t].add(v)
-
-        if _fill(batch, bounds, sum(map(len, contents)), place):
+        batch = [(t, v) for t, vs in enumerate(fresh) for v in vs]
+        if fill(batch, bounds, sum(map(len, contents)), place, codec.decode):
             pruned = True
             return []
-        return added
+        return fresh
 
-    initial, pruned = _admissible(
+    initial, pruned = admissible(
         ((t, v) for t in range(system.tubes) for v in system.axioms[t]), bounds)
-    frontier = admit(initial)
+    fresh: list[set[int]] = [set() for _ in range(system.tubes)]
+    for t, v in initial:
+        fresh[t].add(codec.encode(v))
+    frontier = admit(fresh)
 
     iterations = 0
     while frontier:
-        produced: set[tuple[int, Multiset]] = set()
-        truncated = [pruned]
-        for t in range(system.tubes):
-            if frontier[t]:
-                _rule_productions(indexes[t], frontier[t],
-                                  lambda v, t=t: produced.add((t, v)),
-                                  bounds.max_size, truncated)
-        pruned = truncated[0]
-        for i, filt, j in system.filters:
-            for v in frontier[i - 1]:
-                if filt.passes(v):
-                    produced.add((j - 1, v))
-        fresh, oversize = _admissible(
-            ((t, v) for t, v in produced if v not in contents[t]), bounds)
-        pruned = pruned or oversize
-        if not fresh:
+        produced: list[set[int]] = [set() for _ in range(system.tubes)]
+        for t, new in enumerate(frontier):
+            if new and rule_productions(indexes[t], new, produced[t], bounds, codec, kernels):
+                pruned = True
+        for i, forbidden, j in filters:
+            for mask in forbidden:
+                produced[j].update([v for v in frontier[i] if not v & mask])
+        fresh = [p - c for p, c in zip(produced, contents)]
+        if not any(fresh):
             break
         if iterations >= bounds.max_iterations:
             pruned = True
             break
         iterations += 1
         frontier = admit(fresh)
-
-    return TTSState(tuple(frozenset(c) for c in contents), pruned, iterations)
+    return contents, decoded, pruned, iterations
 
 
 def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool:
@@ -408,29 +255,35 @@ def _parse_brace_group(text: str, what: str) -> str:
     return text[1:-1].strip()
 
 
-def _number(token: str) -> int:
+def parse_number(token: str) -> int:
     """A count or compartment index, which must be ASCII digits."""
     if not is_number(token):
         raise FormatError(f"expected a number, got {token!r}")
     return int(token)
 
 
-def _directives(text: str):
+def split_head(text: str) -> tuple[str, str]:
+    """(first word, stripped rest) of `text`, split on any whitespace."""
+    words = text.split(None, 1)
+    return (words[0], words[1].strip()) if len(words) == 2 else (text.strip(), "")
+
+
+def directives(text: str):
     """(line number, upper-cased head, rest) of every line that is not blank
     once its `#` comment is stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            head, _, rest = line.partition(" ")
-            yield lineno, head.upper(), rest.strip()
+            head, rest = split_head(line)
+            yield lineno, head.upper(), rest
 
 
-def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tuple:
+def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
     Strips `#` comments, checks `SYSTEM kind` and reads ALPHABET, TERMINAL,
     the compartment count `count_head` and AXIOM lines.  Every other head
-    goes to `directives[head](rest)`, which returns the compartment indices
+    goes to `handlers[head](rest)`, which returns the compartment indices
     the line names.  Errors carry their line number, and so does a
     compartment index out of range once the count is known.  Returns
     (alphabet, terminal, count, axioms by compartment index); the alphabet
@@ -440,7 +293,7 @@ def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tu
     terminal: frozenset[str] = frozenset()
     axioms: dict[int, set[Multiset]] = {}
     named: list[tuple[int, int]] = []  # (compartment index, line number)
-    for lineno, head, rest in _directives(text):
+    for lineno, head, rest in directives(text):
         try:
             if head == "SYSTEM":
                 if rest.upper() != kind:
@@ -450,15 +303,15 @@ def _parse_system(text: str, kind: str, count_head: str, directives: dict) -> tu
             elif head == "TERMINAL":
                 terminal = frozenset(rest.split())
             elif head == count_head:
-                count = _number(rest)
+                count = parse_number(rest)
             elif head == "AXIOM":
-                idx, _, body = rest.partition(" ")
-                idx = _number(idx)
+                idx, body = split_head(rest)
+                idx = parse_number(idx)
                 axioms.setdefault(idx, set()).add(
                     Multiset.parse(_parse_brace_group(body, "axiom")))
                 named.append((idx, lineno))
-            elif head in directives:
-                named += [(idx, lineno) for idx in directives[head](rest)]
+            elif head in handlers:
+                named += [(idx, lineno) for idx in handlers[head](rest)]
             else:
                 raise FormatError(f"unknown directive {head!r}")
         except ValueError as exc:  # MultisetError and RuleError included
@@ -477,12 +330,12 @@ def parse_tts(text: str) -> TestTubeSystem:
 
     def on_output(rest):
         nonlocal outputs
-        outputs = frozenset(_number(tok) for tok in rest.split())
+        outputs = frozenset(parse_number(tok) for tok in rest.split())
         return outputs
 
     def on_rule(rest):
-        idx, _, body = rest.partition(" ")
-        idx = _number(idx)
+        idx, body = split_head(rest)
+        idx = parse_number(idx)
         rules.setdefault(idx, []).append(parse_rule(body))
         return (idx,)
 
@@ -490,16 +343,16 @@ def parse_tts(text: str) -> TestTubeSystem:
         src, arrow, tail = rest.partition("->")
         if not arrow:
             raise FormatError("filter must be FILTER i -> j SUPPORT {symbols}")
-        tgt, _, support = tail.strip().partition(" ")
-        keyword, _, body = support.strip().partition(" ")
+        tgt, support = split_head(tail)
+        keyword, body = split_head(support)
         if keyword.upper() != "SUPPORT":
             raise FormatError("filter must declare a SUPPORT set")
         branch = SupportFilter(frozenset(_parse_brace_group(body, "filter support").split()))
-        ends = (_number(src.strip()), _number(tgt))
+        ends = (parse_number(src.strip()), parse_number(tgt))
         filters.setdefault(ends, []).append(branch)
         return ends
 
-    alphabet, terminal, tubes, axioms = _parse_system(
+    alphabet, terminal, tubes, axioms = parse_system(
         text, "TTS", "TUBES", {"OUTPUT": on_output, "RULE": on_rule, "FILTER": on_filter})
     if alphabet is None or tubes is None:
         raise FormatError("system must declare ALPHABET and TUBES")

@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from matedrip import load_machine
+from matedrip import Bounds, DripRule, MateRule, Multiset, load_machine
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -29,3 +30,42 @@ def trap():
 
 def machine_path(name: str) -> str:
     return str(MACHINES / name)
+
+
+# -- random small systems, shared by the engine tests ---------------------------
+
+# Names that are prefixes of one another, so render order is not name order.
+SYMBOLS = ("a", "b", "l1", "l10", "x")
+
+
+@st.composite
+def small_multisets(draw, names, max_size=2):
+    """A multiset over `names` with at most `max_size` occurrences."""
+    return Multiset.of(*draw(st.lists(st.sampled_from(names), max_size=max_size)))
+
+
+@st.composite
+def small_rules(draw, names):
+    """A mate, drip or drip1 rule over `names` whose parts hold at most one
+    occurrence each, so needs are often empty."""
+    parts = [draw(small_multisets(names, 1)) for _ in range(5)]
+    kind = draw(st.sampled_from(("mate", "drip", "drip1")))
+    if kind == "mate":
+        return MateRule(*parts)
+    return DripRule(*parts, one_sided=kind == "drip1")
+
+
+@st.composite
+def small_alphabets(draw):
+    return tuple(sorted(draw(st.lists(st.sampled_from(SYMBOLS), min_size=3, max_size=5,
+                                      unique=True))))
+
+
+@st.composite
+def small_bounds(draw):
+    """Bounds small enough that the from-scratch references stay fast, and
+    tight enough that size, population and iteration cuts all occur."""
+    return Bounds(max_size=draw(st.integers(1, 6)),
+                  max_population=draw(st.integers(4, 40)),
+                  max_iterations=draw(st.integers(1, 6)),
+                  keep_empty=draw(st.booleans()))

@@ -148,3 +148,13 @@ def test_tp_file_with_spaced_system_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert {".", "a1^2", "a1^4"} <= set(captured.out.splitlines())
     assert "error" not in captured.err
+
+
+def test_tab_separated_system_file(tmp_path, capsys):
+    path = tmp_path / "tabbed.tts"
+    path.write_text("SYSTEM\tTTS\nALPHABET\ta b\nTERMINAL\ta\nTUBES\t1\nOUTPUT\t1\n"
+                    "AXIOM\t1\t{a b}\nRULE\t1\tDRIP1 (. | b | . ; a , .)\n")
+    assert main(["metrics", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("TTS tubes=1 ")
+    assert main(["run", str(path)]) == 0
+    assert set(capsys.readouterr().out.splitlines()) == {".", "a^2"}

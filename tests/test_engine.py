@@ -1,0 +1,173 @@
+"""Boundary cases of the packed-integer engine, pinned against the Multiset
+reference: the rule kernels of `rules.py`, `_naive_closure` and
+`_naive_tp_step`."""
+
+import pytest
+
+from matedrip import (
+    Bounds,
+    EMPTY,
+    Multiset,
+    TPRule,
+    TPState,
+    apply_drip,
+    apply_drip1,
+    apply_mate,
+    closure,
+    initial_state,
+    is_fixpoint,
+    parse_rule,
+    tp_step,
+)
+from matedrip.engine import Codec, drip1
+from matedrip.tts import _productions
+from test_tp import _naive_tp_step, system_of
+from test_tts import _assert_matches_reference, _naive_productions, one_tube
+
+
+def ms(text):
+    return Multiset.parse(text)
+
+
+@pytest.mark.parametrize("limits", [(0, 10, 10), (4, -1, 10), (4, 10, 0), (8.0, 10, 10),
+                                    (4, 10.5, 10), (4, 10, "3")])
+def test_bounds_must_be_positive_integers(limits):
+    # field widths come from int.bit_length, so a float max_size is refused
+    with pytest.raises(ValueError, match="positive integers"):
+        Bounds(*limits)
+
+
+def test_codec_round_trip_and_need_test():
+    rules = [parse_rule("MATE (l1 | a , . | l10 ; b^2)")]
+    codec = Codec({"a", "b", "l1", "l10"}, rules, 4)
+    for text in (".", "a", "a^4", "b l1 l10", "a^2 b^2 l1^3 l10^4"):
+        assert codec.decode(codec.encode(ms(text))) == ms(text)
+        assert len(codec.decode(codec.encode(ms(text)))) == len(ms(text))
+        assert codec.size(codec.encode(ms(text))) == len(ms(text))
+    need = codec.encode(ms("a l1^2"))
+    for text, holds in (("a l1^2", True), ("a^3 l1^4 l10", True), ("a l1", False),
+                        ("l1^2 l10", False), ("b^4", False), (".", False)):
+        raised = codec.encode(ms(text)) | codec.guards
+        assert ((raised - need) & codec.guards == codec.guards) is holds, text
+
+
+def test_oversize_drip1_product_does_not_spill():
+    # a count at max_size, raised by the heaviest rule's weight: the largest
+    # count the codec must hold without touching the next field's bits
+    rule = parse_rule("DRIP1 (. | . | . ; a^5 , .)")
+    codec = Codec({"a", "b"}, [rule], 4)
+    for text in ("a^4", "a^4 b^3", "b^4"):
+        vesicle = ms(text)
+        first, second = drip1(codec.compile(rule), codec.encode(vesicle))
+        assert (codec.decode(first), codec.decode(second)) == apply_drip1(rule, vesicle)
+        assert first & codec.guards == 0
+    system = one_tube([rule], [ms("a^4"), ms("a b^3")], {"a", "b"})
+    for max_size in (4, 9, 10):
+        _assert_matches_reference(system, Bounds(max_size, 100, 10))
+
+
+def test_fusion_at_max_size_matches_reference():
+    rule = parse_rule("MATE (. | a , b | . ; a^2 b^3)")
+    codec = Codec({"a", "b", "c"}, [rule], 8)
+    packed = codec.compile(rule)
+    for left, right in (("a^4", "b^4"), ("a c^3", "b c^2"), ("a^2", "b")):
+        v1, v2 = ms(left), ms(right)
+        fused = codec.encode(v1) + codec.encode(v2) + packed.delta
+        assert codec.decode(fused) == apply_mate(rule, v1, v2)
+
+
+@pytest.mark.parametrize("keep_empty", [True, False])
+def test_empty_needs_and_empty_vesicle(keep_empty):
+    rules = [parse_rule("DRIP1 (. | . | . ; . , a)"),
+             parse_rule("MATE (. | . , . | . ; b)"),
+             parse_rule("MATE (. | a , a | . ; .)"),
+             parse_rule("DRIP (. | . | . ; . , .)")]
+    system = one_tube(rules, [EMPTY, ms("a")], {"a", "b"})
+    for bounds in (Bounds(3, 100, 10, keep_empty), Bounds(4, 12, 10, keep_empty),
+                   Bounds(5, 100, 2, keep_empty)):
+        _assert_matches_reference(system, bounds)
+
+
+def test_oversize_constant_drip1_product():
+    # z + v alone is over max_size: the run is cut even though u + y fits
+    system = one_tube([parse_rule("DRIP1 (. | c | . ; . , z^5)")], [ms("c p")], {"c", "p", "z"})
+    state = closure(system, Bounds(4, 100, 10))
+    assert state.contents[0] == frozenset({ms("c p"), ms("p")})
+    assert state.pruned
+    _assert_matches_reference(system, Bounds(4, 100, 10))
+
+
+def test_oversize_axiom():
+    # counts far past what max_size lets the codec hold: refused, not encoded
+    system = one_tube([parse_rule("DRIP1 (. | a | . ; b , .)")],
+                      [ms("a^40"), ms("a b")], {"a", "b"})
+    bounds = Bounds(2, 100, 10)
+    state = closure(system, bounds)
+    assert state.contents[0] == frozenset({ms("a b"), ms("b^2"), EMPTY})
+    assert state.pruned
+    _assert_matches_reference(system, bounds)
+
+    tissue = system_of(2, [(1, ms("a^40")), (1, ms("a b"))],
+                       [TPRule(1, parse_rule("DRIP1 (. | a | . ; b , .)"), 2)], {"a", "b"})
+    start = initial_state(tissue, bounds)
+    assert start.contents == (frozenset({ms("a b")}), frozenset()) and start.pruned
+    # a state built by hand may hold what no step would admit
+    crowded = TPState(0, (frozenset({ms("a^40"), ms("a b")}), frozenset()), frozenset(), False)
+    assert tp_step(tissue, crowded, bounds) == _naive_tp_step(tissue, crowded, bounds)
+
+
+def test_uncapped_productions_size_fields_from_contents():
+    # every pair fuses, so counts reach twice the contents' largest count
+    rules = [parse_rule("MATE (s | . , . | s ; .)"), parse_rule("DRIP1 (. | t | . ; s^3 , t)"),
+             parse_rule("DRIP (. | t | . ; . , s)")]
+    system = one_tube(rules, [], {"s", "t"})
+    contents = (frozenset({ms("s^40"), ms("s^17 t"), ms("t^3")}),)
+    assert _productions(system, contents) == _naive_productions(system, contents)
+
+
+def test_render_ordered_fill_with_prefix_names():
+    # "l1 l10" < "l10" < "l1^2" as text, while l1 < l10 as field order
+    rules = [parse_rule("DRIP1 (. | g | . ; l1 , l10)"), parse_rule("MATE (. | . , . | . ; .)")]
+    system = one_tube(rules, [ms("g"), ms("g l1")], {"g", "l1", "l10"})
+    for population in range(3, 12):
+        _assert_matches_reference(system, Bounds(4, population, 10))
+
+    tissue = system_of(2, [(1, ms("g")), (1, ms("g l1")), (1, ms("g^2"))],
+                       [TPRule(1, parse_rule("DRIP (. | g | . ; l1 , l10)"), 2),
+                        TPRule(2, parse_rule("MATE (. | . , . | . ; .)"), 1)],
+                       {"g", "l1", "l10"})
+    for population in range(3, 10):
+        bounds = Bounds(4, population)
+        state = reference = initial_state(tissue, bounds)
+        for _ in range(3):
+            state = tp_step(tissue, state, bounds)
+            reference = _naive_tp_step(tissue, reference, bounds)
+            assert state == reference
+
+
+def test_two_sided_drip_products_match_apply_drip():
+    rule = parse_rule("DRIP (p | c | q ; y^2 , z)")
+    system = one_tube([rule], [ms("c p q r^2 s"), ms("c^2 p q")], {"c", "p", "q", "r", "s", "y", "z"})
+    state = closure(system, Bounds(8, 1000, 1))
+    for host in system.axioms[0]:
+        for pair in apply_drip(rule, host):
+            assert set(pair) <= state.contents[0]
+    _assert_matches_reference(system, Bounds(8, 1000, 1))
+    assert is_fixpoint(system, closure(system, Bounds(8, 1000, 20)), Bounds(8, 1000, 20))
+
+
+def test_steps_under_changing_bounds_match_reference():
+    # the packed contents a step leaves are re-encoded when a later step's
+    # max_size outgrows the fields they were packed for
+    tissue = system_of(2, [(1, ms("a b")), (2, ms("a"))],
+                       [TPRule(1, parse_rule("DRIP1 (. | b | . ; a^2 b , .)"), 1),
+                        TPRule(2, parse_rule("MATE (. | a , a | . ; a^2 b)"), 1)], {"a", "b"})
+    state = reference = initial_state(tissue, Bounds(4))
+    seen = set()
+    for max_size in (4, *[40] * 17, 3, 60):
+        bounds = Bounds(max_size)
+        state = tp_step(tissue, state, bounds)
+        reference = _naive_tp_step(tissue, reference, bounds)
+        assert state == reference
+        seen |= state.contents[0]
+    assert ms("a^37 b") in seen  # past the 5-bit fields the first step packed

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import small_alphabets, small_bounds, small_multisets, small_rules
 from matedrip import (
     Bounds,
     CompileOptions,
@@ -349,3 +351,38 @@ def test_format_errors():
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
         parse_tp(text)
+
+
+@st.composite
+def small_tp_systems(draw):
+    """2-3 cells over 3-5 symbols with one to four mate, drip or drip1 rules,
+    each anchored at a cell and sending its results to a cell (possibly its
+    own), and one to three axioms of size at most 4 per cell."""
+    names = draw(small_alphabets())
+    cells = draw(st.integers(2, 3))
+    axioms = tuple(frozenset(draw(st.lists(small_multisets(names, 4), min_size=1, max_size=3)))
+                   for _ in range(cells))
+    cell = st.integers(1, cells)
+    rules = draw(st.lists(st.builds(TPRule, cell, small_rules(names), cell),
+                          min_size=1, max_size=4))
+    return TissueSystem(alphabet=frozenset(names), terminal=frozenset(names[:2]), cells=cells,
+                        axioms=axioms, rules=tuple(rules), output_cell=cells)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tp_systems(), small_bounds())
+def test_random_systems_step_like_naive_reference(system, bounds):
+    state = reference = initial_state(system, bounds)
+    for _ in range(4):
+        state = tp_step(system, state, bounds)
+        reference = _naive_tp_step(system, reference, bounds)
+        assert state == reference
+
+
+def test_tab_separated_directives():
+    spaced = ("SYSTEM TP\nALPHABET a b\nTERMINAL a\nCELLS 2\nOUTPUT 2\nAXIOM 1 {a b}\n"
+              "RULE 1 DRIP1 (. | b | . ; a , .) -> 2\n")
+    tabbed = spaced.replace("SYSTEM ", "SYSTEM\t").replace("ALPHABET ", "ALPHABET\t")
+    tabbed = tabbed.replace("CELLS ", "CELLS\t").replace("OUTPUT ", "OUTPUT\t")
+    tabbed = tabbed.replace("AXIOM 1 ", "AXIOM\t1\t").replace("RULE 1 ", "RULE\t1\t")
+    assert render_tp(parse_tp(tabbed)) == render_tp(parse_tp(spaced))

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import small_alphabets, small_bounds, small_multisets, small_rules
 from matedrip import (
     Bounds,
     CompileOptions,
@@ -23,7 +25,8 @@ from matedrip import (
     results_of_state,
     validate_tts,
 )
-from matedrip.tts import _SymbolIndex, _productions
+from matedrip.engine import Codec, OperandIndex
+from matedrip.tts import _productions
 
 
 def ms(text):
@@ -387,23 +390,29 @@ _SHARED_NEED_RULES = [
 
 def test_symbol_index_operands_match_brute_force():
     pool = [ms("X p"), ms("q"), ms("X q"), ms("X^2 p q"), ms("p r"), EMPTY, ms("q^2 r")]
-    index = _SymbolIndex(pool, _SHARED_NEED_RULES)
-    assert list(index.operands) == _SHARED_NEED_RULES[:4]
-
-    def holding(need):
-        return [v for v in pool if v.contains(need)]
+    codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
+    index = OperandIndex(codec, map(codec.compile, _SHARED_NEED_RULES))
+    for v in pool:
+        index.add(codec.encode(v), len(v))
+    assert [packed.rule for packed in index.operands] == _SHARED_NEED_RULES[:4]
 
     def by_size(need):
         out = {}
-        for v in holding(need):
-            out.setdefault(len(v), []).append(v)
+        for v in pool:
+            if v.contains(need):
+                out.setdefault(len(v), []).append(v)
         return out
 
-    for rule, operands in index.operands.items():
+    def decoded(operands):
+        return {size: [codec.decode(v) for v in bucket] for size, bucket in operands.items()}
+
+    for packed, operands in index.operands.items():
+        rule = packed.rule
         if isinstance(rule, MateRule):
-            assert operands == (by_size(rule.u + rule.a), by_size(rule.b + rule.v))
+            assert tuple(map(decoded, operands)) == (
+                by_size(rule.u + rule.a), by_size(rule.b + rule.v))
         else:
-            assert operands == holding(rule.u + rule.c + rule.v)
+            assert decoded(operands) == by_size(rule.u + rule.c + rule.v)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -451,3 +460,41 @@ def test_format_errors():
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
         parse_tts(text)
+
+
+@st.composite
+def small_tts_systems(draw):
+    """2-3 tubes over 3-5 symbols, each with one to three mate, drip or
+    drip1 rules and one to three axioms of size at most 4, and union filters
+    between distinct tubes."""
+    names = draw(small_alphabets())
+    tubes = draw(st.integers(2, 3))
+    axioms = tuple(frozenset(draw(st.lists(small_multisets(names, 4), min_size=1, max_size=3)))
+                   for _ in range(tubes))
+    rules = tuple(tuple(draw(st.lists(small_rules(names), min_size=1, max_size=3)))
+                  for _ in range(tubes))
+    filters = []
+    for _ in range(draw(st.integers(0, 3))):
+        source, target = draw(st.permutations(range(1, tubes + 1)))[:2]
+        branches = draw(st.lists(st.frozensets(st.sampled_from(names)), min_size=1, max_size=2))
+        filters.append((source, TubeFilter(tuple(map(SupportFilter, branches))), target))
+    return TestTubeSystem(alphabet=frozenset(names), terminal=frozenset(names[:2]), tubes=tubes,
+                          axioms=axioms, rules=rules, filters=tuple(filters),
+                          outputs=frozenset({tubes}))
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tts_systems(), small_bounds())
+def test_random_systems_match_naive_reference(system, bounds):
+    _assert_matches_reference(system, bounds)
+    state = closure(system, bounds)
+    if not state.pruned:
+        assert is_fixpoint(system, state, bounds)
+
+
+def test_tab_separated_directives():
+    spaced = ("SYSTEM TTS\nALPHABET a b\nTERMINAL a\nTUBES 2\nOUTPUT 2\nAXIOM 1 {a b}\n"
+              "RULE 1 DRIP1 (. | b | . ; a , .)\nFILTER 1 -> 2 SUPPORT {a}\n")
+    tabbed = spaced.replace(" ", "\t").replace("(\t.\t|\tb\t|\t.\t;\ta\t,\t.)", "(. | b | . ; a , .)")
+    assert "SYSTEM\tTTS" in tabbed and "FILTER\t1\t->\t2\tSUPPORT\t{a}" in tabbed
+    assert render_tts(parse_tts(tabbed)) == render_tts(parse_tts(spaced))
