@@ -63,15 +63,13 @@ class SystemMetrics:
     mate_rules: int
     drip_rules: int
     drip1_rules: int
-    support_union_filters: bool
 
     def summary(self) -> str:
         unit = "tubes" if self.kind == "TTS" else "cells"
         return (f"{self.kind} {unit}={self.compartments}"
                 f" axiom={self.max_axiom_weight} mate={self.max_mate_weight}"
                 f" drip={self.max_drip_weight} drip1={self.max_drip1_weight}"
-                f" rules(mate/drip/drip1)={self.mate_rules}/{self.drip_rules}/{self.drip1_rules}"
-                f" support-filters={'yes' if self.support_union_filters else 'no'}")
+                f" rules(mate/drip/drip1)={self.mate_rules}/{self.drip_rules}/{self.drip1_rules}")
 
 
 def term_symbol(i: int) -> str:
@@ -415,16 +413,11 @@ def metrics(system: TestTubeSystem | TissueSystem) -> SystemMetrics:
         compartments = system.tubes
         axioms = [ax for tube in system.axioms for ax in tube]
         all_rules: list[Rule] = [r for tube in system.rules for r in tube]
-        support_unions = all(
-            all(isinstance(b, SupportFilter) for b in filt.branches) and filt.branches
-            for _, filt, _ in system.filters
-        )
     else:
         kind = "TP"
         compartments = system.cells
         axioms = [ax for cell in system.axioms for ax in cell]
         all_rules = [tp.rule for tp in system.rules]
-        support_unions = True
     mates = [r for r in all_rules if isinstance(r, MateRule)]
     drips = [r for r in all_rules if isinstance(r, DripRule) and not r.one_sided]
     drip1s = [r for r in all_rules if isinstance(r, DripRule) and r.one_sided]
@@ -438,5 +431,4 @@ def metrics(system: TestTubeSystem | TissueSystem) -> SystemMetrics:
         mate_rules=len(mates),
         drip_rules=len(drips),
         drip1_rules=len(drip1s),
-        support_union_filters=support_unions,
     )

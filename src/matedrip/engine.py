@@ -4,10 +4,10 @@ Both engines work on vesicles packed into Python ints by a per-system
 `Codec` (SIMD within a register: Lamport, CACM 1975; Fisher & Dietz, LCPC
 1998).  A fusion is then one integer addition, a need test three integer
 operations, and equality and hashing are those of ints.  Vesicles are
-decoded to `Multiset`s only at the boundary: for the states and result logs
-the engines return, for the (compartment, render) order of a fill that the
-population cap cuts, and for two-sided drips, which enumerate splits with
-`rules.apply_drip`.
+decoded to `Multiset`s only at the boundary: for the closure's states on
+return, for a tissue state's contents and result log when they are read,
+and for the (compartment, render) order of a fill that the population cap
+cuts.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission and the population-capped fill.
@@ -62,14 +62,18 @@ class PackedMate:
 
 
 class PackedDrip:
-    """A drip rule over one codec: its packed need u + c + v, the packed
-    y - c - v with its size, and the constant second product z + v."""
+    """A drip rule over one codec: its packed need u + c + v with its size,
+    the packed y - c - v with its size, and u + y and z + v with theirs."""
 
-    __slots__ = ("rule", "need", "delta", "dsize", "second", "second_size")
+    __slots__ = ("rule", "need", "need_size", "delta", "dsize", "first", "first_size",
+                 "second", "second_size")
 
     def __init__(self, codec: "Codec", rule: DripRule):
         self.rule = rule
         self.need = codec.encode(rule._need)
+        self.need_size = len(rule._need)
+        self.first = codec.encode(rule._first)
+        self.first_size = len(rule._first)
         self.delta = codec.encode(rule._delta)
         self.dsize = rule._dsize
         self.second = codec.encode(rule._second)
@@ -168,6 +172,23 @@ def drip1(rule: PackedDrip, vesicle: int) -> tuple[int, int]:
     """One-sided drip on a packed vesicle that holds the rule's need: the
     vesicle shifted by y - c - v, and the constant z + v."""
     return vesicle + rule.delta, rule.second
+
+
+def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple]:
+    """Two-sided drip on a packed vesicle of `size` that holds the rule's
+    need: for each split of the residual vesicle - (u + c + v) into s + w,
+    the outcome ((s + u + y, its size), (z + v + w, its size)).  The splits
+    step over the residual's nonzero fields as `Codec.decode` does."""
+    residual = rest = vesicle - rule.need
+    splits = [(0, 0)]  # (packed s, |s|)
+    while rest:
+        shift, _, below = codec.top[rest.bit_length()]
+        count = rest >> shift
+        rest &= below
+        splits = [(s + (k << shift), n + k) for s, n in splits for k in range(count + 1)]
+    left = size - rule.need_size
+    return [((s + rule.first, n + rule.first_size),
+             (rule.second + residual - s, rule.second_size + left - n)) for s, n in splits]
 
 
 class OperandIndex:
@@ -309,9 +330,9 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     """Add to `out` the admitted products of a drip rule on packed vesicles
     of `size` that contain its need.  Returns whether a product was oversize.
 
-    `kernels` is (apply_drip1, apply_drip), called once per firing: the
-    first on the packed rule and vesicle, the second, for a two-sided rule,
-    on the rule and the decoded vesicle.
+    `kernels` is (apply_drip1, apply_drip), called once per firing on the
+    packed rule and vesicle: the first for a one-sided rule, the second,
+    with the vesicle's size and the codec, for a two-sided one.
     """
     apply_drip1, apply_drip = kernels
     if not vesicles:
@@ -326,12 +347,12 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
         return max(first_size, rule.second_size) > bounds.max_size
     oversize = False
     for v in vesicles:
-        for pair in apply_drip(rule.rule, codec.decode(v)):
-            for product in pair:
-                if len(product) > bounds.max_size:
+        for pair in apply_drip(rule, v, size, codec):
+            for product, product_size in pair:
+                if product_size > bounds.max_size:
                     oversize = True
-                elif _keeps(bounds, len(product)):
-                    out.add(codec.encode(product))
+                elif _keeps(bounds, product_size):
+                    out.add(product)
     return oversize
 
 

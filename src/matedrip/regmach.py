@@ -143,6 +143,8 @@ def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResu
 
 def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[tuple[int, ...]]:
     """All accepted vectors in {0..bound}^k; the oracle for verification."""
+    if bound < 0:
+        raise MachineError(f"bound must be non-negative, got {bound}")
     k = machine.inputs
     return {
         vec
@@ -191,6 +193,12 @@ def parse_machine(text: str) -> RegisterMachine:
     def fail(lineno, msg):
         raise MachineError(f"line {lineno}: {msg}")
 
+    def number(lineno, token):
+        try:
+            return int(token)
+        except ValueError as exc:  # a numeral past int's digit limit
+            fail(lineno, str(exc))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,11 +208,11 @@ def parse_machine(text: str) -> RegisterMachine:
         if head == "REGISTERS":
             if registers is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single REGISTERS <n> line")
-            registers = int(tokens[1])
+            registers = number(lineno, tokens[1])
         elif head == "INPUTS":
             if inputs is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single INPUTS <k> line")
-            inputs = int(tokens[1])
+            inputs = number(lineno, tokens[1])
         elif head == "START":
             if start is not None or len(tokens) != 2:
                 fail(lineno, "expected a single START <label> line")
@@ -221,9 +229,9 @@ def parse_machine(text: str) -> RegisterMachine:
                 fail(lineno, f"duplicate label {label!r}")
             op = tokens[1].upper() if len(tokens) > 1 else ""
             if op == "ADD" and len(tokens) == 4 and is_number(tokens[2]):
-                instructions[label] = Add(int(tokens[2]), tokens[3])
+                instructions[label] = Add(number(lineno, tokens[2]), tokens[3])
             elif op == "SUB" and len(tokens) == 5 and is_number(tokens[2]):
-                instructions[label] = Sub(int(tokens[2]), tokens[3], tokens[4])
+                instructions[label] = Sub(number(lineno, tokens[2]), tokens[3], tokens[4])
             elif op == "HALT" and len(tokens) == 2:
                 instructions[label] = Halt()
             else:

@@ -15,15 +15,15 @@ from pathlib import Path
 
 from .engine import (
     Bounds, Codec, OperandIndex, PackedMate, admissible, drip, fill, join)
-from .engine import drip1 as apply_drip1
+from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset
-from .rules import Rule, apply_drip, apply_mate, parse_rule
+from .rules import Rule, apply_mate, parse_rule
 from .tts import FormatError, parse_number, parse_system, split_head
 
-# bench/tracer.py wraps the module attributes apply_drip1 (here the packed
-# one-sided drip), apply_drip and apply_mate.  tp_step looks the first two
-# up when it starts and calls them once per drip firing; no engine calls
-# apply_mate.
+# bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
+# (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
+# looks the first two up when it starts and calls them once per drip
+# firing; no engine calls apply_mate.
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,45 @@ class TissueSystem:
 
 @dataclass
 class TPState:
+    """A tissue state.  A state `tp_step` returns holds its contents and
+    result log packed; `contents` and `result_log` are decoded on first
+    read and then kept.  Assigning either field drops the packed form, so
+    the next step re-packs from the fields."""
+
     step: int
     contents: tuple[frozenset[Multiset], ...]
     result_log: frozenset[Multiset]
     pruned: bool
-    # the packed contents tp_step left, so the next step need not encode them
+    # the packed form tp_step left, so the next step need not encode it
     _packed: "_Packed | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def population(self) -> int:
-        return sum(len(c) for c in self.contents)
+        return sum(self._cell_sizes())
+
+    def _cell_sizes(self) -> tuple[int, ...]:
+        cells = self.contents if self._packed is None else self._packed.cells
+        return tuple(map(len, cells))
+
+
+def _decoded(name: str, other: str, decode):
+    """The property behind a TPState field that a step leaves packed."""
+    slot = "_" + name
+
+    def get(state):
+        try:
+            return state.__dict__[slot]
+        except KeyError:
+            value = state.__dict__[slot] = decode(state._packed)
+            return value
+
+    def put(state, value):
+        if state._packed is not None:
+            getattr(state, other)  # decoded before the packed form goes
+            state._packed = None
+        state.__dict__[slot] = value
+
+    return property(get, put)
 
 
 @dataclass
@@ -99,32 +128,44 @@ def validate_tp(system: TissueSystem) -> tuple[list[str], list[str]]:
 
 
 class _Packed:
-    """A tissue state's contents in packed form.
+    """A tissue state's contents and result log in packed form.
 
-    `cells[c]` maps each packed vesicle of cell c to its Multiset.
-    `anchored[c]` holds an empty operand index over the rules anchored at
-    cell c and the (packed rule, target cell) pairs of those rules.  Valid
-    for the state whose contents tuple is `contents`, for the system whose
-    (alphabet, rules) is `source`.
+    `cells[c]` holds the packed vesicles of cell c and `log` those of the
+    result log.  `anchored[c]` holds an empty operand index over the rules
+    anchored at cell c and the (packed rule, target cell) pairs of those
+    rules.  Valid for the system whose (alphabet, rules) is `source`.
     """
 
-    __slots__ = ("source", "codec", "anchored", "cells", "contents")
+    __slots__ = ("source", "codec", "anchored", "cells", "log")
 
     def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
-                 cells: list[dict[int, Multiset]], contents: tuple):
+                 cells: list[frozenset[int]], log: frozenset[int]):
         self.source = source
         self.codec = codec
         self.anchored = anchored
         self.cells = cells
-        self.contents = contents
+        self.log = log
 
-    def serves(self, system: TissueSystem, state: TPState, bounds: Bounds) -> bool:
-        return (self.contents is state.contents and self.codec.largest >= bounds.max_size
+    def serves(self, system: TissueSystem, bounds: Bounds) -> bool:
+        return (self.codec.largest >= bounds.max_size
                 and self.source == (system.alphabet, system.rules))
+
+    def contents(self) -> tuple[frozenset[Multiset], ...]:
+        return tuple(frozenset(map(self.codec.decode, cell)) for cell in self.cells)
+
+    def result_log(self) -> frozenset[Multiset]:
+        return frozenset(map(self.codec.decode, self.log))
+
+
+TPState.contents = _decoded("contents", "result_log", _Packed.contents)
+TPState.result_log = _decoded("result_log", "contents", _Packed.result_log)
 
 
 def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
-    largest = max((c for cell in state.contents for v in cell for _, c in v), default=0)
+    # sized by vesicle size, which bounds every count and must stay below
+    # 2**width - 1 for Codec.size
+    largest = max((len(v) for cell in (*state.contents, state.result_log) for v in cell),
+                  default=0)
     codec = Codec(system.alphabet, [tp.rule for tp in system.rules],
                   max(largest, bounds.max_size))
     firings: dict[int, list] = {}
@@ -132,8 +173,9 @@ def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
         firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
     anchored = {src: (OperandIndex(codec, [rule for rule, _ in pairs]), pairs)
                 for src, pairs in firings.items()}
-    cells = [{codec.encode(v): v for v in cell} for cell in state.contents]
-    return _Packed((system.alphabet, system.rules), codec, anchored, cells, state.contents)
+    cells = [frozenset(map(codec.encode, cell)) for cell in state.contents]
+    log = frozenset(map(codec.encode, state.result_log))
+    return _Packed((system.alphabet, system.rules), codec, anchored, cells, log)
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
@@ -159,11 +201,12 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     all of them are consumed, oversize fusions included.  Only the fusions
     that fit `max_size` are built; `pruned` is set when some do not.
 
-    The step works on packed vesicles.  It reuses the packed contents the
-    step before left on `state` and decodes only the vesicles it admits.
+    The step works on packed vesicles.  It reuses the packed form the step
+    before left on `state` and returns a state that holds only its packed
+    form; only a fill that the population cap cuts decodes vesicles.
     """
     packed = state._packed
-    if packed is None or not packed.serves(system, state, bounds):
+    if packed is None or not packed.serves(system, bounds):
         packed = _pack(system, state, bounds)
     codec = packed.codec
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
@@ -176,8 +219,8 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
         if not cell:
             continue
         index = template.empty()
-        for v, m in cell.items():
-            index.add(v, len(m))
+        for v in cell:
+            index.add(v, codec.size(v))
         for rule, target in firings:
             operands, out = index.operands[rule], arrivals[target]
             if isinstance(rule, PackedMate):
@@ -193,37 +236,36 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
                     if drip(rule, size, bucket, bounds, out, codec, kernels):
                         pruned = True
 
-    kept = [{v: m for v, m in cell.items() if v not in gone} if gone else dict(cell)
-            for cell, gone in zip(packed.cells, used)]
-
-    def place(c, v, m):
-        kept[c][v] = codec.decode(v) if m is None else m
-
+    kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
+    placed: list[list[int]] = [[] for _ in kept]
     fresh = [(c, v) for c in range(system.cells) for v in arrivals[c].difference(kept[c])]
-    if fill(fresh, bounds, sum(map(len, kept)), place, codec.decode):
+    if fill(fresh, bounds, sum(map(len, kept)), lambda c, v, m: placed[c].append(v),
+            codec.decode):
         pruned = True
+    cells = [cell.union(new) if new else cell for cell, new in zip(kept, placed)]
 
     nonterminal = codec.mask(system.alphabet - system.terminal)
-    out = kept[system.output_cell - 1]
-    log = state.result_log | {m for v, m in out.items() if not v & nonterminal}
-    contents = tuple(frozenset(cell.values()) for cell in kept)
-    after = TPState(state.step + 1, contents, log, pruned)
-    after._packed = _Packed(packed.source, codec, packed.anchored, kept, contents)
+    results = {v for v in cells[system.output_cell - 1] if not v & nonterminal}
+    log = packed.log | results
+    after = object.__new__(TPState)
+    after.step, after.pruned = state.step + 1, pruned
+    after._packed = _Packed(packed.source, codec, packed.anchored, cells, log)
     return after
 
 
 def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Multiset], TPTrace]:
-    """Run max_steps synchronous steps from the axioms; results accumulate."""
+    """Run max_steps synchronous steps from the axioms; results accumulate.
+    Only the final result log is decoded."""
     problems, _ = validate_tp(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     state = initial_state(system, bounds)
-    populations = [tuple(len(c) for c in state.contents)]
+    populations = [state._cell_sizes()]
     for _ in range(max_steps):
         state = tp_step(system, state, bounds)
-        populations.append(tuple(len(c) for c in state.contents))
+        populations.append(state._cell_sizes())
     return set(state.result_log), TPTrace(tuple(populations), state.step, state.pruned)
 
 

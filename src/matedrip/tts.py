@@ -13,14 +13,14 @@ from pathlib import Path
 
 from .engine import (
     Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, rule_productions)
-from .engine import drip1 as apply_drip1
+from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset, is_number
-from .rules import Rule, apply_drip, apply_mate, parse_rule
+from .rules import Rule, apply_mate, parse_rule
 
-# bench/tracer.py wraps the module attributes apply_drip1 (here the packed
-# one-sided drip), apply_drip and apply_mate.  The closure looks the first
-# two up when it starts and calls them once per drip firing; no engine calls
-# apply_mate.
+# bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
+# (here the packed one-sided and two-sided drips) and apply_mate.  The
+# closure looks the first two up when it starts and calls them once per
+# drip firing; no engine calls apply_mate.
 
 
 class FormatError(ValueError):

@@ -7,7 +7,10 @@ bound box.  Because these systems grow vesicles without limit, any bounded
 exploration truncates somewhere; the report's `pruned` flag therefore means
 something sharper than raw truncation: the boxed result set changed when the
 exploration was re-run under strictly looser bounds.  A match with
-pruned=false is stable evidence, not an artifact of the chosen bounds.
+pruned=false says only that the two runs agree inside the box; both may
+have been cut by the population or iteration caps, as `trap.rm --faithful`
+is at the default bounds (neither run reaches the injected vector (1)).
+`engine_truncated` tells whether the base run was cut.
 """
 
 from __future__ import annotations

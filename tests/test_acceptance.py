@@ -65,17 +65,14 @@ def test_criterion_1_metrics_bounds(even, mod3, eq):
         m1 = metrics(compile_machine(machine, "thm1", GUARDED))
         assert m1.compartments == 3 and m1.max_axiom_weight <= 3
         assert m1.max_mate_weight <= 5 and m1.drip_rules == 0 and m1.drip1_rules == 0
-        assert m1.support_union_filters
 
         m2 = metrics(compile_machine(machine, "cor2", GUARDED))
         assert m2.compartments == 3 and m2.max_axiom_weight == 1
         assert m2.max_drip_weight <= 4 and m2.max_mate_weight <= 5
-        assert m2.support_union_filters
 
         m3 = metrics(compile_machine(machine, "cor3", GUARDED))
         assert m3.compartments == 3 and m3.max_axiom_weight == 1
         assert m3.max_drip1_weight <= 4 and m3.mate_rules == 0 and m3.drip_rules == 0
-        assert m3.support_union_filters
 
         m4 = metrics(compile_machine(machine, "thm4", GUARDED))
         assert m4.compartments == 5 and m4.max_axiom_weight <= 3

@@ -158,3 +158,13 @@ def test_tab_separated_system_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("TTS tubes=1 ")
     assert main(["run", str(path)]) == 0
     assert set(capsys.readouterr().out.splitlines()) == {".", "a^2"}
+
+
+def test_negative_bound_exits_2(capsys):
+    for argv in (["rm", "enum", machine_path("even.rm"), "--bound", "-1"],
+                 ["verify", "thm1", machine_path("even.rm"), "--bound", "-2"],
+                 ["verify", "thm4", machine_path("even.rm"), "--bound", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bound must be non-negative" in captured.err
+        assert captured.out == ""

@@ -70,7 +70,6 @@ def test_thm1_metrics_bounds(even, mod3, eq, trap):
             assert got.max_axiom_weight <= 3
             assert got.max_mate_weight <= 5
             assert got.drip_rules == 0 and got.drip1_rules == 0
-            assert got.support_union_filters
 
 
 def test_cor2_metrics_bounds(even, mod3, eq, trap):
@@ -84,7 +83,6 @@ def test_cor2_metrics_bounds(even, mod3, eq, trap):
             assert got.max_mate_weight <= 5
             assert got.max_drip_weight <= 4
             assert got.drip1_rules == 0
-            assert got.support_union_filters
 
 
 def test_cor3_metrics_bounds(even, mod3, eq, trap):
@@ -97,7 +95,6 @@ def test_cor3_metrics_bounds(even, mod3, eq, trap):
             assert got.max_axiom_weight == 1
             assert got.max_drip1_weight <= 4
             assert got.mate_rules == 0 and got.drip_rules == 0
-            assert got.support_union_filters
 
 
 def test_thm4_metrics_bounds(even, mod3, eq, trap):

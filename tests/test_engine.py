@@ -3,9 +3,12 @@ reference: the rule kernels of `rules.py`, `_naive_closure` and
 `_naive_tp_step`."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import SYMBOLS, small_multisets
 from matedrip import (
     Bounds,
+    DripRule,
     EMPTY,
     Multiset,
     TPRule,
@@ -19,7 +22,7 @@ from matedrip import (
     parse_rule,
     tp_step,
 )
-from matedrip.engine import Codec, drip1
+from matedrip.engine import Codec, drip1, drip2
 from matedrip.tts import _productions
 from test_tp import _naive_tp_step, system_of
 from test_tts import _assert_matches_reference, _naive_productions, one_tube
@@ -76,6 +79,19 @@ def test_fusion_at_max_size_matches_reference():
         assert codec.decode(fused) == apply_mate(rule, v1, v2)
 
 
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.builds(DripRule, *[small_multisets(SYMBOLS)] * 5), small_multisets(SYMBOLS, 4))
+def test_two_sided_drip_kernel_matches_apply_drip(rule, extra):
+    # the packed splits of the residual against Multiset.splits
+    vesicle = rule.u + rule.c + rule.v + extra
+    codec = Codec(SYMBOLS, [rule], len(vesicle))
+    got = drip2(codec.compile(rule), codec.encode(vesicle), len(vesicle), codec)
+    decoded = [tuple((codec.decode(p), n) for p, n in pair) for pair in got]
+    assert len(decoded) == len(set(decoded))
+    assert all(len(m) == n for pair in decoded for m, n in pair)
+    assert {tuple(m for m, _ in pair) for pair in decoded} == set(apply_drip(rule, vesicle))
+
+
 @pytest.mark.parametrize("keep_empty", [True, False])
 def test_empty_needs_and_empty_vesicle(keep_empty):
     rules = [parse_rule("DRIP1 (. | . | . ; . , a)"),
@@ -114,6 +130,11 @@ def test_oversize_axiom():
     # a state built by hand may hold what no step would admit
     crowded = TPState(0, (frozenset({ms("a^40"), ms("a b")}), frozenset()), frozenset(), False)
     assert tp_step(tissue, crowded, bounds) == _naive_tp_step(tissue, crowded, bounds)
+    # small counts, but a size past what fields sized by counts can add up
+    wide = system_of(2, [], [TPRule(1, parse_rule("DRIP1 (. | a | . ; b , .)"), 2)],
+                     {"a", "b", "c", "d", "e"})
+    crowded = TPState(0, (frozenset({ms("a^3 b^3 c^3 d^3 e^3")}), frozenset()), frozenset(), False)
+    assert tp_step(wide, crowded, bounds) == _naive_tp_step(wide, crowded, bounds)
 
 
 def test_uncapped_productions_size_fields_from_contents():

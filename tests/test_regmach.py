@@ -152,3 +152,11 @@ def test_run_rejects_negative_inputs(even, eq):
         run(even, (-3,), 100)
     with pytest.raises(MachineError, match="non-negative"):
         run(eq, (1, -1), 100)
+
+
+def test_enumerate_rejects_negative_bound(even, eq):
+    with pytest.raises(MachineError, match="non-negative"):
+        enumerate_accepted(even, -1, 100)
+    with pytest.raises(MachineError, match="non-negative"):
+        enumerate_accepted(eq, -2, 100)
+    assert enumerate_accepted(even, 0, 100) == {(0,)}

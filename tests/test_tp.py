@@ -1,3 +1,7 @@
+import copy
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +28,7 @@ from matedrip import (
     tp_step,
     validate_tp,
 )
+from matedrip.engine import Codec
 
 
 def ms(text):
@@ -281,6 +286,116 @@ def test_mate_with_empty_left_need_consumes_every_vesicle():
         reference = _naive_tp_step(system, reference, bounds)
         assert state == reference
         state = tp_step(system, state, bounds)
+
+
+# -- packed states: contents and result_log decoded on first read ------------
+
+
+def _stepped(system, bounds, steps):
+    state = initial_state(system, bounds)
+    for _ in range(steps):
+        state = tp_step(system, state, bounds)
+    return state
+
+
+@pytest.mark.parametrize("fidelity, bounds", [
+    ("faithful", Bounds(max_size=8, max_population=20000, max_iterations=200)),
+    ("faithful", Bounds(max_size=8, max_population=400, max_iterations=200)),
+    ("guarded", Bounds(max_size=8, max_population=60, max_iterations=200)),
+])
+def test_unread_step_chain_matches_naive_reference(even, fidelity, bounds):
+    # no step's contents or result log is read before the last, so each step
+    # works on the packed form the one before left
+    system = compile_machine(even, "thm4", CompileOptions(fidelity=fidelity))
+    state = _stepped(system, bounds, 24)
+    reference = initial_state(system, bounds)
+    for _ in range(24):
+        reference = _naive_tp_step(system, reference, bounds)
+    assert state.population == reference.population
+    assert state == reference
+    assert state.result_log and state.pruned
+
+
+def test_replaced_fields_step_like_naive_reference(even):
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=400, max_iterations=200)
+    twin = _stepped(system, bounds, 10)
+    contents, log = twin.contents, twin.result_log
+    unreplaced = tp_step(system, twin, bounds)
+
+    # contents replaced while the result log is still packed; the new output
+    # cell holds a terminal vesicle past the fields of the packed form
+    state = _stepped(system, bounds, 10)
+    state.contents = (frozenset(), contents[1], contents[2], contents[3], frozenset({ms("a1^40")}))
+    assert state.result_log == log
+    after = tp_step(system, state, bounds)
+    assert after == _naive_tp_step(system, TPState(10, state.contents, log, state.pruned), bounds)
+    assert after != unreplaced and ms("a1^40") in after.result_log
+
+    # the result log replaced while the contents are still packed
+    state = _stepped(system, bounds, 10)
+    state.result_log = frozenset({ms("a1^50")})
+    assert state.contents == contents
+    after = tp_step(system, state, bounds)
+    assert after == _naive_tp_step(
+        system, TPState(10, contents, frozenset({ms("a1^50")}), state.pruned), bounds)
+    assert after.result_log == unreplaced.result_log | {ms("a1^50")}
+
+    # a copy reads its fields without touching the original's packed form
+    state = _stepped(system, bounds, 10)
+    copy.copy(state).contents = ()
+    assert tp_step(system, state, bounds) == unreplaced
+
+
+def test_run_decodes_only_the_final_result_log(even, monkeypatch):
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=12, max_population=20000, max_iterations=200)
+    decoded = []
+    decode = Codec.decode
+    monkeypatch.setattr(Codec, "decode", lambda codec, v: decoded.append(v) or decode(codec, v))
+    results, trace = tp_run(system, 40, bounds)
+    assert max(map(sum, trace.populations)) < bounds.max_population  # the cap never cut
+    assert trace.pruned and len(results) == 7
+    assert len(decoded) <= len(results)
+
+
+def test_lazy_state_compares_and_reprs_like_naive_state(even):
+    # one vesicle per cell, so the reprs' set order is fixed
+    system = system_of(3, [(1, ms("a")), (2, ms("b"))],
+                       [TPRule(1, parse_rule("DRIP1 (. | a | . ; c , .)"), 3),
+                        TPRule(2, parse_rule("DRIP1 (. | b | . ; d , .)"), 3),
+                        TPRule(3, parse_rule("MATE (. | c , d | . ; e)"), 3)],
+                       {"a", "b", "c", "d", "e"}, terminal={"e"}, output=3)
+    bounds = Bounds(max_size=4, keep_empty=False)
+    state = reference = initial_state(system, bounds)
+    for _ in range(3):
+        state = tp_step(system, state, bounds)
+        reference = _naive_tp_step(system, reference, bounds)
+        assert repr(state) == repr(reference)
+        assert state == reference
+    assert state.result_log == {ms("e")}
+
+    thm4 = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    lazy = _stepped(thm4, Bounds(8, 400), 6)
+    assert lazy != _stepped(thm4, Bounds(8, 400), 7)
+    assert repr(lazy) == repr(TPState(6, lazy.contents, lazy.result_log, lazy.pruned))
+    assert "_packed" not in repr(lazy) and lazy.contents is lazy.contents
+
+
+def test_stepped_states_are_freed_without_the_cycle_collector(even):
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=400)
+    gc.disable()
+    try:
+        for read in (False, True):
+            state = _stepped(system, bounds, 3)
+            if read:
+                state.contents, state.result_log
+            freed = weakref.ref(state)
+            del state
+            assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_validate_tp():
