@@ -4,13 +4,14 @@ Both engines work on vesicles packed into Python ints by a per-system
 `Codec` (SIMD within a register: Lamport, CACM 1975; Fisher & Dietz, LCPC
 1998).  A fusion is then one integer addition, a need test three integer
 operations, and equality and hashing are those of ints.  Vesicles are
-decoded to `Multiset`s only at the boundary: for the closure's states on
-return, for a tissue state's contents and result log when they are read,
-and for the (compartment, render) order of a fill that the population cap
-cuts.
+decoded to `Multiset`s only at the boundary: for a closure state's contents
+and a tissue state's contents and result log when they are read, for the
+results a closure state is asked for, and for the (compartment, render)
+order of a fill that the population cap cuts.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
-the mate join, drip firing, admission and the population-capped fill.
+the mate join, drip firing, admission, the population-capped fill and the
+state fields that decode on first read.
 """
 
 from __future__ import annotations
@@ -434,3 +435,28 @@ def decode_compartments(codec: Codec, compartments: list[set[int]],
         out.append(frozenset(decoded[v] if v in decoded else codec.decode(v) for v in vesicles))
         vesicles.clear()
     return tuple(out)
+
+
+def lazy_field(name: str, decode, *others: str) -> property:
+    """The property behind a state field that the state may hold packed, in
+    its `_packed` attribute.  The first read keeps decode(state._packed) as
+    the field's value.  Assigning the field first decodes the `others` the
+    packed form also holds, then drops it, so the state holds only its
+    fields from then on."""
+    slot = "_" + name
+
+    def get(state):
+        try:
+            return state.__dict__[slot]
+        except KeyError:
+            value = state.__dict__[slot] = decode(state._packed)
+            return value
+
+    def put(state, value):
+        if state._packed is not None:
+            for other in others:
+                getattr(state, other)  # decoded before the packed form goes
+            state._packed = None
+        state.__dict__[slot] = value
+
+    return property(get, put)

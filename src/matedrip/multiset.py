@@ -200,7 +200,10 @@ class Multiset:
             if sep:
                 if not is_number(suffix):
                     raise MultisetError(f"malformed count in token {token!r}")
-                count = int(suffix)
+                try:
+                    count = int(suffix)
+                except ValueError:  # past int's digit limit
+                    raise MultisetError(f"count of {name!r} has {len(suffix)} digits") from None
                 if count <= 0:
                     raise MultisetError(f"count must be positive in token {token!r}")
             else:

@@ -56,19 +56,25 @@ class RegisterMachine:
         return labels[0]
 
     def validate(self) -> list[str]:
+        return [problem for _, problem in self._problems()]
+
+    def _problems(self) -> list[tuple[str | None, str]]:
+        """(where, problem) pairs; `where` is the label of the instruction at
+        fault, "INPUTS", "START", or None for the machine as a whole."""
         problems = []
         if self.registers < 1:
-            problems.append("register count must be positive")
+            problems.append((None, "register count must be positive"))
         if not 0 <= self.inputs <= self.registers:
-            problems.append(f"input arity {self.inputs} exceeds register count {self.registers}")
+            problems.append(
+                ("INPUTS", f"input arity {self.inputs} exceeds register count {self.registers}"))
         if self.start not in self.instructions:
-            problems.append(f"start label {self.start!r} is not defined")
+            problems.append(("START", f"start label {self.start!r} is not defined"))
         halts = [l for l, i in self.instructions.items() if isinstance(i, Halt)]
         if len(halts) != 1:
-            problems.append(f"expected exactly one HALT instruction, found {len(halts)}")
+            problems.append((None, f"expected exactly one HALT instruction, found {len(halts)}"))
         for label, inst in self.instructions.items():
             if isinstance(inst, (Add, Sub)) and not 1 <= inst.register <= self.registers:
-                problems.append(f"{label}: register {inst.register} out of range")
+                problems.append((label, f"{label}: register {inst.register} out of range"))
             targets = ()
             if isinstance(inst, Add):
                 targets = (inst.next_label,)
@@ -76,7 +82,7 @@ class RegisterMachine:
                 targets = (inst.nonzero, inst.zero)
             for t in targets:
                 if t not in self.instructions:
-                    problems.append(f"{label}: target label {t!r} is not defined")
+                    problems.append((label, f"{label}: target label {t!r} is not defined"))
         return problems
 
 
@@ -189,6 +195,7 @@ def parse_machine(text: str) -> RegisterMachine:
     registers = inputs = None
     start = None
     instructions: dict[str, Instruction] = {}
+    at: dict[str, int] = {}  # line of each instruction label, INPUTS and START
 
     def fail(lineno, msg):
         raise MachineError(f"line {lineno}: {msg}")
@@ -212,11 +219,11 @@ def parse_machine(text: str) -> RegisterMachine:
         elif head == "INPUTS":
             if inputs is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single INPUTS <k> line")
-            inputs = number(lineno, tokens[1])
+            inputs, at["INPUTS"] = number(lineno, tokens[1]), lineno
         elif head == "START":
             if start is not None or len(tokens) != 2:
                 fail(lineno, "expected a single START <label> line")
-            start = tokens[1]
+            start, at["START"] = tokens[1], lineno
         else:
             label = tokens[0]
             try:
@@ -227,6 +234,7 @@ def parse_machine(text: str) -> RegisterMachine:
                 fail(lineno, f"label {label!r} uses the reserved '@' prefix")
             if label in instructions:
                 fail(lineno, f"duplicate label {label!r}")
+            at[label] = lineno
             op = tokens[1].upper() if len(tokens) > 1 else ""
             if op == "ADD" and len(tokens) == 4 and is_number(tokens[2]):
                 instructions[label] = Add(number(lineno, tokens[2]), tokens[3])
@@ -244,9 +252,13 @@ def parse_machine(text: str) -> RegisterMachine:
     if start is None:
         raise MachineError("missing START line")
     machine = RegisterMachine(registers, inputs, start, instructions)
-    problems = machine.validate()
+    problems = machine._problems()
     if problems:
-        raise MachineError("; ".join(problems))
+        # the problems of one line first, in line order
+        located = sorted((at[where], problem) for where, problem in problems if where in at)
+        raise MachineError("; ".join(
+            [f"line {n}: {problem}" for n, problem in located]
+            + [problem for where, problem in problems if where not in at]))
     return machine
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
-    Bounds, Codec, OperandIndex, PackedMate, admissible, drip, fill, join)
+    Bounds, Codec, OperandIndex, PackedMate, admissible, drip, fill, join, lazy_field)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset
 from .rules import Rule, apply_mate, parse_rule
@@ -67,26 +67,6 @@ class TPState:
     def _cell_sizes(self) -> tuple[int, ...]:
         cells = self.contents if self._packed is None else self._packed.cells
         return tuple(map(len, cells))
-
-
-def _decoded(name: str, other: str, decode):
-    """The property behind a TPState field that a step leaves packed."""
-    slot = "_" + name
-
-    def get(state):
-        try:
-            return state.__dict__[slot]
-        except KeyError:
-            value = state.__dict__[slot] = decode(state._packed)
-            return value
-
-    def put(state, value):
-        if state._packed is not None:
-            getattr(state, other)  # decoded before the packed form goes
-            state._packed = None
-        state.__dict__[slot] = value
-
-    return property(get, put)
 
 
 @dataclass
@@ -157,8 +137,8 @@ class _Packed:
         return frozenset(map(self.codec.decode, self.log))
 
 
-TPState.contents = _decoded("contents", "result_log", _Packed.contents)
-TPState.result_log = _decoded("result_log", "contents", _Packed.result_log)
+TPState.contents = lazy_field("contents", _Packed.contents, "result_log")
+TPState.result_log = lazy_field("result_log", _Packed.result_log, "contents")
 
 
 def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:

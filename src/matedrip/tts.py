@@ -8,11 +8,12 @@ that monotone operator, truncated by explicit exploration bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
-    Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, rule_productions)
+    Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, lazy_field,
+    rule_productions)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset, is_number
 from .rules import Rule, apply_mate, parse_rule
@@ -62,13 +63,41 @@ class TestTubeSystem:
 
 @dataclass
 class TTSState:
+    """A closure state.  A state `closure` returns holds its tubes packed;
+    `contents` is decoded on first read and then kept, and assigning it
+    drops the packed form."""
+
     contents: tuple[frozenset[Multiset], ...]
     pruned: bool
     iterations: int
+    _packed: "_Packed | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def population(self) -> int:
-        return sum(len(c) for c in self.contents)
+        return sum(map(len, self.contents if self._packed is None else self._packed.tubes))
+
+
+class _Packed:
+    """A closure state's tubes as sets of packed vesicles, with their codec
+    and the vesicles a capped fill decoded.  Decoding empties the sets, so
+    the decoded tubes take their place, for any copy of the state that
+    shares this form."""
+
+    __slots__ = ("codec", "tubes", "decoded")
+
+    def __init__(self, codec: Codec, tubes: list[set[int]], decoded: dict[int, Multiset]):
+        self.codec = codec  # None once the tubes are decoded
+        self.tubes = tubes
+        self.decoded = decoded
+
+    def contents(self) -> tuple[frozenset[Multiset], ...]:
+        if self.codec is not None:
+            self.tubes = decode_compartments(self.codec, self.tubes, self.decoded)
+            self.codec = self.decoded = None
+        return self.tubes
+
+
+TTSState.contents = lazy_field("contents", _Packed.contents)
 
 
 def validate_tts(system: TestTubeSystem) -> list[str]:
@@ -142,20 +171,23 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
     `pruned` is set whenever any bound truncated the exploration: an oversize
     result was dropped, the population cap was hit, or the iteration budget
     ran out before a fixpoint.  Tubes hold packed vesicles while the closure
-    runs; each vesicle is decoded once, on return.
+    runs, and the state returned keeps them packed until `contents` is read.
     """
     problems = validate_tts(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
     codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], bounds.max_size)
     contents, decoded, pruned, iterations = _explore(system, bounds, codec)
-    return TTSState(decode_compartments(codec, contents, decoded), pruned, iterations)
+    state = object.__new__(TTSState)
+    state.pruned, state.iterations = pruned, iterations
+    state._packed = _Packed(codec, contents, decoded)
+    return state
 
 
 def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
     """The closure on packed vesicles: (tubes, the vesicles a capped fill
     decoded, pruned, iterations).  The operand indexes and the round's sets
-    are dropped on return, before the tubes are decoded."""
+    are dropped on return."""
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
     indexes = [OperandIndex(codec, map(codec.compile, rules)) for rules in system.rules]
@@ -211,13 +243,17 @@ def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool
 
 
 def results_of_state(system: TestTubeSystem, state: TTSState) -> set[Multiset]:
-    """Terminal-support vesicles sitting in the output tubes."""
-    return {
-        v
-        for f in system.outputs
-        for v in state.contents[f - 1]
-        if v.support <= system.terminal
-    }
+    """Terminal-support vesicles sitting in the output tubes.  Of a state
+    whose tubes are still packed, only these vesicles are decoded."""
+    packed = state._packed
+    if packed is None or packed.codec is None:
+        return {v for f in system.outputs for v in state.contents[f - 1]
+                if v.support <= system.terminal}
+    codec, decoded = packed.codec, packed.decoded
+    # the codec's own names, so the test is support <= terminal for any system
+    nonterminal = codec.mask(set(codec.names) - system.terminal)
+    return {decoded[v] if v in decoded else codec.decode(v)
+            for f in system.outputs for v in packed.tubes[f - 1] if not v & nonterminal}
 
 
 def results(system: TestTubeSystem, bounds: Bounds) -> set[Multiset]:

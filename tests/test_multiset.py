@@ -149,7 +149,7 @@ def test_parse_examples():
 
 def test_parse_errors():
     for bad in ("a^0", "a^-1", "a^x", "a^", "a .", "^2",
-                "a^1_0", "a^+2", "a^\u00b2", "a^\u0663"):
+                "a^1_0", "a^+2", "a^\u00b2", "a^\u0663", "a^" + "9" * 5000):
         with pytest.raises(MultisetError):
             Multiset.parse(bad)
 

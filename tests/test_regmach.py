@@ -120,6 +120,27 @@ def test_parse_rejects_bad_lines():
         parse_machine("REGISTERS 1\nINPUTS 1\nSTART l0\nl0 ADD 1 missing\nlh HALT\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("REGISTERS 1\nINPUTS 1\nSTART l0\nl0 ADD 3 lh\nlh HALT\n",
+     "line 4: l0: register 3 out of range"),
+    ("REGISTERS 1\nINPUTS 1\nSTART l0\n\nl0 SUB 1 l9 lh\nlh HALT\n",
+     "line 5: l0: target label 'l9' is not defined"),
+    ("REGISTERS 1\n# no l7\nSTART l7\nINPUTS 1\nlh HALT\n",
+     "line 3: start label 'l7' is not defined"),
+    ("INPUTS 2\nREGISTERS 1\nSTART lh\nlh HALT\n",
+     "line 1: input arity 2 exceeds register count 1"),
+    # line problems first, in line order, then those of the whole machine
+    ("REGISTERS 1\nl1 ADD 1 l9\nl0 ADD 2 l1\nINPUTS 2\nSTART l5\n",
+     "line 2: l1: target label 'l9' is not defined; line 3: l0: register 2 out of range; "
+     "line 4: input arity 2 exceeds register count 1; line 5: start label 'l5' is not defined; "
+     "expected exactly one HALT instruction, found 0"),
+])
+def test_semantic_errors_name_their_line(text, message):
+    with pytest.raises(MachineError) as info:
+        parse_machine(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("line", [
     "REGISTERS ²", "INPUTS ²", "l0 ADD ² lh", "l0 SUB ² l0 lh", "l0 SUB ٣ l0 lh",
 ])

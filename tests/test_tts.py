@@ -1,3 +1,7 @@
+import copy
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +14,7 @@ from matedrip import (
     MateRule,
     Multiset,
     SupportFilter,
+    TTSState,
     TestTubeSystem,
     TubeFilter,
     apply_drip,
@@ -23,6 +28,7 @@ from matedrip import (
     render_tts,
     results,
     results_of_state,
+    run_verify,
     validate_tts,
 )
 from matedrip.engine import Codec, OperandIndex
@@ -490,6 +496,134 @@ def test_random_systems_match_naive_reference(system, bounds):
     state = closure(system, bounds)
     if not state.pruned:
         assert is_fixpoint(system, state, bounds)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tts_systems(), small_bounds())
+def test_unread_state_reads_like_decoded_state(system, bounds):
+    state = closure(system, bounds)
+    unread = (results_of_state(system, state), state.population)
+    state.contents
+    assert unread == (results_of_state(system, state), state.population)
+
+
+def _count_decodes(monkeypatch) -> list:
+    """The packed vesicle of every Codec.decode call from now on."""
+    calls = []
+    decode = Codec.decode
+    monkeypatch.setattr(Codec, "decode", lambda codec, v: calls.append(v) or decode(codec, v))
+    return calls
+
+
+def test_verify_decodes_only_results(even, monkeypatch):
+    system = compile_machine(even, "thm1")
+    bounds = Bounds(max_size=8, max_population=3000, max_iterations=100)
+    found = 0
+    for b in (bounds, bounds.loosened()):
+        state = closure(system, b)
+        assert state.population < b.max_population  # no fill was cut, so none decoded
+        found += len(results_of_state(system, state))
+    decoded = _count_decodes(monkeypatch)
+    report = run_verify(even, "even.rm", "thm1", bound=2, fuel=200, bounds=bounds)
+    assert report.matched and found == 5
+    assert len(decoded) <= found
+
+
+def test_unread_state_readers_decode_nothing_else(even, monkeypatch):
+    system = compile_machine(even, "cor2", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=6, max_population=3000, max_iterations=100)
+    reference = closure(system, bounds)
+    reference.contents
+    population, found = reference.population, results_of_state(system, reference)
+    assert found and population == sum(map(len, reference.contents)) < bounds.max_population
+
+    state = closure(system, bounds)
+    decoded = _count_decodes(monkeypatch)
+    assert state.population == population and not decoded
+    assert results_of_state(system, state) == found
+    assert len(decoded) == len(found)
+
+    # the output tube holds vesicles of non-terminal support too
+    system = one_tube([], [ms("a1"), ms("a1 b1"), ms("b1")], {"a1", "b1"}, terminal={"a1"})
+    state = closure(system, bounds)
+    del decoded[:]
+    assert results_of_state(system, state) == {ms("a1")} and len(decoded) == 1
+
+
+def test_lazy_state_compares_and_reprs_like_naive_state(even):
+    # one vesicle per tube, so the reprs' set order is fixed
+    system = TestTubeSystem(alphabet=frozenset({"a", "b"}), terminal=frozenset({"a"}), tubes=2,
+                            axioms=(fs(ms("a")), fs()), rules=((), ()),
+                            filters=((1, TubeFilter((SupportFilter(frozenset({"a"})),)), 2),),
+                            outputs=frozenset({2}))
+    bounds = Bounds(max_size=2)
+    state = closure(system, bounds)
+    contents, pruned, iterations = _naive_closure(system, bounds)
+    reference = TTSState(tuple(map(frozenset, contents)), pruned, iterations)
+    assert repr(state) == repr(reference) == (
+        "TTSState(contents=(frozenset({Multiset.parse('a')}), frozenset({Multiset.parse('a')})),"
+        " pruned=False, iterations=1)")
+    assert state == reference
+    (first,), (second,) = state.contents
+    assert first is second  # found in both tubes, decoded once
+
+    thm1 = compile_machine(even, "thm1", CompileOptions(fidelity="faithful"))
+    lazy = closure(thm1, Bounds(8, 400))
+    assert lazy != closure(thm1, Bounds(8, 300))
+    assert repr(lazy) == repr(TTSState(lazy.contents, lazy.pruned, lazy.iterations))
+    assert "_packed" not in repr(lazy) and lazy.contents is lazy.contents
+
+
+def test_assigned_contents_drop_the_packed_form(even):
+    system = compile_machine(even, "thm1")
+    bounds = Bounds(max_size=8, max_population=3000, max_iterations=100)
+    decoded = closure(system, bounds).contents
+
+    state = closure(system, bounds)
+    replaced = tuple(frozenset(sorted(tube, key=Multiset.render)[:2]) for tube in decoded)
+    state.contents = replaced
+    assert state._packed is None and state.contents is replaced
+    assert state.population == sum(map(len, replaced)) < sum(map(len, decoded))
+    assert results_of_state(system, state) == {
+        v for f in system.outputs for v in replaced[f - 1] if v.support <= system.terminal}
+
+    # a copy that reads its contents empties the packed sets it shares
+    # with the original, which then reads the copy's decoded tubes
+    state = closure(system, bounds)
+    twin = copy.copy(state)
+    assert twin.contents == decoded
+    assert state.population == sum(map(len, decoded))
+    assert results_of_state(system, state) == results_of_state(system, twin)
+    twin.contents = replaced
+    assert state.contents == decoded
+
+
+def test_capped_fill_decodes_are_reused(even, monkeypatch):
+    system = compile_machine(even, "thm1", CompileOptions(fidelity="faithful"))
+    state = closure(system, Bounds(max_size=8, max_population=300, max_iterations=100))
+    by_fill = dict(state._packed.decoded)
+    assert state.pruned and state.population == 300 and by_fill
+
+    decoded = _count_decodes(monkeypatch)
+    kept = {id(m): m for tube in state.contents for m in tube}
+    assert all(id(m) in kept for m in by_fill.values())
+    assert len(decoded) + len(by_fill) == len(kept)  # each vesicle decoded once
+
+
+def test_closure_states_are_freed_without_the_cycle_collector(even):
+    system = compile_machine(even, "thm1", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=300)
+    gc.disable()
+    try:
+        for read in (False, True):
+            state = closure(system, bounds)
+            if read:
+                state.contents
+            freed = weakref.ref(state)
+            del state
+            assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_tab_separated_directives():
