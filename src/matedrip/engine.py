@@ -7,7 +7,9 @@ operations, and equality and hashing are those of ints.  Vesicles are
 decoded to `Multiset`s only at the boundary: for a closure state's contents
 and a tissue state's contents and result log when they are read, for the
 results a closure state is asked for, and for the (compartment, render)
-order of a fill that the population cap cuts.
+order of a fill that the population cap cuts.  Admission is batched: a
+compartment's new vesicles join its operand index in one
+`OperandIndex.extend` call, and a fill that fits the cap is a set union.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission, the population-capped fill and the
@@ -104,8 +106,8 @@ class Codec:
     subtracts the need's counts under raised guard bits G: a field borrows
     only when its count is short, and that borrow clears its own guard bit
     without reaching the next field.  A vesicle's size is the sum of its
-    fields, which `size` reads as v % (2**width - 1) while it is below
-    2**width - 1, as for every admitted vesicle.
+    fields, which `OperandIndex.extend` reads as v % (2**width - 1) while
+    it is below 2**width - 1, as for every admitted vesicle.
     """
 
     def __init__(self, alphabet, rules, largest: int):
@@ -145,10 +147,6 @@ class Codec:
             packed &= below
         items.reverse()
         return Multiset._wrap(tuple(items), size)
-
-    def size(self, packed: int) -> int:
-        """The size of a packed vesicle whose size is below 2**width - 1."""
-        return packed % self.field
 
     def mask(self, names) -> int:
         """All bits of the fields of `names`."""
@@ -193,8 +191,8 @@ def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple
 
 
 class OperandIndex:
-    """The operands of a compartment's packed rules, kept as vesicles are
-    added.
+    """The operands of a compartment's packed rules, kept as batches of
+    vesicles are added.
 
     `operands[rule]` holds, for a mate rule, its (left, right) operands and,
     for a drip rule, the vesicles that contain its need, as size -> packed
@@ -229,6 +227,7 @@ class OperandIndex:
         self._anchor_guards = sum(self._layout)
         self._guards = codec.guards
         self._units = codec.units
+        self._field = codec.field
         self._bind()
 
     def _bind(self):
@@ -256,20 +255,25 @@ class OperandIndex:
         index._bind()
         return index
 
-    def add(self, vesicle: int, size: int):
-        guards, anchored = self._guards, self._anchored
-        raised = vesicle | guards
-        # the guard bits of the anchors the vesicle holds: subtracting 1
-        # from each raised field keeps its guard bit iff its count is >= 1
-        held = (raised - self._units) & self._anchor_guards
-        while held:
-            guard, entries = anchored[held.bit_length()]
-            held ^= guard
-            for need, operands in entries:
-                if (raised - need) & guards == guards:
-                    operands[size].append(vesicle)
-        for operands in self._unanchored:
-            operands[size].append(vesicle)
+    def extend(self, vesicles):
+        """Add packed vesicles, each of size below 2**width - 1, in iteration
+        order, with one call for the whole batch."""
+        guards, units, field = self._guards, self._units, self._field
+        anchored, anchor_guards, unanchored = self._anchored, self._anchor_guards, self._unanchored
+        for vesicle in vesicles:
+            size = vesicle % field
+            raised = vesicle | guards
+            # the guard bits of the anchors the vesicle holds: subtracting 1
+            # from each raised field keeps its guard bit iff its count is >= 1
+            held = (raised - units) & anchor_guards
+            while held:
+                guard, entries = anchored[held.bit_length()]
+                held ^= guard
+                for need, operands in entries:
+                    if (raised - need) & guards == guards:
+                        operands[size].append(vesicle)
+            for operands in unanchored:
+                operands[size].append(vesicle)
 
 
 def frontier_start(operands: list, frontier) -> int:
@@ -398,25 +402,27 @@ def admissible(batch, bounds: Bounds) -> tuple[list, bool]:
     return admitted, oversize
 
 
-def fill(batch: list, bounds: Bounds, population: int, place, decode) -> bool:
-    """place(c, v, m) each (compartment, packed vesicle) pair of `batch`, in
-    (c, render) order, while the population stays below max_population.
-    Returns whether the cap stopped the fill.
+def fill(fresh: list[set[int]], bounds: Bounds, population: int, codec: Codec,
+         decoded: dict[int, Multiset]) -> tuple[list[set[int]], bool]:
+    """(placements, cut): the packed vesicles of `fresh`, per compartment,
+    that fit while the population stays below max_population, taken in
+    (compartment, render) order, and whether the cap cut the batch.
 
-    The order matters only when the cap cuts the batch, so only then is the
-    batch decoded and sorted; `m` is the decoded vesicle, or None when the
-    fill did not decode it.
+    The order matters only when the cap cuts the batch.  A batch that fits
+    is returned as it is; a cut one is decoded, sorted and split, and the
+    Multisets of the vesicles placed go into `decoded`.
     """
-    room = bounds.max_population - population
-    if len(batch) <= room:
-        for c, v in batch:
-            place(c, v, None)
-        return False
-    if room > 0:
-        keyed = sorted((c, m.render(), v, m) for c, v in batch for m in (decode(v),))
+    room = max(bounds.max_population - population, 0)
+    if sum(map(len, fresh)) <= room:
+        return fresh, False
+    placed: list[set[int]] = [set() for _ in fresh]
+    if room:
+        keyed = sorted((c, m.render(), v, m) for c, vs in enumerate(fresh)
+                       for v in vs for m in (codec.decode(v),))
         for c, _, v, m in keyed[:room]:
-            place(c, v, m)
-    return bool(batch)
+            placed[c].add(v)
+            decoded[v] = m
+    return placed, True
 
 
 def decode_compartments(codec: Codec, compartments: list[set[int]],

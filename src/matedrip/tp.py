@@ -143,7 +143,7 @@ TPState.result_log = lazy_field("result_log", _Packed.result_log, "contents")
 
 def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
     # sized by vesicle size, which bounds every count and must stay below
-    # 2**width - 1 for Codec.size
+    # 2**width - 1 for OperandIndex.extend
     largest = max((len(v) for cell in (*state.contents, state.result_log) for v in cell),
                   default=0)
     codec = Codec(system.alphabet, [tp.rule for tp in system.rules],
@@ -199,8 +199,7 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
         if not cell:
             continue
         index = template.empty()
-        for v in cell:
-            index.add(v, codec.size(v))
+        index.extend(cell)
         for rule, target in firings:
             operands, out = index.operands[rule], arrivals[target]
             if isinstance(rule, PackedMate):
@@ -217,12 +216,11 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
                         pruned = True
 
     kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
-    placed: list[list[int]] = [[] for _ in kept]
-    fresh = [(c, v) for c in range(system.cells) for v in arrivals[c].difference(kept[c])]
-    if fill(fresh, bounds, sum(map(len, kept)), lambda c, v, m: placed[c].append(v),
-            codec.decode):
-        pruned = True
-    cells = [cell.union(new) if new else cell for cell, new in zip(kept, placed)]
+    for new, cell in zip(arrivals, kept):
+        new -= cell
+    placed, cut = fill(arrivals, bounds, sum(map(len, kept)), codec, {})
+    pruned |= cut
+    cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
 
     nonterminal = codec.mask(system.alphabet - system.terminal)
     results = {v for v in cells[system.output_cell - 1] if not v & nonterminal}

@@ -138,10 +138,11 @@ def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[i
     """Everything one application step could add that fits `max_size`,
     computed from scratch; with no `max_size`, every pair is fused.
 
-    The codec's fields are sized from the contents: an uncapped fusion can
-    reach twice their largest count.
+    The codec's fields are sized from the contents: a size bounds every
+    count, an uncapped fusion can reach twice their largest size, and
+    `OperandIndex.extend` needs each size below 2**width - 1.
     """
-    largest = max((c for tube in contents for v in tube for _, c in v), default=0)
+    largest = max((len(v) for tube in contents for v in tube), default=0)
     if max_size is None:
         bounds, largest = Bounds(max_size=10**9), 2 * largest
     else:
@@ -151,10 +152,9 @@ def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[i
     out: set[tuple[int, Multiset]] = set()
     for t in range(system.tubes):
         if contents[t]:
-            pool = {codec.encode(v): len(v) for v in contents[t]}
+            pool = set(map(codec.encode, contents[t]))
             index = OperandIndex(codec, map(codec.compile, system.rules[t]))
-            for v, size in pool.items():
-                index.add(v, size)
+            index.extend(pool)
             produced: set[int] = set()
             rule_productions(index, pool, produced, bounds, codec, kernels)
             out.update((t, codec.decode(v)) for v in produced)
@@ -194,17 +194,15 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
     filters = [(i - 1, codec.filter(filt), j - 1) for i, filt, j in system.filters]
     decoded: dict[int, Multiset] = {}  # what a capped fill decoded
 
-    def place(t, v, m):
-        contents[t].add(v)
-        indexes[t].add(v, codec.size(v))
-        if m is not None:
-            decoded[v] = m
-
     def admit(fresh: list[set[int]]) -> list[set[int]]:
         # the new frontier; empty when the population cap stopped the fill
         nonlocal pruned
-        batch = [(t, v) for t, vs in enumerate(fresh) for v in vs]
-        if fill(batch, bounds, sum(map(len, contents)), place, codec.decode):
+        placed, cut = fill(fresh, bounds, sum(map(len, contents)), codec, decoded)
+        for tube, index, new in zip(contents, indexes, placed):
+            if new:
+                tube |= new
+                index.extend(new)
+        if cut:
             pruned = True
             return []
         return fresh
@@ -275,12 +273,9 @@ def render_tts(system: TestTubeSystem) -> str:
     for t in range(system.tubes):
         for rule in sorted(system.rules[t], key=lambda r: r.render()):
             lines.append(f"RULE {t + 1} {rule.render()}")
-    for i, filt, j in sorted(
-        system.filters,
-        key=lambda e: (e[0], e[2], tuple(sorted(" ".join(sorted(b.allowed)) for b in e[1].branches))),
-    ):
-        for branch in sorted(filt.branches, key=lambda b: " ".join(sorted(b.allowed))):
-            lines.append(f"FILTER {i} -> {j} SUPPORT {{{' '.join(sorted(branch.allowed))}}}")
+    for i, j, allowed in sorted((i, j, " ".join(sorted(branch.allowed)))
+                                for i, filt, j in system.filters for branch in filt.branches):
+        lines.append(f"FILTER {i} -> {j} SUPPORT {{{allowed}}}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +255,36 @@ def test_tp_step_matches_naive_reference(even, fidelity, bounds):
     assert state.pruned
 
 
+@pytest.mark.parametrize("max_population, pruned", [(3, False), (2, True)])
+def test_fill_at_and_one_past_the_room(max_population, pruned):
+    # step 1 consumes both axioms and brings {l1}, {l10} and {l1^2} to cell 2:
+    # they fit a cap of 3 exactly, and a cap of 2 keeps the first two in
+    # render order
+    system = system_of(2, [(1, ms("g")), (1, ms("g l1"))],
+                       [TPRule(1, parse_rule("DRIP1 (. | g | . ; l1 , l10)"), 2)],
+                       {"g", "l1", "l10"})
+    bounds = Bounds(4, max_population)
+    start = initial_state(system, bounds)
+    state = tp_step(system, start, bounds)
+    kept = fs(ms("l1"), ms("l10")) | (fs() if pruned else fs(ms("l1^2")))
+    assert state.contents == (fs(), kept) and state.pruned is pruned
+    assert state == _naive_tp_step(system, start, bounds)
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_crowded_step_without_newcomers_keeps_pruned(pruned):
+    # the kept cells hold 4 vesicles under a cap of 2, and the drip's
+    # products are all in cell 2 already, so nothing new arrives
+    system = system_of(2, [], [TPRule(1, parse_rule("DRIP1 (. | g | . ; l1 , l10)"), 2)],
+                       {"a", "b", "g", "l1", "l10"})
+    crowded = TPState(0, (fs(ms("g"), ms("a"), ms("b")), fs(ms("l1"), ms("l10"))), fs(), pruned)
+    bounds = Bounds(4, 2)
+    state = tp_step(system, crowded, bounds)
+    assert state.contents == (fs(ms("a"), ms("b")), fs(ms("l1"), ms("l10")))
+    assert state.pruned is pruned
+    assert state == _naive_tp_step(system, crowded, bounds)
+
+
 def test_drip_rule_with_two_targets_fires_once():
     drip = parse_rule("DRIP1 (. | s | . ; p , q)")
     system = system_of(
@@ -492,6 +523,16 @@ def test_random_systems_step_like_naive_reference(system, bounds):
         state = tp_step(system, state, bounds)
         reference = _naive_tp_step(system, reference, bounds)
         assert state == reference
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tp_systems())
+def test_random_systems_round_trip(system):
+    # the text format sorts the rules, so they compare up to order
+    parsed = parse_tp(render_tp(system))
+    assert Counter(parsed.rules) == Counter(system.rules)
+    assert parsed == TissueSystem(**{**vars(system), "rules": parsed.rules})
+    assert parse_tp(render_tp(parsed)) == parsed
 
 
 def test_tab_separated_directives():

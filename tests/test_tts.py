@@ -1,6 +1,7 @@
 import copy
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from matedrip import (
     run_verify,
     validate_tts,
 )
-from matedrip.engine import Codec, OperandIndex
+from matedrip.engine import Codec, OperandIndex, frontier_start
 from matedrip.tts import _productions
 
 
@@ -398,8 +399,7 @@ def test_symbol_index_operands_match_brute_force():
     pool = [ms("X p"), ms("q"), ms("X q"), ms("X^2 p q"), ms("p r"), EMPTY, ms("q^2 r")]
     codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
     index = OperandIndex(codec, map(codec.compile, _SHARED_NEED_RULES))
-    for v in pool:
-        index.add(codec.encode(v), len(v))
+    index.extend(map(codec.encode, pool))
     assert [packed.rule for packed in index.operands] == _SHARED_NEED_RULES[:4]
 
     def by_size(need):
@@ -419,6 +419,47 @@ def test_symbol_index_operands_match_brute_force():
                 by_size(rule.u + rule.a), by_size(rule.b + rule.v))
         else:
             assert decoded(operands) == by_size(rule.u + rule.c + rule.v)
+
+
+def _index_lists(index):
+    """Every size bucket of every rule side of `index`."""
+    for operands in index.operands.values():
+        for side in operands if isinstance(operands, tuple) else (operands,):
+            yield from side.values()
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(st.lists(small_multisets(("X", "p", "q", "r"), 4), unique=True, max_size=12), st.data())
+def test_batched_index_matches_brute_force(pool, data):
+    codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
+    index = OperandIndex(codec, map(codec.compile, _SHARED_NEED_RULES))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
+    for start, end in zip([0, *cuts], [*cuts, len(pool)]):
+        batch = set(map(codec.encode, pool[start:end]))
+        index.extend(batch)
+        for bucket in _index_lists(index):
+            # the batch forms the tail of every bucket, so the frontier
+            # begins after every vesicle of the batches before it
+            assert frontier_start(bucket, batch) == sum(v not in batch for v in bucket)
+            assert len(set(bucket)) == len(bucket)
+
+    def by_size(need):
+        out = {}
+        for v in pool:
+            if v.contains(need):
+                out.setdefault(len(v), set()).add(codec.encode(v))
+        return out
+
+    def as_sets(operands):
+        return {size: set(bucket) for size, bucket in operands.items()}
+
+    for packed, operands in index.operands.items():
+        rule = packed.rule
+        if isinstance(rule, MateRule):
+            assert tuple(map(as_sets, operands)) == (
+                by_size(rule.u + rule.a), by_size(rule.b + rule.v))
+        else:
+            assert as_sets(operands) == by_size(rule.u + rule.c + rule.v)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -505,6 +546,35 @@ def test_unread_state_reads_like_decoded_state(system, bounds):
     unread = (results_of_state(system, state), state.population)
     state.contents
     assert unread == (results_of_state(system, state), state.population)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tts_systems(), st.integers(1, 5), st.booleans())
+def test_uncapped_results_grow_with_max_size(system, max_size, keep_empty):
+    small, large = (closure(system, Bounds(s, 300, 30, keep_empty))
+                    for s in (max_size, max_size + 1))
+    # cut by size alone: a size-s fixpoint lies inside the size-(s+1) one
+    if all(state.population < 300 and state.iterations < 30 for state in (small, large)):
+        assert all(a <= b for a, b in zip(small.contents, large.contents))
+        assert results_of_state(system, small) <= results_of_state(system, large)
+
+
+def _unordered(system):
+    """`system` up to the order of its rules, filters and filter branches,
+    which the text format sorts, and the grouping of branches by their
+    (source, target), which it merges."""
+    return (system.alphabet, system.terminal, system.tubes, system.axioms,
+            tuple(map(Counter, system.rules)),
+            Counter((i, b, j) for i, filt, j in system.filters for b in filt.branches),
+            system.outputs)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(small_tts_systems())
+def test_random_systems_round_trip(system):
+    parsed = parse_tts(render_tts(system))
+    assert _unordered(parsed) == _unordered(system)
+    assert parse_tts(render_tts(parsed)) == parsed
 
 
 def _count_decodes(monkeypatch) -> list:
@@ -608,6 +678,20 @@ def test_capped_fill_decodes_are_reused(even, monkeypatch):
     kept = {id(m): m for tube in state.contents for m in tube}
     assert all(id(m) in kept for m in by_fill.values())
     assert len(decoded) + len(by_fill) == len(kept)  # each vesicle decoded once
+
+
+@pytest.mark.parametrize("max_population, pruned", [(5, False), (4, True)])
+def test_fill_at_and_one_past_the_room(max_population, pruned):
+    # round 1 brings {l1}, {l10} and {l1^2} to a tube of two: they fit a cap
+    # of 5 exactly, and a cap of 4 keeps the first two in render order
+    rules = [parse_rule("DRIP1 (. | g | . ; l1 , l10)")]
+    system = one_tube(rules, [ms("g"), ms("g l1")], {"g", "l1", "l10"})
+    bounds = Bounds(4, max_population, 10)
+    state = closure(system, bounds)
+    assert state.pruned is pruned and state.population == 2 + 3 - pruned
+    assert (ms("l1^2") in state.contents[0]) is not pruned
+    assert {ms("l1"), ms("l10")} <= state.contents[0]
+    _assert_matches_reference(system, bounds)
 
 
 def test_closure_states_are_freed_without_the_cycle_collector(even):
