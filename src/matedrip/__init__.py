@@ -4,12 +4,10 @@ from .multiset import EMPTY, Multiset, MultisetError, check_symbol, is_reserved
 from .rules import (
     DripRule,
     MateRule,
-    RestrictionProfile,
     RuleError,
     apply_drip,
     apply_drip1,
     apply_mate,
-    classify,
     parse_rule,
 )
 from .regmach import (

@@ -33,6 +33,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser):
 
 
 def _bounds_from(args) -> Bounds:
+    """The engine flags' bounds.  A negative --max-steps is refused here for
+    every system kind, not only by the tissue runs that read it."""
+    if args.max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     return Bounds(args.max_size, args.max_pop, args.max_iter, not args.no_keep_empty)
 
 

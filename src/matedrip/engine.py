@@ -52,16 +52,18 @@ class Bounds:
 
 class PackedMate:
     """A mate rule over one codec: its packed needs u + a and b + v, and the
-    packed x - a - b with its size."""
+    packed x - a - b with its size.  Packing is linear, so the fusion
+    (v1 - a) + x + (v2 - b) packs as v1 + v2 + delta."""
 
     __slots__ = ("rule", "left", "right", "delta", "dsize")
 
     def __init__(self, codec: "Codec", rule: MateRule):
+        encode = codec.encode
         self.rule = rule
-        self.left = codec.encode(rule._left_need)
-        self.right = codec.encode(rule._right_need)
-        self.delta = codec.encode(rule._delta)
-        self.dsize = rule._dsize
+        self.left = encode(rule._left_need)
+        self.right = encode(rule._right_need)
+        self.delta = encode(rule.x) - encode(rule.a) - encode(rule.b)
+        self.dsize = len(rule.x) - len(rule.a) - len(rule.b)
 
 
 class PackedDrip:
@@ -72,15 +74,16 @@ class PackedDrip:
                  "second", "second_size")
 
     def __init__(self, codec: "Codec", rule: DripRule):
+        encode = codec.encode
         self.rule = rule
-        self.need = codec.encode(rule._need)
+        self.need = encode(rule._need)
         self.need_size = len(rule._need)
-        self.first = codec.encode(rule._first)
-        self.first_size = len(rule._first)
-        self.delta = codec.encode(rule._delta)
-        self.dsize = rule._dsize
-        self.second = codec.encode(rule._second)
-        self.second_size = len(rule._second)
+        self.first = encode(rule.u) + encode(rule.y)
+        self.first_size = len(rule.u) + len(rule.y)
+        self.delta = encode(rule.y) - encode(rule.c) - encode(rule.v)
+        self.dsize = len(rule.y) - len(rule.c) - len(rule.v)
+        self.second = encode(rule.z) + encode(rule.v)
+        self.second_size = len(rule.z) + len(rule.v)
 
 
 class Codec:
@@ -93,8 +96,7 @@ class Codec:
     (largest + W).bit_length() + 1, so every count the engine computes
     stays below its guard bit:
 
-    - a kept fusion fits max_size, and `largest` >= max_size (an uncapped
-      run passes twice the largest count of its operands);
+    - a kept fusion fits max_size, and `largest` >= max_size;
     - a drip1 product, the operand plus y - c - v, has counts
       <= largest + |y|, and its second product z + v has counts <= W;
     - a two-sided drip product s + u + y or z + v + w has counts

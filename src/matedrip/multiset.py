@@ -18,7 +18,7 @@ _FORBIDDEN = frozenset("{};,|^()#")
 
 
 class MultisetError(ValueError):
-    """Malformed symbol name or multiset text, or a count driven below zero."""
+    """Malformed symbol name, count or multiset text."""
 
 
 def is_number(token: str) -> bool:
@@ -135,28 +135,6 @@ class Multiset:
             else:
                 acc[n] = have - c
         return Multiset._wrap(tuple(sorted(acc.items())), self._size - other._size)
-
-    def shifted(self, other: "Multiset", delta: tuple, dsize: int) -> "Multiset":
-        """self + other + delta in one merge.
-
-        `delta` holds (name, signed count) pairs with distinct names and
-        nonzero counts, and `dsize` is the sum of those counts; a rule
-        computes both once (see rules.py).  Raises MultisetError when a
-        count would go below zero, so a caller that broke the rule's
-        precondition gets an error, never a corrupt multiset.
-        """
-        acc = dict(self._items)
-        for n, c in other._items:
-            acc[n] = acc.get(n, 0) + c
-        for n, c in delta:
-            have = acc.get(n, 0) + c
-            if have > 0:
-                acc[n] = have
-            elif have == 0:
-                del acc[n]
-            else:
-                raise MultisetError(f"count of {n!r} would drop below zero")
-        return Multiset._wrap(tuple(sorted(acc.items())), self._size + other._size + dsize)
 
     def splits(self) -> list[tuple["Multiset", "Multiset"]]:
         """All ordered pairs (s, w) with s + w equal to this multiset.

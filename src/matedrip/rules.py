@@ -1,9 +1,13 @@
-"""Mate and drip operations on vesicles.
+"""Mate and drip operations on vesicles, as the paper defines them.
 
 A mate rule (u|a,b|v;x) fuses a vesicle s+u+a with a vesicle b+v+w into
 s+u+x+v+w.  A drip rule (u|c|v;y,z) splits a vesicle s+u+c+v+w into s+u+y
 and z+v+w, the residual dividing arbitrarily between s and w.  The
 one-sided variant keeps the whole residual on the first output.
+
+`apply_mate`, `apply_drip1` and `apply_drip` compute these formulas on
+`Multiset`s.  No engine calls them: the engines fire the packed forms of
+the rules in engine.py, and the tests hold those against these references.
 """
 
 from __future__ import annotations
@@ -15,16 +19,6 @@ from .multiset import EMPTY, Multiset, MultisetError
 
 class RuleError(ValueError):
     """Malformed rule text."""
-
-
-def _delta(gain: Multiset, *losses: Multiset) -> tuple[tuple[str, int], ...]:
-    """gain - losses as sorted (name, signed count) pairs, zeros left out:
-    the `delta` argument of Multiset.shifted."""
-    acc = dict(gain)
-    for loss in losses:
-        for n, c in loss:
-            acc[n] = acc.get(n, 0) - c
-    return tuple(sorted((n, c) for n, c in acc.items() if c))
 
 
 @dataclass(frozen=True)
@@ -40,8 +34,6 @@ class MateRule:
     def __post_init__(self):
         object.__setattr__(self, "_left_need", self.u + self.a)
         object.__setattr__(self, "_right_need", self.b + self.v)
-        object.__setattr__(self, "_delta", _delta(self.x, self.a, self.b))
-        object.__setattr__(self, "_dsize", len(self.x) - len(self.a) - len(self.b))
 
     @property
     def weight(self) -> int:
@@ -68,10 +60,6 @@ class DripRule:
 
     def __post_init__(self):
         object.__setattr__(self, "_need", self.u + self.c + self.v)
-        object.__setattr__(self, "_delta", _delta(self.y, self.c, self.v))
-        object.__setattr__(self, "_dsize", len(self.y) - len(self.c) - len(self.v))
-        object.__setattr__(self, "_first", self.u + self.y)
-        object.__setattr__(self, "_second", self.z + self.v)
 
     @property
     def weight(self) -> int:
@@ -89,79 +77,36 @@ class DripRule:
 Rule = MateRule | DripRule
 
 
-@dataclass(frozen=True)
-class RestrictionProfile:
-    """Which of the three classical restrictions a rule satisfies.
-
-    singleton_sites:     a, b (mate) or c (drip) are single symbols
-    empty_second_parts:  b (mate) or z (drip) is empty
-    nonempty_contexts:   v is nonempty and u+x (mate) or u (drip) is nonempty
-    """
-
-    singleton_sites: bool
-    empty_second_parts: bool
-    nonempty_contexts: bool
-
-
-def classify(rule: Rule) -> RestrictionProfile:
-    if isinstance(rule, MateRule):
-        return RestrictionProfile(
-            singleton_sites=len(rule.a) == 1 and len(rule.b) == 1,
-            empty_second_parts=len(rule.b) == 0,
-            nonempty_contexts=len(rule.v) > 0 and len(rule.u) + len(rule.x) > 0,
-        )
-    return RestrictionProfile(
-        singleton_sites=len(rule.c) == 1,
-        empty_second_parts=len(rule.z) == 0,
-        nonempty_contexts=len(rule.v) > 0 and len(rule.u) > 0,
-    )
-
-
 def apply_mate(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset | None:
-    """Fuse v1 and v2, or None when the rule does not apply."""
+    """(v1 - a) + x + (v2 - b), or None when v1 lacks u + a or v2 lacks b + v."""
     if not v1.contains(rule._left_need) or not v2.contains(rule._right_need):
         return None
-    return fuse(rule, v1, v2)
-
-
-def fuse(rule: MateRule, v1: Multiset, v2: Multiset) -> Multiset:
-    """Fuse v1 and v2, which the caller knows the rule applies to.
-
-    The result (v1 - a) + x + (v2 - b) is one merge of v1 and v2 shifted by
-    the rule's precomputed x - a - b.  The kernel checks only that no count
-    goes below zero (MultisetError); it does not test the rule's needs.
-    """
-    return v1.shifted(v2, rule._delta, rule._dsize)
+    return v1.minus(rule.a) + rule.x + v2.minus(rule.b)
 
 
 def apply_drip(rule: DripRule, vesicle: Multiset) -> list[tuple[Multiset, Multiset]]:
-    """All outcomes of a two-sided drip, deduplicated, in canonical order."""
+    """All outcomes (s + u + y, z + v + w) of a two-sided drip, one per split
+    s + w of the residual vesicle - (u + c + v), in canonical order; none
+    when the vesicle lacks u + c + v.  The splits have distinct s, so the
+    outcomes are distinct."""
     if rule.one_sided:
         raise ValueError("apply_drip expects a two-sided rule; use apply_drip1")
-    if not vesicle.contains(rule._need):
-        return []
     residual = vesicle.minus(rule._need)
-    seen = set()
-    out = []
-    for s, w in residual.splits():
-        pair = (s + rule._first, rule._second + w)
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
+    if residual is None:
+        return []
+    out = [(s + rule.u + rule.y, rule.z + rule.v + w) for s, w in residual.splits()]
     out.sort(key=lambda pq: (pq[0].render(), pq[1].render()))
     return out
 
 
 def apply_drip1(rule: DripRule, vesicle: Multiset) -> tuple[Multiset, Multiset] | None:
-    """One-sided drip: the whole residual joins the first output vesicle.
-
-    The outputs are (vesicle - (u + c + v)) + u + y, which is the vesicle
-    shifted by the rule's precomputed y - c - v, and the rule's constant
-    z + v; None when the vesicle lacks u + c + v.
-    """
-    if not vesicle.contains(rule._need):
+    """One-sided drip: (residual + u + y, z + v), the whole residual
+    vesicle - (u + c + v) joining the first output; None when the vesicle
+    lacks u + c + v."""
+    residual = vesicle.minus(rule._need)
+    if residual is None:
         return None
-    return (vesicle.shifted(EMPTY, rule._delta, rule._dsize), rule._second)
+    return residual + rule.u + rule.y, rule.z + rule.v
 
 
 # -- rule text grammar -----------------------------------------------------

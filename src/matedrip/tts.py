@@ -134,20 +134,18 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
     return problems
 
 
-def _productions(system: TestTubeSystem, contents, max_size=None) -> set[tuple[int, Multiset]]:
+def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[int, Multiset]]:
     """Everything one application step could add that fits `max_size`,
-    computed from scratch; with no `max_size`, every pair is fused.
+    computed from scratch.
 
-    The codec's fields are sized from the contents: a size bounds every
-    count, an uncapped fusion can reach twice their largest size, and
-    `OperandIndex.extend` needs each size below 2**width - 1.
+    The codec's fields are sized from the contents too, as `tp._pack`
+    does: a size bounds every count, and `OperandIndex.extend` needs each
+    size below 2**width - 1.
     """
     largest = max((len(v) for tube in contents for v in tube), default=0)
-    if max_size is None:
-        bounds, largest = Bounds(max_size=10**9), 2 * largest
-    else:
-        bounds, largest = Bounds(max_size=max_size), max(largest, max_size)
-    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], largest)
+    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules],
+                  max(largest, max_size))
+    bounds = Bounds(max_size=max_size)
     kernels = (apply_drip1, apply_drip)
     out: set[tuple[int, Multiset]] = set()
     for t in range(system.tubes):
@@ -309,13 +307,23 @@ def directives(text: str):
             yield lineno, head.upper(), rest
 
 
+# The most compartments a system file may declare: each is allocated when
+# the file is parsed, and decoding a closure state's tubes compares every
+# pair of them.
+MAX_COMPARTMENTS = 1000
+
+# The only directives a system file may give more than once.
+_REPEATABLE = frozenset({"AXIOM", "RULE", "FILTER"})
+
+
 def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
     Strips `#` comments, checks `SYSTEM kind` and reads ALPHABET, TERMINAL,
-    the compartment count `count_head` and AXIOM lines.  Every other head
-    goes to `handlers[head](rest)`, which returns the compartment indices
-    the line names.  Errors carry their line number, and so does a
+    the compartment count `count_head` (at most MAX_COMPARTMENTS) and AXIOM
+    lines.  Every other head goes to `handlers[head](rest)`, which returns
+    the compartment indices the line names.  Only AXIOM, RULE and FILTER
+    lines may repeat.  Errors carry their line number, and so does a
     compartment index out of range once the count is known.  Returns
     (alphabet, terminal, count, axioms by compartment index); the alphabet
     and count are None when undeclared.
@@ -324,8 +332,13 @@ def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple
     terminal: frozenset[str] = frozenset()
     axioms: dict[int, set[Multiset]] = {}
     named: list[tuple[int, int]] = []  # (compartment index, line number)
+    seen: set[str] = set()
     for lineno, head, rest in directives(text):
         try:
+            if head in seen:
+                raise FormatError(f"duplicate {head} line")
+            if head not in _REPEATABLE:
+                seen.add(head)
             if head == "SYSTEM":
                 if rest.upper() != kind:
                     raise FormatError(f"expected SYSTEM {kind}, got {rest!r}")
@@ -335,6 +348,8 @@ def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple
                 terminal = frozenset(rest.split())
             elif head == count_head:
                 count = parse_number(rest)
+                if count > MAX_COMPARTMENTS:
+                    raise FormatError(f"{count_head} {count} is over the limit of {MAX_COMPARTMENTS}")
             elif head == "AXIOM":
                 idx, body = split_head(rest)
                 idx = parse_number(idx)

@@ -168,3 +168,20 @@ def test_negative_bound_exits_2(capsys):
         captured = capsys.readouterr()
         assert "bound must be non-negative" in captured.err
         assert captured.out == ""
+
+
+def test_negative_max_steps_exits_2(tmp_path, capsys):
+    # only tissue runs read --max-steps, but every system kind refuses it
+    for construction, suffix in (("thm1", "tts"), ("thm4", "tp")):
+        out = tmp_path / f"even.{suffix}"
+        assert main(["compile", construction, machine_path("even.rm"), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(out), "--max-steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "max_steps must be non-negative" in captured.err
+        assert captured.out == ""
+    for construction in ("thm1", "cor2", "cor3", "thm4"):
+        assert main(["verify", construction, machine_path("even.rm"), "--max-steps", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "max_steps must be non-negative" in captured.err
+        assert captured.out == ""

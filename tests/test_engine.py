@@ -5,11 +5,11 @@ reference: the rule kernels of `rules.py`, `_naive_closure` and
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SYMBOLS, small_multisets
+from conftest import SYMBOLS, small_multisets, small_rules
 from matedrip import (
     Bounds,
-    DripRule,
     EMPTY,
+    MateRule,
     Multiset,
     TPRule,
     TPState,
@@ -80,12 +80,29 @@ def test_fusion_at_max_size_matches_reference():
 
 
 @settings(derandomize=True, max_examples=150, database=None, deadline=None)
-@given(st.builds(DripRule, *[small_multisets(SYMBOLS)] * 5), small_multisets(SYMBOLS, 4))
-def test_two_sided_drip_kernel_matches_apply_drip(rule, extra):
-    # the packed splits of the residual against Multiset.splits
+@given(small_rules(SYMBOLS), small_multisets(SYMBOLS, 4), small_multisets(SYMBOLS, 4))
+def test_two_sided_drip_kernel_matches_apply_drip(rule, extra, other):
+    # every packed kernel, on operands that hold the rule's needs, against
+    # the Multiset reference: a fusion v1 + v2 + delta, drip1, and the
+    # packed splits of a two-sided drip's residual against Multiset.splits
+    if isinstance(rule, MateRule):
+        v1, v2 = rule.u + rule.a + extra, rule.b + rule.v + other
+        codec = Codec(SYMBOLS, [rule], len(v1) + len(v2))
+        packed = codec.compile(rule)
+        fused = apply_mate(rule, v1, v2)
+        assert codec.decode(codec.encode(v1) + codec.encode(v2) + packed.delta) == fused
+        assert len(fused) == len(v1) + len(v2) + packed.dsize
+        return
     vesicle = rule.u + rule.c + rule.v + extra
     codec = Codec(SYMBOLS, [rule], len(vesicle))
-    got = drip2(codec.compile(rule), codec.encode(vesicle), len(vesicle), codec)
+    packed = codec.compile(rule)
+    if rule.one_sided:
+        first, second = drip1(packed, codec.encode(vesicle))
+        assert (codec.decode(first), codec.decode(second)) == apply_drip1(rule, vesicle)
+        assert len(codec.decode(first)) == len(vesicle) + packed.dsize
+        assert len(codec.decode(second)) == packed.second_size
+        return
+    got = drip2(packed, codec.encode(vesicle), len(vesicle), codec)
     decoded = [tuple((codec.decode(p), n) for p, n in pair) for pair in got]
     assert len(decoded) == len(set(decoded))
     assert all(len(m) == n for pair in decoded for m, n in pair)
@@ -138,18 +155,19 @@ def test_oversize_axiom():
 
 
 def test_uncapped_productions_size_fields_from_contents():
-    # every pair fuses, so counts reach twice the contents' largest count
+    # at max_size 80 every pair fuses, s^40 with itself included, so counts
+    # reach twice the contents' largest count
     rules = [parse_rule("MATE (s | . , . | s ; .)"), parse_rule("DRIP1 (. | t | . ; s^3 , t)"),
              parse_rule("DRIP (. | t | . ; . , s)")]
     system = one_tube(rules, [], {"s", "t"})
     contents = (frozenset({ms("s^40"), ms("s^17 t"), ms("t^3")}),)
-    assert _productions(system, contents) == _naive_productions(system, contents)
-    # small counts, but a size past what fields sized by counts can add up
+    assert _productions(system, contents, 80) == _naive_productions(system, contents)
+    # small counts, but a size past what fields sized by counts can add up;
+    # at max_size 15 every product fits
     wide = one_tube([parse_rule("DRIP1 (. | a | . ; b , .)")], [], {"a", "b", "c", "d", "e"})
     contents = (frozenset({ms("a^3 b^3 c^3 d^3 e^3"), ms("a")}),)
-    for max_size in (None, 4):
-        fits = {(t, v) for t, v in _naive_productions(wide, contents)
-                if max_size is None or len(v) <= max_size}
+    for max_size in (15, 4):
+        fits = {(t, v) for t, v in _naive_productions(wide, contents) if len(v) <= max_size}
         assert _productions(wide, contents, max_size) == fits
 
 

@@ -103,23 +103,6 @@ def test_splits_against_brute_force():
 
 
 @KERNEL
-@given(small_multisets(), small_multisets(), small_multisets(), small_multisets())
-def test_shifted_against_add_then_minus(m, other, gain, loss):
-    acc = dict(gain)
-    for n, c in loss:
-        acc[n] = acc.get(n, 0) - c
-    delta = tuple(sorted((n, c) for n, c in acc.items() if c))
-    expected = (m + other + gain).minus(loss)
-    if expected is None:
-        with pytest.raises(MultisetError):
-            m.shifted(other, delta, len(gain) - len(loss))
-    else:
-        got = m.shifted(other, delta, len(gain) - len(loss))
-        assert got == expected
-        assert len(got) == len(expected) and sized_right(got)
-
-
-@KERNEL
 @given(small_multisets(), small_multisets())
 def test_algebra_sizes(m1, m2):
     assert sized_right(m1 + m2) and len(m1 + m2) == len(m1) + len(m2)

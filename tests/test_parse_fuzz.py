@@ -26,8 +26,9 @@ CHARS = "".join(map(chr, range(32, 127))) + "\t\x0b\x00\xa0\u2028\u00b2\u0662\u0
 junk = st.text(CHARS, max_size=6)
 numerals = st.one_of(st.sampled_from(["0", "1", "2", "3", "-1", "+1", "1_0", "٢",
                                       "²", "1.5", LONG_NUMERAL]), junk)
-# compartment and register counts stay small: the parsers size tuples by them
-counts = st.one_of(st.sampled_from(["0", "1", "2", "3", "-1", "1_0", "x"]), junk)
+# compartment and register counts, on both sides of the compartment cap
+counts = st.one_of(st.sampled_from(["0", "1", "2", "3", "-1", "1_0", "x", "1000", "1001",
+                                    "99999999999"]), junk)
 labels = st.one_of(st.sampled_from(["l0", "l1", "lh", "@l", "a^2", "."]), junk)
 symbols = st.sampled_from(["a", "b", "c", "@X", "a^2", "b^0", "a^" + LONG_NUMERAL, ".",
                            "x{", "}", "|", ",", ";"])

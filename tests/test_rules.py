@@ -9,15 +9,12 @@ from matedrip import (
     EMPTY,
     MateRule,
     Multiset,
-    MultisetError,
     RuleError,
     apply_drip,
     apply_drip1,
     apply_mate,
-    classify,
     parse_rule,
 )
-from matedrip.rules import fuse
 
 ALPHA = ["a", "b", "c", "d", "e", "f"]
 
@@ -68,11 +65,11 @@ def sized_right(m):
 @KERNEL
 @given(st.builds(MateRule, *[small_multisets()] * 5), small_multisets(), small_multisets())
 def test_fuse_matches_reference(rule, extra1, extra2):
+    # s + u + a and b + v + w fuse into s + u + x + v + w
     v1 = rule.u + rule.a + extra1
     v2 = rule.b + rule.v + extra2
-    got = fuse(rule, v1, v2)
-    assert got == v1.minus(rule.a) + rule.x + v2.minus(rule.b)
-    assert apply_mate(rule, v1, v2) == got
+    got = apply_mate(rule, v1, v2)
+    assert got == extra1 + rule.u + rule.x + rule.v + extra2
     assert sized_right(got)
 
 
@@ -103,14 +100,6 @@ def test_apply_drip_matches_reference(rule, extra, hosted):
         expected = sorted(expected, key=lambda pq: (pq[0].render(), pq[1].render()))
     assert got == expected
     assert all(sized_right(m) for pair in got for m in pair)
-
-
-def test_kernel_precondition_violation_raises():
-    rule = MateRule(EMPTY, ms("a"), ms("b"), EMPTY, ms("x"))
-    with pytest.raises(MultisetError):
-        fuse(rule, ms("c"), ms("b"))
-    with pytest.raises(MultisetError):
-        fuse(rule, ms("a"), EMPTY)
 
 
 # -- weights -----------------------------------------------------------------
@@ -238,24 +227,6 @@ def test_apply_drip_rejects_one_sided():
     rule = DripRule(EMPTY, ms("c"), EMPTY, EMPTY, EMPTY, one_sided=True)
     with pytest.raises(ValueError):
         apply_drip(rule, ms("c"))
-
-
-# -- classification ----------------------------------------------------------
-
-
-def test_classify_examples():
-    gen = DripRule(EMPTY, ms("g"), EMPTY, ms("A"), EMPTY)
-    profile = classify(gen)
-    assert profile.empty_second_parts          # z is empty
-    assert not profile.nonempty_contexts       # v is empty
-
-    init = MateRule(ms("X"), EMPTY, ms("Y"), EMPTY, EMPTY)
-    assert not classify(init).singleton_sites  # a is empty, not a symbol
-
-    full = MateRule(ms("u"), ms("a"), ms("b"), ms("v"), ms("x"))
-    assert classify(full).singleton_sites
-    assert classify(full).nonempty_contexts
-    assert not classify(full).empty_second_parts
 
 
 # -- text form ---------------------------------------------------------------

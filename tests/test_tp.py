@@ -493,10 +493,22 @@ def test_format_errors():
     ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 3\n", 4),
     ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 1 MATE (a | . , a | . ; .) -> 3\n", 5),
     ("SYSTEM TP\nALPHABET a\nRULE 1 DRIP (. | a | . ; a , .) -> 0\nCELLS 2\nOUTPUT 1\n", 3),
+    # only AXIOM and RULE lines may repeat; a second OUTPUT no longer wins
+    ("SYSTEM TP\nSYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\n", 2),
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nALPHABET a\n", 5),
+    ("SYSTEM TP\nALPHABET a\nTERMINAL\nTERMINAL a\nCELLS 1\nOUTPUT 1\n", 4),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nCELLS 2\nOUTPUT 1\n", 4),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nAXIOM 1 {a}\nOUTPUT 2\n", 6),
+    # at most 1,000 cells
+    ("SYSTEM TP\nALPHABET a\nCELLS 1001\nOUTPUT 1\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
         parse_tp(text)
+
+
+def test_a_thousand_cells_parse():
+    assert parse_tp("SYSTEM TP\nALPHABET a\nCELLS 1000\nOUTPUT 1000\n").cells == 1000
 
 
 @st.composite

@@ -377,8 +377,8 @@ def test_is_fixpoint_sees_oversize_productions_uncapped():
     bounds = Bounds(max_size=4, max_population=100, max_iterations=50)
     state = closure(system, bounds)
     assert state.pruned
-    # without a cap, _productions fuses every pair, s^4 with itself included
-    assert {v for _, v in _productions(system, state.contents)} == {
+    # at max_size 8, _productions fuses every pair, s^4 with itself included
+    assert {v for _, v in _productions(system, state.contents, 8)} == {
         ms(f"s^{n}") for n in range(2, 9)}
     assert is_fixpoint(system, state, bounds)
     assert not is_fixpoint(system, state, Bounds(max_size=5, max_population=100, max_iterations=50))
@@ -503,10 +503,22 @@ def test_format_errors():
     ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 5 SUPPORT {a}\n", 4),
     ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 0 -> 2 SUPPORT {a}\n", 4),
     ("SYSTEM TTS\nALPHABET a\nFILTER 3 -> 1 SUPPORT {a}\nTUBES 2\nOUTPUT 1\n", 3),
+    # only AXIOM, RULE and FILTER lines may repeat
+    ("SYSTEM TTS\nALPHABET a\nSYSTEM TTS\nTUBES 1\n", 3),
+    ("SYSTEM TTS\nALPHABET a b\nALPHABET a\nTUBES 1\nAXIOM 1 {b}\n", 3),
+    ("SYSTEM TTS\nALPHABET a\nTERMINAL a\nTUBES 1\nTERMINAL\n", 5),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nTUBES 1\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nOUTPUT 1\nAXIOM 1 {a}\nOUTPUT 1\n", 6),
+    # at most 1,000 tubes
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1001\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
         parse_tts(text)
+
+
+def test_a_thousand_tubes_parse():
+    assert parse_tts("SYSTEM TTS\nALPHABET a\nTUBES 1000\nOUTPUT 1000\n").tubes == 1000
 
 
 @st.composite
