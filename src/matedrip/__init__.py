@@ -36,7 +36,6 @@ from .tts import (
     load_tts,
     parse_tts,
     render_tts,
-    results,
     results_of_state,
     validate_tts,
 )

@@ -334,11 +334,10 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
         alphabet.update(_checker(letter, r) for letter in "ABCDEF")
 
     r_token = _single(SYM_R)
-    rules: list[TPRule] = []
+    rules: dict[TPRule, None] = {}  # insertion-ordered, each rule once
 
     def add_rule(tp: TPRule):
-        if tp not in rules:
-            rules.append(tp)
+        rules[tp] = None
 
     # vesicle factory: every working vesicle s and the @R token reappear in
     # their home cells with period two

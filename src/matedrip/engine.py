@@ -39,10 +39,10 @@ class Bounds:
         if not all(isinstance(n, int) and n >= 1 for n in limits):
             raise ValueError("bounds must be positive integers")
 
-    def admits(self, vesicle: Multiset) -> bool:
-        """Whether exploration keeps `vesicle`: it fits `max_size`, and it is
-        non-empty unless `keep_empty` holds."""
-        return len(vesicle) <= self.max_size and (self.keep_empty or len(vesicle) > 0)
+    def keeps(self, size: int) -> bool:
+        """The size rule: exploration keeps a vesicle of `size` iff it fits
+        `max_size` and is non-empty unless `keep_empty` holds."""
+        return size <= self.max_size and (size > 0 or self.keep_empty)
 
     def loosened(self) -> "Bounds":
         """Strictly looser bounds, used for result-stability checks."""
@@ -299,11 +299,6 @@ def split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
     return old, new
 
 
-def _keeps(bounds: Bounds, size: int) -> bool:
-    """Whether `bounds` admits a vesicle of `size` that fits max_size."""
-    return size > 0 or bounds.keep_empty
-
-
 def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) -> bool:
     """Add to `out` the admitted fusions of every left × right pair, given
     size -> operands maps that hold only operands the rule applies to.
@@ -323,7 +318,7 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
         for rsize in sizes:
             if rsize > cap:
                 break
-            if not _keeps(bounds, lsize + rsize + rule.dsize):
+            if not bounds.keeps(lsize + rsize + rule.dsize):
                 continue
             right = shifted.get(rsize)
             if right is None:
@@ -336,6 +331,7 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
          codec: Codec, kernels) -> bool:
     """Add to `out` the admitted products of a drip rule on packed vesicles
     of `size` that contain its need.  Returns whether a product was oversize.
+    A one-sided rule fires only if its first products, all of one size, are kept.
 
     `kernels` is (apply_drip1, apply_drip), called once per firing on the
     packed rule and vesicle: the first for a one-sided rule, the second,
@@ -345,21 +341,20 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     if not vesicles:
         return False
     if rule.rule.one_sided:
-        firsts = [apply_drip1(rule, v)[0] for v in vesicles]
         first_size = size + rule.dsize
-        if first_size <= bounds.max_size and _keeps(bounds, first_size):
-            out.update(firsts)
-        if rule.second_size <= bounds.max_size and _keeps(bounds, rule.second_size):
+        if bounds.keeps(first_size):
+            out.update([apply_drip1(rule, v)[0] for v in vesicles])
+        if bounds.keeps(rule.second_size):
             out.add(rule.second)
         return max(first_size, rule.second_size) > bounds.max_size
     oversize = False
     for v in vesicles:
         for pair in apply_drip(rule, v, size, codec):
             for product, product_size in pair:
-                if product_size > bounds.max_size:
-                    oversize = True
-                elif _keeps(bounds, product_size):
+                if bounds.keeps(product_size):
                     out.add(product)
+                elif product_size > bounds.max_size:
+                    oversize = True
     return oversize
 
 
@@ -397,60 +392,56 @@ def admissible(batch, bounds: Bounds) -> tuple[list, bool]:
     vesicle is oversize unless it is empty."""
     admitted, oversize = [], False
     for cv in batch:
-        if bounds.admits(cv[1]):
+        if bounds.keeps(len(cv[1])):
             admitted.append(cv)
         elif len(cv[1]):
             oversize = True
     return admitted, oversize
 
 
-def fill(fresh: list[set[int]], bounds: Bounds, population: int, codec: Codec,
-         decoded: dict[int, Multiset]) -> tuple[list[set[int]], bool]:
+def fill(fresh: list[set[int]], bounds: Bounds, population: int,
+         codec: Codec) -> tuple[list[set[int]], bool]:
     """(placements, cut): the packed vesicles of `fresh`, per compartment,
     that fit while the population stays below max_population, taken in
     (compartment, render) order, and whether the cap cut the batch.
 
     The order matters only when the cap cuts the batch.  A batch that fits
-    is returned as it is; a cut one is decoded, sorted and split, and the
-    Multisets of the vesicles placed go into `decoded`.
+    is returned as it is; a cut one is decoded, sorted and split.
     """
     room = max(bounds.max_population - population, 0)
     if sum(map(len, fresh)) <= room:
         return fresh, False
     placed: list[set[int]] = [set() for _ in fresh]
     if room:
-        keyed = sorted((c, m.render(), v, m) for c, vs in enumerate(fresh)
-                       for v in vs for m in (codec.decode(v),))
-        for c, _, v, m in keyed[:room]:
+        keyed = sorted((c, codec.decode(v).render(), v) for c, vs in enumerate(fresh) for v in vs)
+        for c, _, v in keyed[:room]:
             placed[c].add(v)
-            decoded[v] = m
     return placed, True
 
 
-def decode_compartments(codec: Codec, compartments: list[set[int]],
-                        decoded: dict[int, Multiset]) -> tuple[frozenset[Multiset], ...]:
+def decode_compartments(codec: Codec,
+                        compartments: list[set[int]]) -> tuple[frozenset[Multiset], ...]:
     """The compartments as frozensets of Multisets, emptying each set of
     packed vesicles once it is decoded.  A vesicle found in several
-    compartments is decoded once and shared, as is one already in
-    `decoded`."""
+    compartments is decoded once and shared."""
+    shared: dict[int, Multiset] = {}
     for i, first in enumerate(compartments):
         for other in compartments[i + 1:]:
             for v in first & other:
-                if v not in decoded:
-                    decoded[v] = codec.decode(v)
+                if v not in shared:
+                    shared[v] = codec.decode(v)
     out = []
     for vesicles in compartments:
-        out.append(frozenset(decoded[v] if v in decoded else codec.decode(v) for v in vesicles))
+        out.append(frozenset(shared[v] if v in shared else codec.decode(v) for v in vesicles))
         vesicles.clear()
     return tuple(out)
 
 
-def lazy_field(name: str, decode, *others: str) -> property:
-    """The property behind a state field that the state may hold packed, in
-    its `_packed` attribute.  The first read keeps decode(state._packed) as
-    the field's value.  Assigning the field first decodes the `others` the
-    packed form also holds, then drops it, so the state holds only its
-    fields from then on."""
+def lazy_field(name: str, decode) -> property:
+    """The property behind a field of a frozen state that the state may hold
+    packed, in its `_packed` attribute.  The first read keeps
+    decode(state._packed) as the field's value.  The setter serves only the
+    dataclass `__init__`, since a frozen state refuses assignment."""
     slot = "_" + name
 
     def get(state):
@@ -461,10 +452,6 @@ def lazy_field(name: str, decode, *others: str) -> property:
             return value
 
     def put(state, value):
-        if state._packed is not None:
-            for other in others:
-                getattr(state, other)  # decoded before the packed form goes
-            state._packed = None
         state.__dict__[slot] = value
 
     return property(get, put)

@@ -77,7 +77,7 @@ class Multiset:
         """Internal fast path: `items` already sorted, counts positive, names
         valid.  `size` must be the sum of the counts; every caller knows it
         from its operands, so it is not recomputed, and a wrong one would
-        silently change what `Bounds.admits`."""
+        silently change what `Bounds.keeps`."""
         m = object.__new__(cls)
         m._items = items
         m._size = size

@@ -189,6 +189,10 @@ def normalize_clearing(machine: RegisterMachine) -> RegisterMachine:
 # -- text format -------------------------------------------------------------
 
 
+# The most registers a machine file may declare: thm1 and cor3 texts grow as the count squared.
+MAX_REGISTERS = 1000
+
+
 def parse_machine(text: str) -> RegisterMachine:
     """Line format: REGISTERS n / INPUTS k / START l / label ADD r next /
     label SUB r nonzero zero / label HALT.  '#' starts a comment."""
@@ -216,6 +220,8 @@ def parse_machine(text: str) -> RegisterMachine:
             if registers is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single REGISTERS <n> line")
             registers = number(lineno, tokens[1])
+            if registers > MAX_REGISTERS:
+                fail(lineno, f"REGISTERS {registers} is over the limit of {MAX_REGISTERS}")
         elif head == "INPUTS":
             if inputs is not None or len(tokens) != 2 or not is_number(tokens[1]):
                 fail(lineno, "expected a single INPUTS <k> line")

@@ -46,12 +46,11 @@ class TissueSystem:
     output_cell: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TPState:
     """A tissue state.  A state `tp_step` returns holds its contents and
     result log packed; `contents` and `result_log` are decoded on first
-    read and then kept.  Assigning either field drops the packed form, so
-    the next step re-packs from the fields."""
+    read and then kept."""
 
     step: int
     contents: tuple[frozenset[Multiset], ...]
@@ -69,7 +68,7 @@ class TPState:
         return tuple(map(len, cells))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TPTrace:
     """Per-step population counts of a run."""
 
@@ -137,8 +136,8 @@ class _Packed:
         return frozenset(map(self.codec.decode, self.log))
 
 
-TPState.contents = lazy_field("contents", _Packed.contents, "result_log")
-TPState.result_log = lazy_field("result_log", _Packed.result_log, "contents")
+TPState.contents = lazy_field("contents", _Packed.contents)
+TPState.result_log = lazy_field("result_log", _Packed.result_log)
 
 
 def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
@@ -218,7 +217,7 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
     for new, cell in zip(arrivals, kept):
         new -= cell
-    placed, cut = fill(arrivals, bounds, sum(map(len, kept)), codec, {})
+    placed, cut = fill(arrivals, bounds, sum(map(len, kept)), codec)
     pruned |= cut
     cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
 
@@ -226,8 +225,8 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     results = {v for v in cells[system.output_cell - 1] if not v & nonterminal}
     log = packed.log | results
     after = object.__new__(TPState)
-    after.step, after.pruned = state.step + 1, pruned
-    after._packed = _Packed(packed.source, codec, packed.anchored, cells, log)
+    after.__dict__.update(step=state.step + 1, pruned=pruned,
+                          _packed=_Packed(packed.source, codec, packed.anchored, cells, log))
     return after
 
 

@@ -19,9 +19,9 @@ from .multiset import Multiset, is_number
 from .rules import Rule, apply_mate, parse_rule
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
-# (here the packed one-sided and two-sided drips) and apply_mate.  The
-# closure looks the first two up when it starts and calls them once per
-# drip firing; no engine calls apply_mate.
+# (here the packed one-sided and two-sided drips) and apply_mate.  Each
+# closure round looks the first two up and calls them once per drip
+# firing; no engine calls apply_mate.
 
 
 class FormatError(ValueError):
@@ -61,11 +61,10 @@ class TestTubeSystem:
     outputs: frozenset[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TTSState:
     """A closure state.  A state `closure` returns holds its tubes packed;
-    `contents` is decoded on first read and then kept, and assigning it
-    drops the packed form."""
+    `contents` is decoded on first read and then kept."""
 
     contents: tuple[frozenset[Multiset], ...]
     pruned: bool
@@ -78,22 +77,20 @@ class TTSState:
 
 
 class _Packed:
-    """A closure state's tubes as sets of packed vesicles, with their codec
-    and the vesicles a capped fill decoded.  Decoding empties the sets, so
-    the decoded tubes take their place, for any copy of the state that
-    shares this form."""
+    """A closure state's tubes as sets of packed vesicles, with their codec.
+    Decoding empties the sets, so the decoded tubes take their place, for
+    any copy of the state that shares this form."""
 
-    __slots__ = ("codec", "tubes", "decoded")
+    __slots__ = ("codec", "tubes")
 
-    def __init__(self, codec: Codec, tubes: list[set[int]], decoded: dict[int, Multiset]):
+    def __init__(self, codec: Codec, tubes: list[set[int]]):
         self.codec = codec  # None once the tubes are decoded
         self.tubes = tubes
-        self.decoded = decoded
 
     def contents(self) -> tuple[frozenset[Multiset], ...]:
         if self.codec is not None:
-            self.tubes = decode_compartments(self.codec, self.tubes, self.decoded)
-            self.codec = self.decoded = None
+            self.tubes = decode_compartments(self.codec, self.tubes)
+            self.codec = None
         return self.tubes
 
 
@@ -134,9 +131,35 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
     return problems
 
 
+def _operator(system: TestTubeSystem, codec: Codec) -> tuple[list[OperandIndex], list[tuple]]:
+    """Per tube, an empty operand index over its rules, and the filters as
+    (source, forbidden masks, target) with 0-based tubes."""
+    indexes = [OperandIndex(codec, map(codec.compile, rules)) for rules in system.rules]
+    filters = [(i - 1, codec.filter(filt), j - 1) for i, filt, j in system.filters]
+    return indexes, filters
+
+
+def _round(indexes: list[OperandIndex], filters: list[tuple], frontier: list[set[int]],
+           bounds: Bounds, codec: Codec) -> tuple[list[set[int]], bool]:
+    """(produced, cut): per tube, the rule productions that involve a
+    frontier vesicle and the frontier vesicles that pass a filter into it,
+    and whether a production was left out for size.  Each index must hold
+    its tube's frontier as the vesicles added last."""
+    kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
+    produced: list[set[int]] = [set() for _ in frontier]
+    cut = False
+    for index, new, out in zip(indexes, frontier, produced):
+        if new and rule_productions(index, new, out, bounds, codec, kernels):
+            cut = True
+    for i, forbidden, j in filters:
+        for mask in forbidden:
+            produced[j].update([v for v in frontier[i] if not v & mask])
+    return produced, cut
+
+
 def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[int, Multiset]]:
     """Everything one application step could add that fits `max_size`,
-    computed from scratch.
+    computed from scratch: one round with all of `contents` as frontier.
 
     The codec's fields are sized from the contents too, as `tp._pack`
     does: a size bounds every count, and `OperandIndex.extend` needs each
@@ -145,22 +168,12 @@ def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[i
     largest = max((len(v) for tube in contents for v in tube), default=0)
     codec = Codec(system.alphabet, [r for rules in system.rules for r in rules],
                   max(largest, max_size))
-    bounds = Bounds(max_size=max_size)
-    kernels = (apply_drip1, apply_drip)
-    out: set[tuple[int, Multiset]] = set()
-    for t in range(system.tubes):
-        if contents[t]:
-            pool = set(map(codec.encode, contents[t]))
-            index = OperandIndex(codec, map(codec.compile, system.rules[t]))
-            index.extend(pool)
-            produced: set[int] = set()
-            rule_productions(index, pool, produced, bounds, codec, kernels)
-            out.update((t, codec.decode(v)) for v in produced)
-    for i, filt, j in system.filters:
-        for v in contents[i - 1]:
-            if filt.passes(v):
-                out.add((j - 1, v))
-    return out
+    indexes, filters = _operator(system, codec)
+    pool = [set(map(codec.encode, tube)) for tube in contents]
+    for index, vesicles in zip(indexes, pool):
+        index.extend(vesicles)
+    produced, _ = _round(indexes, filters, pool, Bounds(max_size=max_size), codec)
+    return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
 
 def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
@@ -175,66 +188,47 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
     codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], bounds.max_size)
-    contents, decoded, pruned, iterations = _explore(system, bounds, codec)
+    contents, pruned, iterations = _explore(system, bounds, codec)
     state = object.__new__(TTSState)
-    state.pruned, state.iterations = pruned, iterations
-    state._packed = _Packed(codec, contents, decoded)
+    state.__dict__.update(pruned=pruned, iterations=iterations, _packed=_Packed(codec, contents))
     return state
 
 
 def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
-    """The closure on packed vesicles: (tubes, the vesicles a capped fill
-    decoded, pruned, iterations).  The operand indexes and the round's sets
-    are dropped on return."""
-    kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
+    """The closure on packed vesicles: (tubes, pruned, iterations).  The
+    operand indexes and the round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
-    indexes = [OperandIndex(codec, map(codec.compile, rules)) for rules in system.rules]
-    filters = [(i - 1, codec.filter(filt), j - 1) for i, filt, j in system.filters]
-    decoded: dict[int, Multiset] = {}  # what a capped fill decoded
-
-    def admit(fresh: list[set[int]]) -> list[set[int]]:
-        # the new frontier; empty when the population cap stopped the fill
-        nonlocal pruned
-        placed, cut = fill(fresh, bounds, sum(map(len, contents)), codec, decoded)
-        for tube, index, new in zip(contents, indexes, placed):
-            if new:
-                tube |= new
-                index.extend(new)
-        if cut:
-            pruned = True
-            return []
-        return fresh
-
+    indexes, filters = _operator(system, codec)
     initial, pruned = admissible(
         ((t, v) for t in range(system.tubes) for v in system.axioms[t]), bounds)
     fresh: list[set[int]] = [set() for _ in range(system.tubes)]
     for t, v in initial:
         fresh[t].add(codec.encode(v))
-    frontier = admit(fresh)
-
     iterations = 0
-    while frontier:
-        produced: list[set[int]] = [set() for _ in range(system.tubes)]
-        for t, new in enumerate(frontier):
-            if new and rule_productions(indexes[t], new, produced[t], bounds, codec, kernels):
-                pruned = True
-        for i, forbidden, j in filters:
-            for mask in forbidden:
-                produced[j].update([v for v in frontier[i] if not v & mask])
+    while True:
+        # admit the fresh vesicles; unless the population cap cut them,
+        # they are the frontier of the next round
+        placed, cut = fill(fresh, bounds, sum(map(len, contents)), codec)
+        for tube, index, new in zip(contents, indexes, placed):
+            if new:
+                tube |= new
+                index.extend(new)
+        if cut:
+            return contents, True, iterations
+        produced, cut = _round(indexes, filters, fresh, bounds, codec)
+        pruned = pruned or cut
         fresh = [p - c for p, c in zip(produced, contents)]
+        del produced  # not held while the next round produces
         if not any(fresh):
-            break
+            return contents, pruned, iterations
         if iterations >= bounds.max_iterations:
-            pruned = True
-            break
+            return contents, True, iterations
         iterations += 1
-        frontier = admit(fresh)
-    return contents, decoded, pruned, iterations
 
 
 def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool:
     """True when no admissible rule result or filter passage is missing."""
-    return not any(v not in state.contents[t] and bounds.admits(v)
+    return not any(v not in state.contents[t] and bounds.keeps(len(v))
                    for t, v in _productions(system, state.contents, bounds.max_size))
 
 
@@ -245,15 +239,11 @@ def results_of_state(system: TestTubeSystem, state: TTSState) -> set[Multiset]:
     if packed is None or packed.codec is None:
         return {v for f in system.outputs for v in state.contents[f - 1]
                 if v.support <= system.terminal}
-    codec, decoded = packed.codec, packed.decoded
+    codec = packed.codec
     # the codec's own names, so the test is support <= terminal for any system
     nonterminal = codec.mask(set(codec.names) - system.terminal)
-    return {decoded[v] if v in decoded else codec.decode(v)
-            for f in system.outputs for v in packed.tubes[f - 1] if not v & nonterminal}
-
-
-def results(system: TestTubeSystem, bounds: Bounds) -> set[Multiset]:
-    return results_of_state(system, closure(system, bounds))
+    return {codec.decode(v) for f in system.outputs for v in packed.tubes[f - 1]
+            if not v & nonterminal}
 
 
 # -- text format -------------------------------------------------------------

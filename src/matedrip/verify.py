@@ -89,6 +89,8 @@ def run_verify(
     opts: CompileOptions = CompileOptions(),
     check_stability: bool = True,
 ) -> VerifyReport:
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     k = machine.inputs
     system = compile_machine(machine, construction, opts)
     oracle = frozenset(enumerate_accepted(machine, bound, fuel))

@@ -18,6 +18,7 @@ from matedrip import (
     compile_thm4,
     load_machine,
     metrics,
+    parse_machine,
     render_tp,
     render_tts,
     validate_tp,
@@ -203,6 +204,15 @@ def test_thm4_shape(eq):
     outs = [tp for tp in system.rules if tp.target == 5]
     assert len(outs) == 1 and outs[0].source == 1
     assert outs[0].rule.a == ms("@X @h")
+
+
+def test_thousand_register_thm4_holds_each_rule_once():
+    # the faithful transcription adds one rule twice; the second is dropped
+    text = "REGISTERS 1000\nINPUTS 1\nSTART q0\nq0 ADD 1000 q1\nq1 SUB 1000 q1 stop\nstop HALT\n"
+    machine = parse_machine(text)
+    assert machine.registers == 1000
+    system = compile_thm4(machine, FAITHFUL)
+    assert len(set(system.rules)) == len(system.rules) > 14000
 
 
 def test_compile_dispatcher(even):

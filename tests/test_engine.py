@@ -5,6 +5,7 @@ reference: the rule kernels of `rules.py`, `_naive_closure` and
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matedrip.tts
 from conftest import SYMBOLS, small_multisets, small_rules
 from matedrip import (
     Bounds,
@@ -119,6 +120,9 @@ def test_empty_needs_and_empty_vesicle(keep_empty):
     for bounds in (Bounds(3, 100, 10, keep_empty), Bounds(4, 12, 10, keep_empty),
                    Bounds(5, 100, 2, keep_empty)):
         _assert_matches_reference(system, bounds)
+    # the size rule: 0, max_size and one past it
+    bounds = Bounds(3, 100, 10, keep_empty)
+    assert (bounds.keeps(0), bounds.keeps(3), bounds.keeps(4)) == (keep_empty, True, False)
 
 
 def test_oversize_constant_drip1_product():
@@ -128,6 +132,24 @@ def test_oversize_constant_drip1_product():
     assert state.contents[0] == frozenset({ms("c p"), ms("p")})
     assert state.pruned
     _assert_matches_reference(system, Bounds(4, 100, 10))
+
+
+def test_oversize_drip1_bucket_is_not_fired(monkeypatch):
+    # {c p} sits at max_size and the rule grows it: the first product is
+    # oversize for the whole bucket, so the drip is not fired at all
+    system = one_tube([parse_rule("DRIP1 (. | c | . ; c^2 , .)")], [ms("c p")], {"c", "p"})
+    fired = []
+    drip1 = matedrip.tts.apply_drip1
+    monkeypatch.setattr(matedrip.tts, "apply_drip1",
+                        lambda rule, v: fired.append(v) or drip1(rule, v))
+    state = closure(system, Bounds(2, 100, 10))
+    assert not fired and state.pruned
+    assert state.contents[0] == frozenset({ms("c p"), EMPTY})
+    # one size up, {c p} fires once and {c^2 p} at the new max_size does not
+    state = closure(system, Bounds(3, 100, 10))
+    assert len(fired) == 1 and state.pruned
+    assert state.contents[0] == frozenset({ms("c p"), ms("c^2 p"), EMPTY})
+    _assert_matches_reference(system, Bounds(3, 100, 10))
 
 
 def test_oversize_axiom():

@@ -129,6 +129,8 @@ def test_parse_rejects_bad_lines():
      "line 3: start label 'l7' is not defined"),
     ("INPUTS 2\nREGISTERS 1\nSTART lh\nlh HALT\n",
      "line 1: input arity 2 exceeds register count 1"),
+    ("# too many\nREGISTERS 1001\nINPUTS 1\nSTART lh\nlh HALT\n",
+     "line 2: REGISTERS 1001 is over the limit of 1000"),
     # line problems first, in line order, then those of the whole machine
     ("REGISTERS 1\nl1 ADD 1 l9\nl0 ADD 2 l1\nINPUTS 2\nSTART l5\n",
      "line 2: l1: target label 'l9' is not defined; line 3: l0: register 2 out of range; "

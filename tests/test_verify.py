@@ -1,3 +1,5 @@
+import pytest
+
 from matedrip import Bounds
 from matedrip.compilers import CompileOptions
 from matedrip.verify import format_report, run_verify, vector_of
@@ -53,3 +55,10 @@ def test_verify_reports_beyond_bound(even):
                         bounds=Bounds(16, 30000, 300), check_stability=False)
     assert report.matched
     assert (6,) in report.beyond
+
+
+@pytest.mark.parametrize("construction", ["thm1", "cor2", "cor3", "thm4"])
+def test_negative_max_steps_is_refused(even, construction):
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        run_verify(even, "even.rm", construction, bound=2, fuel=100,
+                   bounds=Bounds(6, 500, 20), max_steps=-5)
