@@ -10,6 +10,9 @@ results a closure state is asked for, and for the (compartment, render)
 order of a fill that the population cap cuts.  Admission is batched: a
 compartment's new vesicles join its operand index in one
 `OperandIndex.extend` call, and a fill that fits the cap is a set union.
+The index files a vesicle by the plan of its support signature, the
+symbols named in the rules' needs that it holds, so a need is tested per
+vesicle only when it asks for some symbol more than once.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission, the population-capped fill and the
@@ -18,7 +21,7 @@ state fields that decode on first read.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .multiset import Multiset
@@ -199,59 +202,54 @@ class OperandIndex:
     `operands[rule]` holds, for a mate rule, its (left, right) operands and,
     for a drip rule, the vesicles that contain its need, as size -> packed
     vesicles maps.  Each added vesicle joins them once, in addition order,
-    so the vesicles added last form the tail of every list.  A vesicle is
-    tested only against the needs anchored on one of its symbols.  Each need
-    is anchored on its symbol that the fewest needs of the index's rules
-    share (ties go to the first name), and a need with no symbols takes
-    every vesicle.  A rule given twice is indexed once.
+    so the vesicles added last form the tail of every list.  A rule given
+    twice is indexed once.
+
+    A vesicle is classified by its support signature, the guard bits of the
+    fields it holds among the symbols that some need mentions.  The first
+    vesicle of a signature fixes its plan: the needs whose support lies
+    inside the signature.  Holding the support is enough for a need whose
+    counts are all 1, so only a need with a larger count is tested again
+    for each vesicle.  Plans depend on the rules and the codec alone, and
+    the copies that `empty` makes share them.
     """
 
     def __init__(self, codec: Codec, rules=()):
         self._rules = list(dict.fromkeys(rules))
-        needs: list[tuple[Multiset, int, PackedMate | PackedDrip, int | None]] = []
+        self._codec = codec
+        self._sides: list[tuple[PackedMate | PackedDrip, int | None]] = []  # by slot
+        # per slot: (guard bits of the need's support, (the packed need to
+        # test per vesicle, or 0 when holding the support is enough, slot))
+        self._entries: list[tuple[int, tuple[int, int]]] = []
+        self._relevant = 0  # the guard bits of every symbol some need mentions
         for rule in self._rules:
             if isinstance(rule, PackedMate):
-                needs += [(rule.rule._left_need, rule.left, rule, 0),
-                          (rule.rule._right_need, rule.right, rule, 1)]
+                sides = ((rule.rule._left_need, rule.left, 0), (rule.rule._right_need, rule.right, 1))
             else:
-                needs.append((rule.rule._need, rule.need, rule, None))
-        shares = Counter(name for need, *_ in needs for name in need.support)
-        # guard bit of the anchor's field -> (packed need, rule, side) entries
-        self._layout: dict[int, list] = {}
-        self._everything: list[tuple] = []  # (rule, side) of the empty needs
-        for need, packed, rule, side in needs:
-            if len(need):
-                anchor = min(need.support, key=lambda name: (shares[name], name))
-                guard = 1 << (codec.shift[anchor] + codec.width - 1)
-                self._layout.setdefault(guard, []).append((packed, rule, side))
-            else:
-                self._everything.append((rule, side))
-        self._anchor_guards = sum(self._layout)
-        self._guards = codec.guards
-        self._units = codec.units
-        self._field = codec.field
+                sides = ((rule.rule._need, rule.need, None),)
+            for need, packed, side in sides:
+                support = codec.mask(need.support) & codec.guards
+                test = packed if len(need) > len(need.support) else 0
+                self._entries.append((support, (test, len(self._sides))))
+                self._sides.append((rule, side))
+                self._relevant |= support
+        # signature -> plan, a tuple of (need, slot) entries made from a list:
+        # one made from a generator is resized, growing CPython's tuple free lists
+        self._plans: dict[int, tuple[tuple[int, int], ...]] = {}
         self._bind()
 
     def _bind(self):
-        """Give every rule empty operand maps and point the needs at them."""
+        """Give every rule empty operand maps, `_slots[i]` that of slot i."""
         self.operands: dict[PackedMate | PackedDrip, tuple[dict, dict] | dict] = {
             rule: (defaultdict(list), defaultdict(list)) if isinstance(rule, PackedMate)
             else defaultdict(list)
             for rule in self._rules}
-
-        def target(rule, side):
-            operands = self.operands[rule]
-            return operands if side is None else operands[side]
-
-        # [bit length of an anchor's guard bit] -> (that bit, its entries)
-        self._anchored = {
-            guard.bit_length(): (guard, [(need, target(rule, side)) for need, rule, side in entries])
-            for guard, entries in self._layout.items()}
-        self._unanchored = [target(rule, side) for rule, side in self._everything]
+        self._slots = [self.operands[rule] if side is None else self.operands[rule][side]
+                       for rule, side in self._sides]
 
     def empty(self) -> "OperandIndex":
-        """An index over the same rules, anchored the same way, that holds
-        no vesicles."""
+        """An index over the same rules that holds no vesicles and shares
+        this one's plans."""
         index = object.__new__(OperandIndex)
         index.__dict__.update(self.__dict__)
         index._bind()
@@ -260,22 +258,22 @@ class OperandIndex:
     def extend(self, vesicles):
         """Add packed vesicles, each of size below 2**width - 1, in iteration
         order, with one call for the whole batch."""
-        guards, units, field = self._guards, self._units, self._field
-        anchored, anchor_guards, unanchored = self._anchored, self._anchor_guards, self._unanchored
+        codec, relevant, plans, slots = self._codec, self._relevant, self._plans, self._slots
+        guards, units, field = codec.guards, codec.units, codec.field
         for vesicle in vesicles:
-            size = vesicle % field
             raised = vesicle | guards
-            # the guard bits of the anchors the vesicle holds: subtracting 1
-            # from each raised field keeps its guard bit iff its count is >= 1
-            held = (raised - units) & anchor_guards
-            while held:
-                guard, entries = anchored[held.bit_length()]
-                held ^= guard
-                for need, operands in entries:
-                    if (raised - need) & guards == guards:
-                        operands[size].append(vesicle)
-            for operands in unanchored:
-                operands[size].append(vesicle)
+            # subtracting 1 from each raised field keeps its guard bit iff
+            # its count is >= 1
+            signature = (raised - units) & relevant
+            plan = plans.get(signature)
+            if plan is None:
+                plan = plans[signature] = tuple([entry for support, entry in self._entries
+                                                 if support & signature == support])
+            if plan:
+                size = vesicle % field
+                for need, slot in plan:
+                    if not need or (raised - need) & guards == guards:
+                        slots[slot][size].append(vesicle)
 
 
 def frontier_start(operands: list, frontier) -> int:

@@ -112,7 +112,9 @@ class _Packed:
     `cells[c]` holds the packed vesicles of cell c and `log` those of the
     result log.  `anchored[c]` holds an empty operand index over the rules
     anchored at cell c and the (packed rule, target cell) pairs of those
-    rules.  Valid for the system whose (alphabet, rules) is `source`.
+    rules.  Each step files a cell into a copy of that index, and the
+    copies share its plans, so a support signature is planned once per
+    run.  Valid for the system whose (alphabet, rules) is `source`.
     """
 
     __slots__ = ("source", "codec", "anchored", "cells", "log")

@@ -14,7 +14,6 @@ from matedrip import (
     MateRule,
     Multiset,
     apply_drip,
-    apply_drip1,
     apply_mate,
     closure,
     compile_machine,
@@ -30,7 +29,6 @@ from matedrip import (
     render_tts,
     results_of_state,
     tp_step,
-    validate_tts,
 )
 from matedrip.cli import main
 from matedrip.compilers import CompileOptions

@@ -1,7 +1,3 @@
-from pathlib import Path
-
-import pytest
-
 from matedrip.cli import main
 
 from conftest import machine_path

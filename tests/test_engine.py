@@ -23,7 +23,7 @@ from matedrip import (
     parse_rule,
     tp_step,
 )
-from matedrip.engine import Codec, drip1, drip2
+from matedrip.engine import Codec, OperandIndex, drip1, drip2, frontier_start
 from matedrip.tts import _productions
 from test_tp import _naive_tp_step, system_of
 from test_tts import _assert_matches_reference, _naive_productions, one_tube
@@ -108,6 +108,54 @@ def test_two_sided_drip_kernel_matches_apply_drip(rule, extra, other):
     assert len(decoded) == len(set(decoded))
     assert all(len(m) == n for pair in decoded for m, n in pair)
     assert {tuple(m for m, _ in pair) for pair in decoded} == set(apply_drip(rule, vesicle))
+
+
+def _needs(rule):
+    """The needs of a rule's operand maps, in the order `operands` lists them."""
+    if isinstance(rule, MateRule):
+        return rule.u + rule.a, rule.b + rule.v
+    return (rule.u + rule.c + rule.v,)
+
+
+def _buckets(index):
+    """Every operand map of `index`, keyed by (rule, side)."""
+    return {(packed.rule, side): operands
+            for packed, maps in index.operands.items()
+            for side, operands in enumerate(maps if isinstance(maps, tuple) else (maps,))}
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.lists(small_rules(SYMBOLS), min_size=1, max_size=5),
+       st.lists(small_multisets(SYMBOLS, 4), unique=True, max_size=14), st.data())
+def test_planned_index_matches_brute_force(rules, pool, data):
+    # rule parts hold one occurrence each, so a need such as u + a can ask
+    # for a symbol twice and a need is often empty; the pool's vesicles hold
+    # up to 4 occurrences, so a signature holds vesicles on both sides of
+    # such a need
+    codec = Codec(SYMBOLS, rules, 4)
+    packed = [codec.compile(rule) for rule in rules]
+    index = OperandIndex(codec, packed)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
+    batches = [[codec.encode(v) for v in pool[start:end]]
+               for start, end in zip([0, *cuts], [*cuts, len(pool)])]
+    for batch in batches:
+        index.extend(batch)
+        for operands in _buckets(index).values():
+            for bucket in operands.values():
+                assert frontier_start(bucket, batch) == sum(v not in batch for v in bucket)
+    # a copy from `empty` plans with the first index's memo and must file
+    # like a fresh index, leaving the first index as it was
+    copy, fresh = index.empty(), OperandIndex(codec, packed)
+    for batch in batches:
+        copy.extend(batch)
+        fresh.extend(batch)
+    assert _buckets(copy) == _buckets(fresh)
+    for (rule, side), operands in _buckets(index).items():
+        expected = {}
+        for v in pool:
+            if v.contains(_needs(rule)[side]):
+                expected.setdefault(len(v), set()).add(codec.encode(v))
+        assert {size: set(bucket) for size, bucket in operands.items()} == expected
 
 
 @pytest.mark.parametrize("keep_empty", [True, False])

@@ -5,9 +5,7 @@ from matedrip import (
     Halt,
     MachineError,
     RegisterMachine,
-    Sub,
     enumerate_accepted,
-    load_machine,
     normalize_clearing,
     parse_machine,
     run,

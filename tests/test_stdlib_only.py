@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and each test
+module uses every name it imports."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import matedrip
 
 SOURCES = sorted(Path(matedrip.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -21,3 +23,18 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_test_modules_use_every_name_they_import():
+    assert TESTS
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # `import a.b` binds `a`
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
