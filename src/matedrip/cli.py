@@ -20,14 +20,15 @@ from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--max-size", type=int, default=16,
-                        help="largest vesicle kept during exploration (default 16)")
-    parser.add_argument("--max-pop", type=int, default=50000,
-                        help="total vesicle cap across compartments (default 50000)")
-    parser.add_argument("--max-iter", type=int, default=500,
-                        help="closure round cap for tube systems (default 500)")
+    defaults = Bounds()
+    parser.add_argument("--max-size", type=int, default=defaults.max_size,
+                        help="largest vesicle kept during exploration (default %(default)s)")
+    parser.add_argument("--max-pop", type=int, default=defaults.max_population,
+                        help="total vesicle cap across compartments (default %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=defaults.max_iterations,
+                        help="closure round cap for tube systems (default %(default)s)")
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                        help="step budget for tissue systems (default 60)")
+                        help="step budget for tissue systems (default %(default)s)")
     parser.add_argument("--no-keep-empty", action="store_true",
                         help="drop empty vesicles instead of keeping them")
 

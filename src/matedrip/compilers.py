@@ -334,42 +334,40 @@ def compile_thm4(machine: RegisterMachine, opts: CompileOptions = CompileOptions
         alphabet.update(_checker(letter, r) for letter in "ABCDEF")
 
     r_token = _single(SYM_R)
-    rules: dict[TPRule, None] = {}  # insertion-ordered, each rule once
-
-    def add_rule(tp: TPRule):
-        rules[tp] = None
-
+    rules: list[TPRule] = []
     # vesicle factory: every working vesicle s and the @R token reappear in
     # their home cells with period two
     for s, seed_name in zip(species, seed_names):
         seed = _single(seed_name)
-        add_rule(TPRule(1, DripRule(EMPTY, seed, EMPTY, seed, s), 2))
-        add_rule(TPRule(2, MateRule(seed, EMPTY, r_token, EMPTY, EMPTY), 1))
-        add_rule(TPRule(2, MateRule(s, EMPTY, r_token, EMPTY, EMPTY), 1))
+        rules.append(TPRule(1, DripRule(EMPTY, seed, EMPTY, seed, s), 2))
+        rules.append(TPRule(2, MateRule(seed, EMPTY, r_token, EMPTY, EMPTY), 1))
+        rules.append(TPRule(2, MateRule(s, EMPTY, r_token, EMPTY, EMPTY), 1))
     rseed = _single(SYM_RSEED)
-    add_rule(TPRule(1, DripRule(EMPTY, rseed, EMPTY, rseed, r_token), 2))
-    add_rule(TPRule(2, MateRule(rseed, EMPTY, r_token, EMPTY, EMPTY), 1))
-    # configurations returning from cell 2 are anchored on @X
-    add_rule(TPRule(2, MateRule(_single(SYM_X), EMPTY, r_token, EMPTY, EMPTY), 1))
+    rules.append(TPRule(1, DripRule(EMPTY, rseed, EMPTY, rseed, r_token), 2))
+    rules.append(TPRule(2, MateRule(rseed, EMPTY, r_token, EMPTY, EMPTY), 1))
+    # configurations returning from cell 2 are anchored on @X, which the
+    # loop above has done when {@X} is a species
+    if _single(SYM_X) not in species:
+        rules.append(TPRule(2, MateRule(_single(SYM_X), EMPTY, r_token, EMPTY, EMPTY), 1))
 
     # the simulation: a step returns through cell 2, a zero guess goes to the
     # check in cell 3, a halted configuration to the output cell
     for entry in skel.mates:
-        add_rule(TPRule(1, entry.rule, {_STEP: 2, _GUESS: 3, _HALT: 5}[entry.goes]))
+        rules.append(TPRule(1, entry.rule, {_STEP: 2, _GUESS: 3, _HALT: 5}[entry.goes]))
     for label, inst in subs:
-        add_rule(TPRule(3, MateRule(EMPTY, _single(_guess_marker(label)),
-                                    _single(_checker("E", inst.register)), _single(inst.zero), EMPTY), 2))
+        rules.append(TPRule(3, MateRule(EMPTY, _single(_guess_marker(label)),
+                                        _single(_checker("E", inst.register)), _single(inst.zero), EMPTY), 2))
 
     for r in sub_registers:
         ka, kb, kc = (_single(_checker(l, r)) for l in "ABC")
-        add_rule(TPRule(3, MateRule(EMPTY, kb, _single(SYM_X), _single(reg_symbol(r)), EMPTY), 4))
-        add_rule(TPRule(4, DripRule(EMPTY, ka, EMPTY, kb, kc + ka), 3))
-        add_rule(TPRule(3, MateRule(EMPTY, kb, kc, ka, EMPTY), 4))
+        rules.append(TPRule(3, MateRule(EMPTY, kb, _single(SYM_X), _single(reg_symbol(r)), EMPTY), 4))
+        rules.append(TPRule(4, DripRule(EMPTY, ka, EMPTY, kb, kc + ka), 3))
+        rules.append(TPRule(3, MateRule(EMPTY, kb, kc, ka, EMPTY), 4))
     for r, exit_label in sub_exits:
         kd, ke, kf = (_single(_checker(l, r)) for l in "DEF")
         e_vesicle = ke + _single(exit_label)
-        add_rule(TPRule(4, DripRule(EMPTY, kd, EMPTY, e_vesicle, kf + kd), 3))
-        add_rule(TPRule(3, MateRule(EMPTY, e_vesicle, kf, kd, EMPTY), 4))
+        rules.append(TPRule(4, DripRule(EMPTY, kd, EMPTY, e_vesicle, kf + kd), 3))
+        rules.append(TPRule(3, MateRule(EMPTY, e_vesicle, kf, kd, EMPTY), 4))
 
     axioms1 = frozenset(_single(name) for name in seed_names) | {rseed}
     axioms3 = frozenset(

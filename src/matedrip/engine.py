@@ -8,8 +8,9 @@ decoded to `Multiset`s only at the boundary: for a closure state's contents
 and a tissue state's contents and result log when they are read, for the
 results a closure state is asked for, and for the (compartment, render)
 order of a fill that the population cap cuts.  Admission is batched: a
-compartment's new vesicles join its operand index in one
-`OperandIndex.extend` call, and a fill that fits the cap is a set union.
+compartment's new vesicles are filed in one `OperandIndex.extend` call on
+an empty copy of its index, and a fill that fits the cap is a set union.
+A closure round joins that batch against the index and then absorbs it.
 The index files a vesicle by the plan of its support signature, the
 symbols named in the rules' needs that it holds, so a need is tested per
 vesicle only when it asks for some symbol more than once.
@@ -196,14 +197,13 @@ def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple
 
 
 class OperandIndex:
-    """The operands of a compartment's packed rules, kept as batches of
-    vesicles are added.
+    """The operands of a compartment's packed rules.
 
     `operands[rule]` holds, for a mate rule, its (left, right) operands and,
     for a drip rule, the vesicles that contain its need, as size -> packed
-    vesicles maps.  Each added vesicle joins them once, in addition order,
-    so the vesicles added last form the tail of every list.  A rule given
-    twice is indexed once.
+    vesicles maps.  A batch of vesicles is filed by one `extend` call on an
+    `empty()` copy; a closure then folds that copy into its tube's index
+    with `absorb`.  A rule given twice is indexed once.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions.  The first
@@ -256,8 +256,8 @@ class OperandIndex:
         return index
 
     def extend(self, vesicles):
-        """Add packed vesicles, each of size below 2**width - 1, in iteration
-        order, with one call for the whole batch."""
+        """File packed vesicles, each of size below 2**width - 1, in
+        iteration order, with one call for the whole batch."""
         codec, relevant, plans, slots = self._codec, self._relevant, self._plans, self._slots
         guards, units, field = codec.guards, codec.units, codec.field
         for vesicle in vesicles:
@@ -275,26 +275,12 @@ class OperandIndex:
                     if not need or (raised - need) & guards == guards:
                         slots[slot][size].append(vesicle)
 
-
-def frontier_start(operands: list, frontier) -> int:
-    """Where the frontier vesicles at the tail of `operands` begin."""
-    i = len(operands)
-    while i and operands[i - 1] in frontier:
-        i -= 1
-    return i
-
-
-def split_frontier(by_size: dict, frontier) -> tuple[dict, dict]:
-    """(old, new) parts of a size -> vesicles map, the new part being the
-    frontier vesicles at the tail of each bucket.  Empty parts are left out."""
-    old, new = {}, {}
-    for size, bucket in by_size.items():
-        i = frontier_start(bucket, frontier)
-        if i:
-            old[size] = bucket[:i]
-        if i < len(bucket):
-            new[size] = bucket[i:]
-    return old, new
+    def absorb(self, batch: "OperandIndex"):
+        """Append the buckets of `batch`, an `empty()` copy of this index,
+        to this index's buckets, slot by slot."""
+        for slot, new in zip(self._slots, batch._slots):
+            for size, vesicles in new.items():
+                slot[size] += vesicles
 
 
 def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) -> bool:
@@ -356,30 +342,27 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     return oversize
 
 
-def rule_productions(index: OperandIndex, frontier, out: set, bounds: Bounds,
+def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds: Bounds,
                      codec: Codec, kernels) -> bool:
     """Add to `out` the admitted results of the index's rules inside one
-    compartment that involve at least one frontier vesicle; the frontier
-    must be the vesicles added last.
+    compartment that involve at least one vesicle of `batch`, an `empty()`
+    copy of `index` that holds the new vesicles, which `index` does not.
 
     Mates are evaluated semi-naively over their size buckets: new left
-    operands against every right operand, then old left operands against
-    new right operands.  A drip fires on the frontier tail of each of its
-    buckets.  Returns whether a result was left out for size.
+    operands against old right operands, old against new and new against
+    new.  A drip fires on the batch's buckets.  Returns whether a result
+    was left out for size.
     """
     cut = False
-    for rule, operands in index.operands.items():
+    for (rule, old), new in zip(index.operands.items(), batch.operands.values()):
         if isinstance(rule, PackedMate):
-            lefts, rights = operands
-            old_lefts, new_lefts = split_frontier(lefts, frontier)
-            _, new_rights = split_frontier(rights, frontier)
-            for left, right in ((new_lefts, rights), (old_lefts, new_rights)):
-                if join(rule, left, right, bounds, out):
+            pairs = ((new[0], old[1]), (old[0], new[1]), (new[0], new[1]))
+            for lefts, rights in pairs:
+                if join(rule, lefts, rights, bounds, out):
                     cut = True
         else:
-            for size, bucket in operands.items():
-                new = bucket[frontier_start(bucket, frontier):]
-                if drip(rule, size, new, bounds, out, codec, kernels):
+            for size, bucket in new.items():
+                if drip(rule, size, bucket, bounds, out, codec, kernels):
                     cut = True
     return cut
 

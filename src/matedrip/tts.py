@@ -143,14 +143,19 @@ def _round(indexes: list[OperandIndex], filters: list[tuple], frontier: list[set
            bounds: Bounds, codec: Codec) -> tuple[list[set[int]], bool]:
     """(produced, cut): per tube, the rule productions that involve a
     frontier vesicle and the frontier vesicles that pass a filter into it,
-    and whether a production was left out for size.  Each index must hold
-    its tube's frontier as the vesicles added last."""
+    and whether a production was left out for size.  Each tube's frontier
+    is filed in a batch of its own, joined against the tube's index and
+    then absorbed into it."""
     kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
     produced: list[set[int]] = [set() for _ in frontier]
     cut = False
     for index, new, out in zip(indexes, frontier, produced):
-        if new and rule_productions(index, new, out, bounds, codec, kernels):
-            cut = True
+        if new:
+            batch = index.empty()
+            batch.extend(new)
+            if rule_productions(index, batch, out, bounds, codec, kernels):
+                cut = True
+            index.absorb(batch)
     for i, forbidden, j in filters:
         for mask in forbidden:
             produced[j].update([v for v in frontier[i] if not v & mask])
@@ -170,8 +175,6 @@ def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[i
                   max(largest, max_size))
     indexes, filters = _operator(system, codec)
     pool = [set(map(codec.encode, tube)) for tube in contents]
-    for index, vesicles in zip(indexes, pool):
-        index.extend(vesicles)
     produced, _ = _round(indexes, filters, pool, Bounds(max_size=max_size), codec)
     return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
@@ -195,8 +198,9 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
 
 
 def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
-    """The closure on packed vesicles: (tubes, pruned, iterations).  The
-    operand indexes and the round's sets are dropped on return."""
+    """The closure on packed vesicles: (tubes, pruned, iterations).  Each
+    tube's operand index grows only as `_round` absorbs its frontier; the
+    indexes and the round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
     indexes, filters = _operator(system, codec)
     initial, pruned = admissible(
@@ -209,10 +213,8 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
         # admit the fresh vesicles; unless the population cap cut them,
         # they are the frontier of the next round
         placed, cut = fill(fresh, bounds, sum(map(len, contents)), codec)
-        for tube, index, new in zip(contents, indexes, placed):
-            if new:
-                tube |= new
-                index.extend(new)
+        for tube, new in zip(contents, placed):
+            tube |= new
         if cut:
             return contents, True, iterations
         produced, cut = _round(indexes, filters, fresh, bounds, codec)

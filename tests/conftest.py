@@ -1,11 +1,16 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from matedrip import Bounds, DripRule, MateRule, Multiset, load_machine
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no deadline; a test's own settings give only its count.
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

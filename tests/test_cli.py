@@ -1,4 +1,5 @@
-from matedrip.cli import main
+from matedrip import Bounds
+from matedrip.cli import _bounds_from, build_parser, main
 
 from conftest import machine_path
 
@@ -181,3 +182,8 @@ def test_negative_max_steps_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "max_steps must be non-negative" in captured.err
         assert captured.out == ""
+
+
+def test_engine_flags_default_to_bounds():
+    for argv in (["run", "system.tts"], ["verify", "thm1", "machine.rm"]):
+        assert _bounds_from(build_parser().parse_args(argv)) == Bounds()

@@ -206,13 +206,17 @@ def test_thm4_shape(eq):
     assert outs[0].rule.a == ms("@X @h")
 
 
-def test_thousand_register_thm4_holds_each_rule_once():
-    # the faithful transcription adds one rule twice; the second is dropped
+def test_thousand_register_thm4_holds_each_rule_once(even, mod3, eq, trap):
+    # in faithful mode {@X} is a species, whose return rule is the @X one
     text = "REGISTERS 1000\nINPUTS 1\nSTART q0\nq0 ADD 1000 q1\nq1 SUB 1000 q1 stop\nstop HALT\n"
     machine = parse_machine(text)
     assert machine.registers == 1000
     system = compile_thm4(machine, FAITHFUL)
     assert len(set(system.rules)) == len(system.rules) > 14000
+    for machine in all_fixture_machines(even, mod3, eq, trap):
+        for opts in (CompileOptions(), FAITHFUL):
+            rules = compile_thm4(machine, opts).rules
+            assert len(set(rules)) == len(rules)
 
 
 def test_compile_dispatcher(even):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from matedrip import EMPTY, Multiset, MultisetError, check_symbol, is_reserved
 
-KERNEL = settings(derandomize=True, max_examples=150, database=None, deadline=None)
+KERNEL = settings(max_examples=150)
 
 ALPHA = ["a", "b", "c", "d", "e", "f"]
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from matedrip import FormatError, MachineError, parse_machine, parse_tp, parse_tts
 
-FUZZ = settings(derandomize=True, max_examples=80, database=None, deadline=None)
+FUZZ = settings(max_examples=80)
 
 # past int()'s default limit of 4300 digits
 LONG_NUMERAL = "9" * 4301

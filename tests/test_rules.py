@@ -18,7 +18,7 @@ from matedrip import (
 
 ALPHA = ["a", "b", "c", "d", "e", "f"]
 
-KERNEL = settings(derandomize=True, max_examples=150, database=None, deadline=None)
+KERNEL = settings(max_examples=150)
 
 
 def ms(text):

@@ -520,7 +520,7 @@ def small_tp_systems(draw):
                         axioms=axioms, rules=tuple(rules), output_cell=cells)
 
 
-@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@settings(max_examples=100)
 @given(small_tp_systems(), small_bounds())
 def test_random_systems_step_like_naive_reference(system, bounds):
     state = reference = initial_state(system, bounds)
@@ -530,7 +530,7 @@ def test_random_systems_step_like_naive_reference(system, bounds):
         assert state == reference
 
 
-@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@settings(max_examples=100)
 @given(small_tp_systems())
 def test_random_systems_round_trip(system):
     # the text format sorts the rules, so they compare up to order
