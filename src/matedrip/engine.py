@@ -5,11 +5,12 @@ Both engines work on vesicles packed into Python ints by a per-system
 1998).  A fusion is then one integer addition, a need test three integer
 operations, and equality and hashing are those of ints.  Vesicles are
 decoded to `Multiset`s only at the boundary: for a closure state's contents
-and a tissue state's contents and result log when they are read, for the
-results a closure state is asked for, and for the (compartment, render)
-order of a fill that the population cap cuts.  Admission is batched: a
+and a tissue state's contents and result log when they are read, and for
+the results a closure state is asked for.  Admission is batched: a
 compartment's new vesicles are filed in one `OperandIndex.extend` call on
 an empty copy of its index, and a fill that fits the cap is a set union.
+A fill that the cap cuts sorts only the compartment it splits, by the text
+`Codec.render` writes straight from the packed fields.
 A closure round joins that batch against the index and then absorbs it.
 The index files a vesicle by the plan of its support signature, the
 symbols named in the rules' needs that it holds, so a need is tested per
@@ -40,8 +41,10 @@ class Bounds:
 
     def __post_init__(self):
         limits = (self.max_size, self.max_population, self.max_iterations)
-        if not all(isinstance(n, int) and n >= 1 for n in limits):
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in limits):
             raise ValueError("bounds must be positive integers")
+        if not isinstance(self.keep_empty, bool):
+            raise ValueError("keep_empty must be a bool")
 
     def keeps(self, size: int) -> bool:
         """The size rule: exploration keeps a vesicle of `size` iff it fits
@@ -153,6 +156,20 @@ class Codec:
             packed &= below
         items.reverse()
         return Multiset._wrap(tuple(items), size)
+
+    def render(self, packed: int) -> str:
+        """`self.decode(packed).render()` without building the Multiset:
+        the same walk over the nonzero fields, writing each as `name` or
+        `name^count`, and '.' for the empty vesicle."""
+        top = self.top
+        tokens = []
+        while packed:
+            shift, name, below = top[packed.bit_length()]
+            count = packed >> shift
+            tokens.append(f"{name}^{count}" if count > 1 else name)
+            packed &= below
+        tokens.reverse()
+        return " ".join(tokens) or "."
 
     def mask(self, names) -> int:
         """All bits of the fields of `names`."""
@@ -387,16 +404,23 @@ def fill(fresh: list[set[int]], bounds: Bounds, population: int,
     (compartment, render) order, and whether the cap cut the batch.
 
     The order matters only when the cap cuts the batch.  A batch that fits
-    is returned as it is; a cut one is decoded, sorted and split.
+    is returned as it is.  In a cut one, each compartment that fits the
+    room left is placed whole, the one compartment the cap splits is
+    sorted by `Codec.render` and cut, and the later ones get nothing, so
+    only the split compartment is rendered and nothing is decoded.
     """
     room = max(bounds.max_population - population, 0)
     if sum(map(len, fresh)) <= room:
         return fresh, False
-    placed: list[set[int]] = [set() for _ in fresh]
-    if room:
-        keyed = sorted((c, codec.decode(v).render(), v) for c, vs in enumerate(fresh) for v in vs)
-        for c, _, v in keyed[:room]:
-            placed[c].add(v)
+    placed: list[set[int]] = []
+    for vesicles in fresh:
+        if len(vesicles) <= room:
+            placed.append(vesicles)
+            room -= len(vesicles)
+        else:
+            # render gives each multiset its own text, so no tie-break is needed
+            placed.append(set(sorted(vesicles, key=codec.render)[:room]) if room else set())
+            room = 0
     return placed, True
 
 

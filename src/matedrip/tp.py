@@ -182,9 +182,9 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     all of them are consumed, oversize fusions included.  Only the fusions
     that fit `max_size` are built; `pruned` is set when some do not.
 
-    The step works on packed vesicles.  It reuses the packed form the step
-    before left on `state` and returns a state that holds only its packed
-    form; only a fill that the population cap cuts decodes vesicles.
+    The step works on packed vesicles and decodes none.  It reuses the
+    packed form the step before left on `state` and returns a state that
+    holds only its packed form.
     """
     packed = state._packed
     if packed is None or not packed.serves(system, bounds):

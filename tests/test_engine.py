@@ -3,7 +3,7 @@ reference: the rule kernels of `rules.py`, `_naive_closure` and
 `_naive_tp_step`."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matedrip.tts
 from conftest import SYMBOLS, small_multisets, small_rules
@@ -23,7 +23,7 @@ from matedrip import (
     parse_rule,
     tp_step,
 )
-from matedrip.engine import Codec, OperandIndex, drip1, drip2
+from matedrip.engine import Codec, OperandIndex, drip1, drip2, fill
 from matedrip.tts import _productions
 from test_tp import _naive_tp_step, system_of
 from test_tts import _assert_matches_reference, _naive_productions, one_tube
@@ -34,11 +34,18 @@ def ms(text):
 
 
 @pytest.mark.parametrize("limits", [(0, 10, 10), (4, -1, 10), (4, 10, 0), (8.0, 10, 10),
-                                    (4, 10.5, 10), (4, 10, "3")])
+                                    (4, 10.5, 10), (4, 10, "3"), (True, 10, 10), (4, 10, True)])
 def test_bounds_must_be_positive_integers(limits):
-    # field widths come from int.bit_length, so a float max_size is refused
+    # field widths come from int.bit_length, so a float max_size is refused;
+    # a bool is an int to Python but no count
     with pytest.raises(ValueError, match="positive integers"):
         Bounds(*limits)
+
+
+@pytest.mark.parametrize("keep_empty", ["no", 0, 1, None])
+def test_bounds_keep_empty_must_be_a_bool(keep_empty):
+    with pytest.raises(ValueError, match="keep_empty"):
+        Bounds(keep_empty=keep_empty)
 
 
 def test_codec_round_trip_and_need_test():
@@ -264,6 +271,46 @@ def test_render_ordered_fill_with_prefix_names():
             state = tp_step(tissue, state, bounds)
             reference = _naive_tp_step(tissue, reference, bounds)
             assert state == reference
+
+
+# counts up to 14, so that "l1^10" < "l1^2" as text while 10 > 2
+_RENDER_CODEC = Codec(SYMBOLS, [], 14)
+_packed_vesicles = st.dictionaries(st.sampled_from(SYMBOLS), st.integers(1, 14),
+                                   max_size=len(SYMBOLS)).map(
+    lambda counts: _RENDER_CODEC.encode(counts.items()))
+
+
+@settings(max_examples=300)
+@given(_packed_vesicles)
+@example(0)
+def test_codec_render_matches_decoded_render(vesicle):
+    assert _RENDER_CODEC.render(vesicle) == _RENDER_CODEC.decode(vesicle).render()
+
+
+def _naive_fill(fresh, bounds, population, codec):
+    """The first `room` vesicles of the whole batch in (compartment, decoded
+    render) order, and whether that left any out."""
+    room = max(bounds.max_population - population, 0)
+    keyed = sorted((c, codec.decode(v).render(), v) for c, vs in enumerate(fresh) for v in vs)
+    placed = [set() for _ in fresh]
+    for c, _, v in keyed[:room]:
+        placed[c].add(v)
+    return placed, len(keyed) > room
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sets(_packed_vesicles, max_size=6), min_size=1, max_size=4),
+       st.integers(0, 5), st.data())
+def test_fill_matches_naive_fill(fresh, population, data):
+    # every room from 0 to the batch size: inside each compartment, at each
+    # boundary between two, and one that fits the whole batch
+    total = sum(map(len, fresh))
+    room = data.draw(st.integers(0, total))
+    population = max(population, 1 - room)  # max_population is at least 1
+    bounds = Bounds(14, population + room)
+    placed, cut = fill([set(vs) for vs in fresh], bounds, population, _RENDER_CODEC)
+    assert (placed, cut) == _naive_fill(fresh, bounds, population, _RENDER_CODEC)
+    assert cut == (total > room)
 
 
 def test_two_sided_drip_products_match_apply_drip():

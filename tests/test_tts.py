@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matedrip.tp
 from conftest import small_alphabets, small_bounds, small_multisets, small_rules
 from matedrip import (
     Bounds,
@@ -24,12 +25,14 @@ from matedrip import (
     apply_mate,
     closure,
     compile_machine,
+    initial_state,
     is_fixpoint,
     parse_rule,
     parse_tts,
     render_tts,
     results_of_state,
     run_verify,
+    tp_step,
     validate_tts,
 )
 from matedrip.engine import Codec, OperandIndex
@@ -627,6 +630,34 @@ def test_unread_state_readers_decode_nothing_else(even, monkeypatch):
     state = closure(system, bounds)
     del decoded[:]
     assert results_of_state(system, state) == {ms("a1")} and len(decoded) == 1
+
+
+def test_population_cut_decodes_nothing(even, monkeypatch):
+    system = compile_machine(even, "thm1", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(10, 400, 400)
+    decoded = _count_decodes(monkeypatch)
+    state = closure(system, bounds)
+    assert state.pruned and state.population == bounds.max_population and not decoded
+    assert sum(map(len, state.contents)) == bounds.max_population and decoded
+
+    tissue = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(12, 30, 200)
+    cuts = []
+    fill = matedrip.tp.fill
+
+    def spied_fill(*args):
+        placed, cut = fill(*args)
+        cuts.append(cut)
+        return placed, cut
+
+    monkeypatch.setattr(matedrip.tp, "fill", spied_fill)
+    tissue_state = initial_state(tissue, bounds)
+    del decoded[:]
+    for _ in range(3):
+        tissue_state = tp_step(tissue, tissue_state, bounds)
+    assert cuts == [False, False, True] and not decoded
+    assert tissue_state.population == bounds.max_population
+    assert sum(map(len, tissue_state.contents)) == bounds.max_population and decoded
 
 
 def test_lazy_state_compares_and_reprs_like_naive_state(even):

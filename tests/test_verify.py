@@ -2,6 +2,7 @@ import pytest
 
 from matedrip import Bounds
 from matedrip.compilers import CompileOptions
+from matedrip.regmach import parse_machine
 from matedrip.verify import format_report, run_verify, vector_of
 from matedrip import Multiset
 
@@ -62,3 +63,14 @@ def test_negative_max_steps_is_refused(even, construction):
     with pytest.raises(ValueError, match="max_steps must be non-negative"):
         run_verify(even, "even.rm", construction, bound=2, fuel=100,
                    bounds=Bounds(6, 500, 20), max_steps=-5)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: thm4's cell-3 zero check takes a "
+                   "zero guess about one register while another is nonzero")
+def test_thm4_zero_test_beside_a_nonzero_register():
+    # accepts every input; its normalized form zero-tests register 1 while
+    # register 2 holds 1
+    machine = parse_machine("REGISTERS 2\nINPUTS 1\nSTART q0\nq0 ADD 2 stop\nstop HALT\n")
+    report = run_verify(machine, "add2", "thm4", bound=2, fuel=200,
+                        bounds=Bounds(12, 20000, 200), max_steps=60)
+    assert report.system == report.oracle == {(0,), (1,), (2,)}
