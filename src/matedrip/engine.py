@@ -11,7 +11,7 @@ compartment's new vesicles are filed in one `OperandIndex.extend` call on
 an empty copy of its index, and a fill that fits the cap is a set union.
 A fill that the cap cuts sorts only the compartment it splits, by the text
 `Codec.render` writes straight from the packed fields.
-A closure round joins that batch against the index and then absorbs it.
+A closure round joins that batch against the index and keeps its mate operands.
 The index files a vesicle by the plan of its support signature, the
 symbols named in the rules' needs that it holds, so a need is tested per
 vesicle only when it asks for some symbol more than once.
@@ -117,6 +117,13 @@ class Codec:
     without reaching the next field.  A vesicle's size is the sum of its
     fields, which `OperandIndex.extend` reads as v % (2**width - 1) while
     it is below 2**width - 1, as for every admitted vesicle.
+
+    `top[n]` is the (shift, name) of the field that holds bit n - 1, the
+    highest set bit of a packed vesicle of bit length n.  The `width`
+    entries of a field share one tuple, so the table grows linearly with
+    the alphabet.  `decode`, `render` and `drip2` step down a vesicle's
+    nonzero fields with it, dropping each by subtracting its count at its
+    shift.
     """
 
     def __init__(self, alphabet, rules, largest: int):
@@ -128,10 +135,9 @@ class Codec:
         self.shift = {name: i * width for i, name in enumerate(self.names)}
         self.guards = sum(1 << (shift + width - 1) for shift in self.shift.values())
         self.units = sum(1 << shift for shift in self.shift.values())
-        # [bit length] -> (shift, name, mask of the bits below) of the field
-        # that holds a packed vesicle's highest set bit
-        self.top = [None] + [(i * width, name, (1 << i * width) - 1)
-                              for i, name in enumerate(self.names) for _ in range(width)]
+        self.top = [None]
+        for name in self.names:
+            self.top += [(self.shift[name], name)] * width
         self._compiled: dict[Rule, PackedMate | PackedDrip] = {}
 
     def encode(self, pairs) -> int:
@@ -143,17 +149,17 @@ class Codec:
     def decode(self, packed: int) -> Multiset:
         """The multiset of a packed vesicle, stepping over its nonzero
         fields only: the top field is the one its bit length falls in, its
-        count is what lies above the field's shift, and masking the bits
-        below that shift drops it."""
+        count is what lies above the field's shift, and subtracting that
+        count at the shift drops it."""
         top = self.top
         items = []
         size = 0
         while packed:
-            shift, name, below = top[packed.bit_length()]
+            shift, name = top[packed.bit_length()]
             count = packed >> shift
             items.append((name, count))
             size += count
-            packed &= below
+            packed -= count << shift
         items.reverse()
         return Multiset._wrap(tuple(items), size)
 
@@ -164,10 +170,10 @@ class Codec:
         top = self.top
         tokens = []
         while packed:
-            shift, name, below = top[packed.bit_length()]
+            shift, name = top[packed.bit_length()]
             count = packed >> shift
             tokens.append(f"{name}^{count}" if count > 1 else name)
-            packed &= below
+            packed -= count << shift
         tokens.reverse()
         return " ".join(tokens) or "."
 
@@ -204,9 +210,9 @@ def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple
     residual = rest = vesicle - rule.need
     splits = [(0, 0)]  # (packed s, |s|)
     while rest:
-        shift, _, below = codec.top[rest.bit_length()]
+        shift, _ = codec.top[rest.bit_length()]
         count = rest >> shift
-        rest &= below
+        rest -= count << shift
         splits = [(s + (k << shift), n + k) for s, n in splits for k in range(count + 1)]
     left = size - rule.need_size
     return [((s + rule.first, n + rule.first_size),
@@ -219,8 +225,8 @@ class OperandIndex:
     `operands[rule]` holds, for a mate rule, its (left, right) operands and,
     for a drip rule, the vesicles that contain its need, as size -> packed
     vesicles maps.  A batch of vesicles is filed by one `extend` call on an
-    `empty()` copy; a closure then folds that copy into its tube's index
-    with `absorb`.  A rule given twice is indexed once.
+    `empty()` copy, whose mate operands `rule_productions` appends to its
+    tube's index.  A rule given twice is indexed once.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions.  The first
@@ -292,13 +298,6 @@ class OperandIndex:
                     if not need or (raised - need) & guards == guards:
                         slots[slot][size].append(vesicle)
 
-    def absorb(self, batch: "OperandIndex"):
-        """Append the buckets of `batch`, an `empty()` copy of this index,
-        to this index's buckets, slot by slot."""
-        for slot, new in zip(self._slots, batch._slots):
-            for size, vesicles in new.items():
-                slot[size] += vesicles
-
 
 def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) -> bool:
     """Add to `out` the admitted fusions of every left × right pair, given
@@ -363,20 +362,25 @@ def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds:
                      codec: Codec, kernels) -> bool:
     """Add to `out` the admitted results of the index's rules inside one
     compartment that involve at least one vesicle of `batch`, an `empty()`
-    copy of `index` that holds the new vesicles, which `index` does not.
+    copy of `index` that holds the new vesicles, and extend `index` with
+    the batch's mate operands.
 
-    Mates are evaluated semi-naively over their size buckets: new left
-    operands against old right operands, old against new and new against
-    new.  A drip fires on the batch's buckets.  Returns whether a result
-    was left out for size.
+    Mates are evaluated semi-naively: new left operands against old right
+    operands, then every left operand, old and new, against the new right
+    ones.  A drip fires on the batch's buckets; no later round reads its
+    operands, so `index` keeps none.  Returns whether a result was left
+    out for size.
     """
     cut = False
     for (rule, old), new in zip(index.operands.items(), batch.operands.values()):
         if isinstance(rule, PackedMate):
-            pairs = ((new[0], old[1]), (old[0], new[1]), (new[0], new[1]))
-            for lefts, rights in pairs:
-                if join(rule, lefts, rights, bounds, out):
-                    cut = True
+            if join(rule, new[0], old[1], bounds, out):
+                cut = True
+            for operands, added in zip(old, new):
+                for size, vesicles in added.items():
+                    operands[size] += vesicles
+            if join(rule, old[0], new[1], bounds, out):
+                cut = True
         else:
             for size, bucket in new.items():
                 if drip(rule, size, bucket, bounds, out, codec, kernels):

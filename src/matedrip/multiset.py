@@ -7,6 +7,7 @@ hash-stable.
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -61,6 +62,8 @@ class Multiset:
                 acc[name] = acc.get(name, 0) + count
         self._items = tuple(sorted(acc.items()))
         self._size = sum(c for _, c in self._items)
+        if self._size > sys.maxsize:  # len() could not return it
+            raise MultisetError(f"size {self._size} is over the limit of {sys.maxsize}")
         self._text: str | None = None
         self._hash: int | None = None
 

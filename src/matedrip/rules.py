@@ -12,6 +12,7 @@ the rules in engine.py, and the tests hold those against these references.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .multiset import EMPTY, Multiset, MultisetError
@@ -32,6 +33,8 @@ class MateRule:
     x: Multiset
 
     def __post_init__(self):
+        if self.weight > sys.maxsize:  # so len() fits every part and need
+            raise RuleError(f"weight {self.weight} is over the limit of {sys.maxsize}")
         object.__setattr__(self, "_left_need", self.u + self.a)
         object.__setattr__(self, "_right_need", self.b + self.v)
 
@@ -59,6 +62,8 @@ class DripRule:
     one_sided: bool = False
 
     def __post_init__(self):
+        if self.weight > sys.maxsize:  # so len() fits every part and need
+            raise RuleError(f"weight {self.weight} is over the limit of {sys.maxsize}")
         object.__setattr__(self, "_need", self.u + self.c + self.v)
 
     @property

@@ -144,8 +144,8 @@ def _round(indexes: list[OperandIndex], filters: list[tuple], frontier: list[set
     """(produced, cut): per tube, the rule productions that involve a
     frontier vesicle and the frontier vesicles that pass a filter into it,
     and whether a production was left out for size.  Each tube's frontier
-    is filed in a batch of its own, joined against the tube's index and
-    then absorbed into it."""
+    is filed in a batch of its own, which `rule_productions` joins against
+    the tube's index and folds into it."""
     kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
     produced: list[set[int]] = [set() for _ in frontier]
     cut = False
@@ -155,7 +155,6 @@ def _round(indexes: list[OperandIndex], filters: list[tuple], frontier: list[set
             batch.extend(new)
             if rule_productions(index, batch, out, bounds, codec, kernels):
                 cut = True
-            index.absorb(batch)
     for i, forbidden, j in filters:
         for mask in forbidden:
             produced[j].update([v for v in frontier[i] if not v & mask])
@@ -199,8 +198,8 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
 
 def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
     """The closure on packed vesicles: (tubes, pruned, iterations).  Each
-    tube's operand index grows only as `_round` absorbs its frontier; the
-    indexes and the round's sets are dropped on return."""
+    tube's operand index grows only as `_round` folds in its frontier's
+    mate operands; the indexes and the round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
     indexes, filters = _operator(system, codec)
     initial, pruned = admissible(

@@ -37,6 +37,10 @@ def machine_path(name: str) -> str:
     return str(MACHINES / name)
 
 
+# A count that fits len(), while two of it make more than sys.maxsize.
+HALF = 5 * 10**18
+
+
 # -- random small systems, shared by the engine tests ---------------------------
 
 # Names that are prefixes of one another, so render order is not name order.

@@ -184,6 +184,18 @@ def test_negative_max_steps_exits_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_counts_past_maxsize_exit_2(tmp_path, capsys):
+    head = "SYSTEM TTS\nALPHABET a\nTERMINAL a\nTUBES 1\nOUTPUT 1\n"
+    for body, lineno in ((f"AXIOM 1 {{a^{10**20}}}\n", 6),
+                         (f"AXIOM 1 {{a}}\nRULE 1 DRIP1 (. | a | . ; a^{10**20} , .)\n", 7)):
+        path = tmp_path / "big.tts"
+        path.write_text(head + body)
+        for command in ("run", "metrics"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: line {lineno}: ") and captured.out == ""
+
+
 def test_engine_flags_default_to_bounds():
     for argv in (["run", "system.tts"], ["verify", "thm1", "machine.rm"]):
         assert _bounds_from(build_parser().parse_args(argv)) == Bounds()

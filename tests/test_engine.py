@@ -2,6 +2,8 @@
 reference: the rule kernels of `rules.py`, `_naive_closure` and
 `_naive_tp_step`."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from matedrip import (
     parse_rule,
     tp_step,
 )
-from matedrip.engine import Codec, OperandIndex, drip1, drip2, fill
+from matedrip.engine import Codec, OperandIndex, drip1, drip2, fill, rule_productions
 from matedrip.tts import _productions
 from test_tp import _naive_tp_step, system_of
 from test_tts import _assert_matches_reference, _naive_productions, one_tube
@@ -60,6 +62,20 @@ def test_codec_round_trip_and_need_test():
                         ("l1^2 l10", False), ("b^4", False), (".", False)):
         raised = codec.encode(ms(text)) | codec.guards
         assert ((raised - need) & codec.guards == codec.guards) is holds, text
+
+
+def test_codec_table_grows_linearly_with_the_alphabet():
+    # a 1,000-register machine compiles to about 17,000 symbols, and a mask
+    # per field bit would grow with the square of the alphabet
+    names = [f"s{i}" for i in range(6000)]
+    tracemalloc.start()
+    try:
+        codec = Codec(names, [], 16)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 8e6
+    assert codec.decode(codec.encode([("s0", 3), ("s5999", 16)])) == ms("s0^3 s5999^16")
 
 
 def test_oversize_drip1_product_does_not_spill():
@@ -147,14 +163,6 @@ def test_planned_index_matches_brute_force(rules, pool, data):
                for start, end in zip([0, *cuts], [*cuts, len(pool)])]
     for batch in batches:
         index.extend(batch)
-    # absorbing one `empty()` copy per batch files every bucket in the same
-    # order as extending one index with the batches in turn
-    absorbed = OperandIndex(codec, packed)
-    for batch in batches:
-        part = absorbed.empty()
-        part.extend(batch)
-        absorbed.absorb(part)
-    assert _buckets(absorbed) == _buckets(index)
     # a copy from `empty` plans with the first index's memo and must file
     # like a fresh index, leaving the first index as it was
     copy, fresh = index.empty(), OperandIndex(codec, packed)
@@ -168,6 +176,38 @@ def test_planned_index_matches_brute_force(rules, pool, data):
             if v.contains(_needs(rule)[side]):
                 expected.setdefault(len(v), set()).add(codec.encode(v))
         assert {size: set(bucket) for size, bucket in operands.items()} == expected
+
+
+@settings(max_examples=150)
+@given(st.lists(small_rules(SYMBOLS), min_size=1, max_size=5),
+       st.lists(small_multisets(SYMBOLS, 4), unique=True, max_size=14),
+       st.integers(1, 8), st.booleans(), st.data())
+def test_semi_naive_fold_matches_one_batch(rules, pool, max_size, keep_empty, data):
+    # feeding the pool to `rule_productions` batch by batch, each batch in a
+    # fresh `empty()` copy, gives the productions and cut of one batch that
+    # holds the whole pool, and those of the from-scratch reference
+    codec = Codec(SYMBOLS, rules, max(4, max_size))
+    bounds = Bounds(max_size, keep_empty=keep_empty)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
+
+    def fold(batches):
+        index = OperandIndex(codec, map(codec.compile, rules))
+        out, cut = set(), False
+        for vesicles in batches:
+            batch = index.empty()
+            batch.extend(codec.encode(v) for v in vesicles)
+            if rule_productions(index, batch, out, bounds, codec, (drip1, drip2)):
+                cut = True
+        # no later round reads a drip operand, so the index keeps none
+        assert not any(operands for operands in index.operands.values()
+                       if not isinstance(operands, tuple))
+        return out, cut
+
+    out, cut = fold(pool[start:end] for start, end in zip([0, *cuts], [*cuts, len(pool)]))
+    assert (out, cut) == fold([pool])
+    naive = {v for _, v in _naive_productions(one_tube(rules, [], SYMBOLS), [pool])}
+    assert {codec.decode(v) for v in out} == {v for v in naive if bounds.keeps(len(v))}
+    assert cut == any(len(v) > max_size for v in naive)
 
 
 @pytest.mark.parametrize("keep_empty", [True, False])

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import HALF
 from matedrip import EMPTY, Multiset, MultisetError, check_symbol, is_reserved
 
 KERNEL = settings(max_examples=150)
@@ -132,9 +133,13 @@ def test_parse_examples():
 
 def test_parse_errors():
     for bad in ("a^0", "a^-1", "a^x", "a^", "a .", "^2",
-                "a^1_0", "a^+2", "a^\u00b2", "a^\u0663", "a^" + "9" * 5000):
+                "a^1_0", "a^+2", "a^\u00b2", "a^\u0663", "a^" + "9" * 5000,
+                # a size past sys.maxsize, which len() cannot return
+                f"a^{10**20}", f"a^{HALF} b^{HALF}", f"a^{HALF} a^{HALF}"):
         with pytest.raises(MultisetError):
             Multiset.parse(bad)
+    with pytest.raises(MultisetError, match="over the limit"):
+        Multiset({"a": HALF, "b": HALF})
 
 
 def test_parse_render_roundtrip():

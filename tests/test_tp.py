@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import small_alphabets, small_bounds, small_multisets, small_rules
+from conftest import HALF, small_alphabets, small_bounds, small_multisets, small_rules
 from matedrip import (
     Bounds,
     CompileOptions,
@@ -494,6 +494,11 @@ def test_format_errors():
     ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nAXIOM 1 {a}\nOUTPUT 2\n", 6),
     # at most 1,000 cells
     ("SYSTEM TP\nALPHABET a\nCELLS 1001\nOUTPUT 1\n", 3),
+    # sizes and rule weights past sys.maxsize, which len() cannot return
+    (f"SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 1 {{a^{10**20}}}\n", 5),
+    (f"SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nRULE 1 DRIP (a^{10**19} | . | . ; . , .) -> 1\n", 5),
+    (f"SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nRULE 1 DRIP (a^{HALF} | . | . ; . , a^{HALF}) -> 1\n",
+     5),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):

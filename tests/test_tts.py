@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matedrip.tp
-from conftest import small_alphabets, small_bounds, small_multisets, small_rules
+from conftest import HALF, small_alphabets, small_bounds, small_multisets, small_rules
 from matedrip import (
     Bounds,
     CompileOptions,
@@ -511,6 +511,10 @@ def test_format_errors():
     ("SYSTEM TTS\nALPHABET a\nTUBES 1\nOUTPUT 1\nAXIOM 1 {a}\nOUTPUT 1\n", 6),
     # at most 1,000 tubes
     ("SYSTEM TTS\nALPHABET a\nTUBES 1001\n", 3),
+    # sizes and rule weights past sys.maxsize, which len() cannot return
+    (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 {{a^{10**20}}}\n", 4),
+    (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 DRIP1 (. | a | . ; a^{10**20} , .)\n", 4),
+    (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 MATE (a^{HALF} | a^{HALF} , . | . ; .)\n", 4),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
