@@ -46,6 +46,14 @@ def is_reserved(name: str) -> bool:
     return name.startswith(RESERVED_PREFIX)
 
 
+def _checked_size(size: int) -> int:
+    """`size`, refused with MultisetError above sys.maxsize, which len()
+    could not return."""
+    if size > sys.maxsize:
+        raise MultisetError(f"size {size} is over the limit of {sys.maxsize}")
+    return size
+
+
 class Multiset:
     """Immutable mapping from symbol names to positive counts."""
 
@@ -61,9 +69,7 @@ class Multiset:
                 check_symbol(name)
                 acc[name] = acc.get(name, 0) + count
         self._items = tuple(sorted(acc.items()))
-        self._size = sum(c for _, c in self._items)
-        if self._size > sys.maxsize:  # len() could not return it
-            raise MultisetError(f"size {self._size} is over the limit of {sys.maxsize}")
+        self._size = _checked_size(sum(c for _, c in self._items))
         self._text: str | None = None
         self._hash: int | None = None
 
@@ -124,7 +130,7 @@ class Multiset:
         acc = dict(self._items)
         for n, c in other._items:
             acc[n] = acc.get(n, 0) + c
-        return Multiset._wrap(tuple(sorted(acc.items())), self._size + other._size)
+        return Multiset._wrap(tuple(sorted(acc.items())), _checked_size(self._size + other._size))
 
     def minus(self, other: "Multiset") -> "Multiset | None":
         """Pointwise difference, or None when other is not contained."""

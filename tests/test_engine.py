@@ -11,6 +11,7 @@ import matedrip.tts
 from conftest import SYMBOLS, small_multisets, small_rules
 from matedrip import (
     Bounds,
+    CompileOptions,
     EMPTY,
     MateRule,
     Multiset,
@@ -20,6 +21,7 @@ from matedrip import (
     apply_drip1,
     apply_mate,
     closure,
+    compile_machine,
     initial_state,
     is_fixpoint,
     parse_rule,
@@ -50,18 +52,49 @@ def test_bounds_keep_empty_must_be_a_bool(keep_empty):
         Bounds(keep_empty=keep_empty)
 
 
-def test_codec_round_trip_and_need_test():
-    rules = [parse_rule("MATE (l1 | a , . | l10 ; b^2)")]
-    codec = Codec({"a", "b", "l1", "l10"}, rules, 4)
-    for text in (".", "a", "a^4", "b l1 l10", "a^2 b^2 l1^3 l10^4"):
-        assert codec.decode(codec.encode(ms(text))) == ms(text)
-        assert len(codec.decode(codec.encode(ms(text)))) == len(ms(text))
-        assert codec.encode(ms(text)) % codec.field == len(ms(text))
-    need = codec.encode(ms("a l1^2"))
-    for text, holds in (("a l1^2", True), ("a^3 l1^4 l10", True), ("a l1", False),
-                        ("l1^2 l10", False), ("b^4", False), (".", False)):
-        raised = codec.encode(ms(text)) | codec.guards
-        assert ((raised - need) & codec.guards == codec.guards) is holds, text
+@settings(max_examples=300)
+@given(small_multisets(SYMBOLS, 6), small_multisets(SYMBOLS, 6), st.integers(12, 100))
+@example(ms("a"), ms("a"), 12)
+@example(ms("a^2 l1"), ms("a l1^2"), 12)
+@example(EMPTY, ms("x^6"), 12)
+def test_codec_round_trip_and_need_test(m1, m2, largest):
+    codec = Codec(SYMBOLS, [], largest)
+    for m in (m1, m2, m1 + m2):
+        packed = codec.encode(m)
+        assert codec.decode(packed) == m
+        assert codec.render(packed) == m.render()
+        assert packed % codec.field == len(m)
+    assert codec.encode(m1 + m2) == codec.encode(m1) + codec.encode(m2)
+    # each way round, so that whenever the salts differ one case tests a
+    # vesicle whose salt is below the need's
+    for vesicle, need in ((m1, m2), (m2, m1)):
+        raised = codec.encode(vesicle) | codec.guards
+        holds = (raised - codec.encode(need)) & codec.guards == codec.guards
+        assert holds == vesicle.contains(need)
+
+
+def test_packed_vesicles_hash_apart(even):
+    # CPython hashes an int as its value mod 2**61 - 1 and a set probes
+    # first by the hash's low bits; unsalted, the vesicles of one tube agree
+    # in those bits, and a set walks long probe chains.  Int hashes are not
+    # seeded, so the spread below is the same on every run.
+    faithful = CompileOptions(fidelity="faithful")
+    compartments = list(closure(compile_machine(even, "cor3", faithful),
+                                Bounds(10, 2000, 400))._packed.tubes)
+    tissue = compile_machine(even, "thm4", faithful)
+    bounds = Bounds(12, 3000, 200)
+    state = initial_state(tissue, bounds)
+    for _ in range(24):
+        state = tp_step(tissue, state, bounds)
+    compartments += state._packed.cells
+    large = [vesicles for vesicles in compartments if len(vesicles) >= 100]
+    assert len(large) >= 4
+    for vesicles in large:
+        n = len(vesicles)
+        hashes = {hash(v) for v in vesicles}
+        assert len(hashes) == n
+        low = (1 << (2 * n).bit_length()) - 1
+        assert len({h & low for h in hashes}) >= n / 2
 
 
 def test_codec_table_grows_linearly_with_the_alphabet():
@@ -130,7 +163,9 @@ def test_two_sided_drip_kernel_matches_apply_drip(rule, extra, other):
     decoded = [tuple((codec.decode(p), n) for p, n in pair) for pair in got]
     assert len(decoded) == len(set(decoded))
     assert all(len(m) == n for pair in decoded for m, n in pair)
-    assert {tuple(m for m, _ in pair) for pair in decoded} == set(apply_drip(rule, vesicle))
+    # packed, salt included, exactly as the outcomes encode
+    assert ({tuple(p for p, _ in pair) for pair in got}
+            == {tuple(map(codec.encode, pair)) for pair in apply_drip(rule, vesicle)})
 
 
 def _needs(rule):

@@ -55,6 +55,13 @@ def test_sum_examples():
     assert Multiset.of("b1") + Multiset.of("b1") == Multiset({"b1": 2})
 
 
+def test_sum_past_maxsize_is_refused():
+    # two multisets that fit len() whose sum does not
+    for left, right in (({"a": HALF}, {"a": HALF}), ({"a": HALF}, {"b": HALF})):
+        with pytest.raises(MultisetError, match="over the limit"):
+            Multiset(left) + Multiset(right)
+
+
 def test_diff_examples():
     m = Multiset.of("X", "l1", "b1", "b1")
     assert m.minus(Multiset.of("l1", "b1")) == Multiset.of("X", "b1")

@@ -8,6 +8,10 @@ for thm4 a 12-step `tp_run`'s results and trace at the same bounds.  The
 bounds cut by size, by population and by iterations."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +128,20 @@ PINNED_OUTPUTS = {
 @pytest.mark.parametrize("name,construction,fidelity", sorted(PINNED_OUTPUTS))
 def test_outputs_pinned(name, construction, fidelity):
     assert output_digest(name, construction, fidelity) == PINNED_OUTPUTS[name, construction, fidelity]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # str hashing follows PYTHONHASHSEED, and with it the iteration order of
+    # every set the engines walk; each digest must come out the same
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = ("from test_outputs_pinned import PINNED_OUTPUTS, output_digest\n"
+              "for key in sorted(PINNED_OUTPUTS):\n"
+              "    print(*key, output_digest(*key))\n")
+    runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]  # side by side, as each takes a couple of seconds
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0].count("\n") == len(PINNED_OUTPUTS)
+    assert outputs[0] == outputs[1]

@@ -4,11 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import HALF
 from matedrip import (
     DripRule,
     EMPTY,
     MateRule,
     Multiset,
+    MultisetError,
     RuleError,
     apply_drip,
     apply_drip1,
@@ -221,6 +223,15 @@ def test_apply_drip1_residual_goes_left():
         p, q = apply_drip1(rule, vesicle)
         assert p == residual + rule.u + rule.y
         assert q == rule.v + rule.z
+
+
+def test_products_past_maxsize_are_refused():
+    # operands and rules that fit len() whose product does not
+    big = Multiset({"a": HALF})
+    with pytest.raises(MultisetError, match="over the limit"):
+        apply_mate(MateRule(EMPTY, EMPTY, EMPTY, EMPTY, EMPTY), big, big)
+    with pytest.raises(MultisetError, match="over the limit"):
+        apply_drip1(DripRule(EMPTY, EMPTY, EMPTY, big, EMPTY, one_sided=True), big)
 
 
 def test_apply_drip_rejects_one_sided():
