@@ -14,7 +14,7 @@ from pathlib import Path
 from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
 from .multiset import is_number
 from .regmach import enumerate_accepted, load_machine, run
-from .tp import TissueSystem, parse_tp, render_tp, tp_run, validate_tp
+from .tp import TissueSystem, check_steps, parse_tp, render_tp, tp_run, validate_tp
 from .tts import Bounds, closure, directives, parse_tts, render_tts, results_of_state
 from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
 
@@ -36,8 +36,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser):
 def _bounds_from(args) -> Bounds:
     """The engine flags' bounds.  A negative --max-steps is refused here for
     every system kind, not only by the tissue runs that read it."""
-    if args.max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    check_steps(args.max_steps)
     return Bounds(args.max_size, args.max_pop, args.max_iter, not args.no_keep_empty)
 
 

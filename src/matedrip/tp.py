@@ -11,6 +11,7 @@ accumulated from the output cell as they appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from pathlib import Path
 
 from .engine import (
@@ -114,22 +115,24 @@ class _Packed:
     anchored at cell c and the (packed rule, target cell) pairs of those
     rules.  Each step files a cell into a copy of that index, and the
     copies share its plans, so a support signature is planned once per
-    run.  Valid for the system whose (alphabet, rules) is `source`.
+    run.  `nonterminal` masks the symbols a result may not hold.  Valid
+    for the system whose (alphabet, terminal, rules) is `source`.
     """
 
-    __slots__ = ("source", "codec", "anchored", "cells", "log")
+    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log")
 
     def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
-                 cells: list[frozenset[int]], log: frozenset[int]):
+                 nonterminal: int, cells: list[frozenset[int]], log: frozenset[int]):
         self.source = source
         self.codec = codec
         self.anchored = anchored
+        self.nonterminal = nonterminal
         self.cells = cells
         self.log = log
 
     def serves(self, system: TissueSystem, bounds: Bounds) -> bool:
         return (self.codec.largest >= bounds.max_size
-                and self.source == (system.alphabet, system.rules))
+                and self.source == (system.alphabet, system.terminal, system.rules))
 
     def contents(self) -> tuple[frozenset[Multiset], ...]:
         return tuple(frozenset(map(self.codec.decode, cell)) for cell in self.cells)
@@ -156,7 +159,8 @@ def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
                 for src, pairs in firings.items()}
     cells = [frozenset(map(codec.encode, cell)) for cell in state.contents]
     log = frozenset(map(codec.encode, state.result_log))
-    return _Packed((system.alphabet, system.rules), codec, anchored, cells, log)
+    return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
+                   codec.mask(system.alphabet - system.terminal), cells, log)
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
@@ -223,29 +227,49 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     pruned |= cut
     cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
 
-    nonterminal = codec.mask(system.alphabet - system.terminal)
-    results = {v for v in cells[system.output_cell - 1] if not v & nonterminal}
+    results = {v for v in cells[system.output_cell - 1] if not v & packed.nonterminal}
     log = packed.log | results
     after = object.__new__(TPState)
-    after.__dict__.update(step=state.step + 1, pruned=pruned,
-                          _packed=_Packed(packed.source, codec, packed.anchored, cells, log))
+    after.__dict__.update(step=state.step + 1, pruned=pruned, _packed=_Packed(
+        packed.source, codec, packed.anchored, packed.nonterminal, cells, log))
     return after
+
+
+def check_steps(max_steps) -> None:
+    """Refuse a step budget that is not an int >= 0, as `Bounds` refuses its limits."""
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative and an int, not {max_steps!r}")
 
 
 def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Multiset], TPTrace]:
     """Run max_steps synchronous steps from the axioms; results accumulate.
-    Only the final result log is decoded."""
+    Only the final result log is decoded.
+
+    Stepping stops once the packed cells equal those 1 or 2 steps back; the
+    rest of `populations` repeats that period.  This is exact: a step's
+    cells, results and share of `pruned` depend only on the cells before it
+    (the fill order is fixed as compartment, then render), so every later
+    step repeats one whose results and cuts are already logged.  The one
+    earlier state held for this is one whose cell sizes equal those 1 or 2
+    steps before it; it is dropped once the two steps after it differ.
+    """
     problems, _ = validate_tp(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    check_steps(max_steps)
     state = initial_state(system, bounds)
     populations = [state._cell_sizes()]
-    for _ in range(max_steps):
+    held = None  # (step, packed cells) of the state a later one may repeat
+    for step in range(1, max_steps + 1):
         state = tp_step(system, state, bounds)
-        populations.append(state._cell_sizes())
-    return set(state.result_log), TPTrace(tuple(populations), state.step, state.pruned)
+        sizes, cells = state._cell_sizes(), state._packed.cells
+        populations.append(sizes)
+        if held and cells == held[1]:
+            populations.extend(islice(cycle(populations[held[0] + 1:]), max_steps - step))
+            break
+        if not held or step - held[0] == 2:
+            held = (step, cells) if sizes in populations[-3:-1] else None
+    return set(state.result_log), TPTrace(tuple(populations), max_steps, state.pruned)
 
 
 # -- text format -------------------------------------------------------------

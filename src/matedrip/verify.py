@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .compilers import CompileOptions, compile_machine, term_symbol
 from .multiset import Multiset
 from .regmach import RegisterMachine, enumerate_accepted
-from .tp import TissueSystem, tp_run
+from .tp import TissueSystem, check_steps, tp_run
 from .tts import Bounds, closure, results_of_state
 
 Vector = tuple[int, ...]
@@ -89,8 +89,7 @@ def run_verify(
     opts: CompileOptions = CompileOptions(),
     check_stability: bool = True,
 ) -> VerifyReport:
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    check_steps(max_steps)
     k = machine.inputs
     system = compile_machine(machine, construction, opts)
     oracle = frozenset(enumerate_accepted(machine, bound, fuel))

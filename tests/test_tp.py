@@ -1,5 +1,6 @@
 import copy
 import gc
+import random
 from dataclasses import FrozenInstanceError
 import weakref
 from collections import Counter
@@ -7,7 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HALF, small_alphabets, small_bounds, small_multisets, small_rules
+from conftest import (
+    HALF, machine_path, small_alphabets, small_bounds, small_multisets, small_rules)
 from matedrip import (
     Bounds,
     CompileOptions,
@@ -18,11 +20,13 @@ from matedrip import (
     TissueSystem,
     TPRule,
     TPState,
+    TPTrace,
     apply_drip,
     apply_drip1,
     apply_mate,
     compile_machine,
     initial_state,
+    load_machine,
     parse_rule,
     parse_tp,
     render_tp,
@@ -30,7 +34,9 @@ from matedrip import (
     tp_step,
     validate_tp,
 )
+from matedrip.cli import main
 from matedrip.engine import Codec
+from test_compilers import rand_machine
 
 
 def ms(text):
@@ -420,6 +426,117 @@ def test_stepped_states_are_freed_without_the_cycle_collector(even):
             assert freed() is None
     finally:
         gc.enable()
+
+
+# -- runs: a repeated state ends the stepping --------------------------------
+
+
+def _plain_run(system, max_steps, bounds):
+    """tp_run's outputs from a loop of max_steps tp_step calls."""
+    state = initial_state(system, bounds)
+    populations = [state._cell_sizes()]
+    for _ in range(max_steps):
+        state = tp_step(system, state, bounds)
+        populations.append(state._cell_sizes())
+    return set(state.result_log), TPTrace(tuple(populations), state.step, state.pruned)
+
+
+# the fixtures, bounds and step budgets of the guarded sweep in bench/workloads.py
+SWEEP = [("even.rm", Bounds(12, 20000, 200), 40), ("mod3.rm", Bounds(16, 30000, 300), 60),
+         ("eq.rm", Bounds(16, 30000, 300), 60), ("trap.rm", Bounds(8, 4000, 100), 60)]
+
+
+@pytest.mark.parametrize("fidelity", ["guarded", "faithful"])
+@pytest.mark.parametrize("fixture, bounds, steps", SWEEP)
+def test_run_matches_a_plain_step_loop(fixture, bounds, steps, fidelity):
+    system = compile_machine(load_machine(machine_path(fixture)), "thm4",
+                             CompileOptions(fidelity=fidelity))
+    # faithful runs never repeat at the sweep's bounds and take seconds past
+    # 32 steps there, so those two runs stop at 32
+    roomy, looser = (steps, steps + 10) if fidelity == "guarded" else (32, 32)
+    for limits, budget in ((bounds, roomy), (bounds.loosened(), looser),
+                           (Bounds(6, 150, 100), steps), (Bounds(8, 60, 100), steps)):
+        assert tp_run(system, budget, limits) == _plain_run(system, budget, limits)
+
+
+def test_random_machines_run_like_a_plain_step_loop():
+    # every one of these guarded runs repeats within its 60 steps
+    rng = random.Random(7)
+    bounds = Bounds(10, 3000, 100)
+    for _ in range(40):
+        system = compile_machine(rand_machine(rng), "thm4", CompileOptions())
+        assert tp_run(system, 60, bounds) == _plain_run(system, 60, bounds)
+
+
+# period 1: no vesicle holds c, so the rule never fires
+STILL = """SYSTEM TP
+ALPHABET a b c
+TERMINAL a
+CELLS 2
+OUTPUT 2
+AXIOM 1 {a}
+AXIOM 2 {a}
+AXIOM 2 {a b}
+RULE 1 DRIP1 (. | c | . ; a , .) -> 2
+"""
+
+# period 2 without empty vesicles: {a} moves from cell 1 to cell 2 and back
+BOUNCE = """SYSTEM TP
+ALPHABET a
+TERMINAL a
+CELLS 2
+OUTPUT 2
+AXIOM 1 {a}
+RULE 1 DRIP1 (. | a | . ; a , .) -> 2
+RULE 2 DRIP1 (. | a | . ; a , .) -> 1
+"""
+
+
+def _counted_steps(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr("matedrip.tp.tp_step", lambda *args: calls.append(1) or tp_step(*args))
+    return calls
+
+
+@pytest.mark.parametrize("text, keep_empty, calls, sizes", [
+    (STILL, True, 2, [(1, 2)] * 21),
+    (BOUNCE, False, 4, [(1, 0), (0, 1)] * 10 + [(1, 0)]),
+], ids=["still", "bounce"])
+def test_run_of_a_periodic_system(text, keep_empty, calls, sizes, monkeypatch):
+    system, bounds = parse_tp(text), Bounds(keep_empty=keep_empty)
+    assert tp_run(system, 20, bounds) == _plain_run(system, 20, bounds)
+    made = _counted_steps(monkeypatch)
+    results, trace = tp_run(system, 20, bounds)
+    assert (results, list(trace.populations), trace.steps) == ({ms("a")}, sizes, 20)
+    assert len(made) == calls
+
+
+def test_a_repeated_state_ends_the_stepping(even, eq, monkeypatch, tmp_path, capsys):
+    calls = _counted_steps(monkeypatch)
+    guarded = compile_machine(eq, "thm4", CompileOptions())
+    _, trace = tp_run(guarded, 60, Bounds(16, 30000, 300))
+    assert len(calls) <= 53 and len(trace.populations) == 61 and trace.steps == 60
+
+    calls.clear()
+    faithful = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    _, trace = tp_run(faithful, 40, Bounds(12, 20000, 200))
+    assert len(calls) == 40 and len(trace.populations) == 41
+
+    calls.clear()
+    results, trace = tp_run(parse_tp(BOUNCE), 10**6, Bounds(keep_empty=False))
+    assert len(calls) == 4 and results == {ms("a")}
+    assert len(trace.populations) == 10**6 + 1 and trace.populations[-2:] == ((0, 1), (1, 0))
+
+    path = tmp_path / "bounce.tp"
+    path.write_text(BOUNCE)
+    assert main(["run", str(path), "--max-steps", str(10**6), "--no-keep-empty"]) == 0
+    assert capsys.readouterr().out == "a\n"
+
+
+@pytest.mark.parametrize("max_steps", [-1, True, False, 2.5, "3", None])
+def test_run_refuses_a_step_budget_that_is_no_count(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        tp_run(parse_tp(BOUNCE), max_steps, Bounds())
 
 
 def test_validate_tp():

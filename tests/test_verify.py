@@ -65,6 +65,13 @@ def test_negative_max_steps_is_refused(even, construction):
                    bounds=Bounds(6, 500, 20), max_steps=-5)
 
 
+@pytest.mark.parametrize("max_steps", [True, 2.5])
+def test_a_step_budget_that_is_no_int_is_refused(even, max_steps):
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        run_verify(even, "even.rm", "thm4", bound=2, fuel=100,
+                   bounds=Bounds(6, 500, 20), max_steps=max_steps)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: thm4's cell-3 zero check takes a "
                    "zero guess about one register while another is nonzero")
 def test_thm4_zero_test_beside_a_nonzero_register():
