@@ -13,10 +13,12 @@ compartment's new vesicles are filed in one `OperandIndex.extend` call on
 an empty copy of its index, and a fill that fits the cap is a set union.
 A fill that the cap cuts sorts only the compartment it splits, by the text
 `Codec.render` writes straight from the packed fields.
-A closure round joins that batch against the index and keeps its mate operands.
-The index files a vesicle by the plan of its support signature, the
-symbols named in the rules' needs that it holds, so a need is tested per
-vesicle only when it asks for some symbol more than once.
+The index keeps each need side's operands in a slot of its own.  A
+closure round joins that batch against the index and keeps its mate
+operands, and it and the tissue step reach only the rules whose slots the
+batch filed into.  The index files a vesicle by the plan of its support
+signature, the symbols named in the rules' needs that it holds, so a need
+is tested per vesicle only when it asks for some symbol more than once.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission, the population-capped fill and the
@@ -257,11 +259,13 @@ def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple
 class OperandIndex:
     """The operands of a compartment's packed rules.
 
-    `operands[rule]` holds, for a mate rule, its (left, right) operands and,
-    for a drip rule, the vesicles that contain its need, as size -> packed
-    vesicles maps.  A batch of vesicles is filed by one `extend` call on an
-    `empty()` copy, whose mate operands `rule_productions` appends to its
-    tube's index.  A rule given twice is indexed once.
+    Each need side owns a slot: a mate rule two, its left then its right,
+    and a drip rule one, the vesicles that contain its need.  `_slots[i]`
+    holds slot i's operands as a size -> packed vesicles map, and
+    `_layout` maps each packed rule, in the order given, to (whether it is
+    a mate, its first slot); a rule given twice is indexed once.  A batch
+    of vesicles is filed by one `extend` call on an `empty()` copy, whose
+    mate operands `rule_productions` appends to its tube's index.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions.  The first
@@ -273,44 +277,40 @@ class OperandIndex:
     """
 
     def __init__(self, codec: Codec, rules=()):
-        self._rules = list(dict.fromkeys(rules))
         self._codec = codec
-        self._sides: list[tuple[PackedMate | PackedDrip, int | None]] = []  # by slot
+        self._layout: dict[PackedMate | PackedDrip, tuple[bool, int]] = {}
         # per slot: (guard bits of the need's support, (the packed need to
         # test per vesicle, or 0 when holding the support is enough, slot))
         self._entries: list[tuple[int, tuple[int, int]]] = []
         self._relevant = 0  # the guard bits of every symbol some need mentions
-        for rule in self._rules:
-            if isinstance(rule, PackedMate):
-                sides = ((rule.rule._left_need, rule.left, 0), (rule.rule._right_need, rule.right, 1))
-            else:
-                sides = ((rule.rule._need, rule.need, None),)
-            for need, packed, side in sides:
+        for rule in dict.fromkeys(rules):
+            mate = isinstance(rule, PackedMate)
+            self._layout[rule] = mate, len(self._entries)
+            sides = (((rule.rule._left_need, rule.left), (rule.rule._right_need, rule.right))
+                     if mate else ((rule.rule._need, rule.need),))
+            for need, packed in sides:
                 support = codec.mask(need.support) & codec.guards
                 test = packed if len(need) > len(need.support) else 0
-                self._entries.append((support, (test, len(self._sides))))
-                self._sides.append((rule, side))
+                self._entries.append((support, (test, len(self._entries))))
                 self._relevant |= support
         # signature -> plan, a tuple of (need, slot) entries made from a list:
         # one made from a generator is resized, growing CPython's tuple free lists
         self._plans: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._bind()
+        self._slots = [defaultdict(list) for _ in self._entries]
 
-    def _bind(self):
-        """Give every rule empty operand maps, `_slots[i]` that of slot i."""
-        self.operands: dict[PackedMate | PackedDrip, tuple[dict, dict] | dict] = {
-            rule: (defaultdict(list), defaultdict(list)) if isinstance(rule, PackedMate)
-            else defaultdict(list)
-            for rule in self._rules}
-        self._slots = [self.operands[rule] if side is None else self.operands[rule][side]
-                       for rule, side in self._sides]
+    @property
+    def operands(self) -> dict:
+        """The slots by rule: a mate rule's (left, right) maps, a drip rule's map."""
+        slots = self._slots
+        return {rule: (slots[i], slots[i + 1]) if mate else slots[i]
+                for rule, (mate, i) in self._layout.items()}
 
     def empty(self) -> "OperandIndex":
         """An index over the same rules that holds no vesicles and shares
         this one's plans."""
         index = object.__new__(OperandIndex)
         index.__dict__.update(self.__dict__)
-        index._bind()
+        index._slots = [defaultdict(list) for _ in self._entries]
         return index
 
     def extend(self, vesicles):
@@ -338,13 +338,11 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
     """Add to `out` the admitted fusions of every left × right pair, given
     size -> operands maps that hold only operands the rule applies to.
 
-    Only pairs whose fusion fits max_size are fused, and the size of a
-    fusion follows from the bucket sizes.  Returns whether some pair was
-    left out because its fusion is oversize; that follows from the largest
-    sizes alone, so no such pair is visited.
+    Both maps must hold operands.  Only pairs whose fusion fits max_size
+    are fused, and the size of a fusion follows from the bucket sizes.
+    Returns whether some pair was left out because its fusion is oversize;
+    that follows from the largest sizes alone, so no such pair is visited.
     """
-    if not lefts or not rights:
-        return False
     room = bounds.max_size - rule.dsize
     sizes = sorted(rights)
     shifted = {}
@@ -364,8 +362,9 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
 
 def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
          codec: Codec, kernels) -> bool:
-    """Add to `out` the admitted products of a drip rule on packed vesicles
-    of `size` that contain its need.  Returns whether a product was oversize.
+    """Add to `out` the admitted products of a drip rule on a non-empty list
+    of packed vesicles of `size` that contain its need.  Returns whether a
+    product was oversize.
     A one-sided rule fires only if its first products, all of one size, are kept.
 
     `kernels` is (apply_drip1, apply_drip), called once per firing on the
@@ -373,8 +372,6 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     with the vesicle's size and the codec, for a two-sided one.
     """
     apply_drip1, apply_drip = kernels
-    if not vesicles:
-        return False
     if rule.rule.one_sided:
         first_size = size + rule.dsize
         if bounds.keeps(first_size):
@@ -400,24 +397,31 @@ def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds:
     copy of `index` that holds the new vesicles, and extend `index` with
     the batch's mate operands.
 
-    Mates are evaluated semi-naively: new left operands against old right
-    operands, then every left operand, old and new, against the new right
-    ones.  A drip fires on the batch's buckets; no later round reads its
-    operands, so `index` keeps none.  Returns whether a result was left
-    out for size.
+    Only a rule the batch filed an operand for does any work.  Mates are
+    evaluated semi-naively: new left operands against old right operands,
+    then every left operand, old and new, against the new right ones, each
+    join made only when both its sides hold operands.  A drip fires on the
+    batch's buckets; no later round reads its operands, so `index` keeps
+    none.  Returns whether a result was left out for size.
     """
     cut = False
-    for (rule, old), new in zip(index.operands.items(), batch.operands.values()):
-        if isinstance(rule, PackedMate):
-            if join(rule, new[0], old[1], bounds, out):
-                cut = True
-            for operands, added in zip(old, new):
+    old, new = index._slots, batch._slots
+    for rule, (mate, i) in index._layout.items():
+        if mate:
+            lefts, rights, added = old[i], old[i + 1], new[i]
+            if added:
+                if rights and join(rule, added, rights, bounds, out):
+                    cut = True
                 for size, vesicles in added.items():
-                    operands[size] += vesicles
-            if join(rule, old[0], new[1], bounds, out):
-                cut = True
+                    lefts[size] += vesicles
+            added = new[i + 1]
+            if added:
+                for size, vesicles in added.items():
+                    rights[size] += vesicles
+                if lefts and join(rule, lefts, added, bounds, out):
+                    cut = True
         else:
-            for size, bucket in new.items():
+            for size, bucket in new[i].items():
                 if drip(rule, size, bucket, bounds, out, codec, kernels):
                     cut = True
     return cut

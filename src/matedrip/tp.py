@@ -15,11 +15,11 @@ from itertools import cycle, islice
 from pathlib import Path
 
 from .engine import (
-    Bounds, Codec, OperandIndex, PackedMate, admissible, drip, fill, join, lazy_field)
+    Bounds, Codec, OperandIndex, admissible, drip, fill, join, lazy_field)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset
 from .rules import Rule, apply_mate, parse_rule
-from .tts import FormatError, parse_number, parse_system, split_head
+from .tts import MAX_STEPS, FormatError, parse_number, parse_system, split_head
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
@@ -112,11 +112,12 @@ class _Packed:
 
     `cells[c]` holds the packed vesicles of cell c and `log` those of the
     result log.  `anchored[c]` holds an empty operand index over the rules
-    anchored at cell c and the (packed rule, target cell) pairs of those
-    rules.  Each step files a cell into a copy of that index, and the
-    copies share its plans, so a support signature is planned once per
-    run.  `nonterminal` masks the symbols a result may not hold.  Valid
-    for the system whose (alphabet, terminal, rules) is `source`.
+    anchored at cell c and those rules' firings as (packed rule, whether it
+    is a mate, its first slot in the index, target cell).  Each step files
+    a cell into a copy of that index, and the copies share its plans, so a
+    support signature is planned once per run.  `nonterminal` masks the
+    symbols a result may not hold.  Valid for the system whose (alphabet,
+    terminal, rules) is `source`.
     """
 
     __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log")
@@ -155,8 +156,10 @@ def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
     firings: dict[int, list] = {}
     for tp in system.rules:
         firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
-    anchored = {src: (OperandIndex(codec, [rule for rule, _ in pairs]), pairs)
-                for src, pairs in firings.items()}
+    anchored = {}
+    for src, pairs in firings.items():
+        index = OperandIndex(codec, [rule for rule, _ in pairs])
+        anchored[src] = (index, [(rule, *index._layout[rule], target) for rule, target in pairs])
     cells = [frozenset(map(codec.encode, cell)) for cell in state.contents]
     log = frozenset(map(codec.encode, state.result_log))
     return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
@@ -205,19 +208,19 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
             continue
         index = template.empty()
         index.extend(cell)
-        for rule, target in firings:
-            operands, out = index.operands[rule], arrivals[target]
-            if isinstance(rule, PackedMate):
-                lefts, rights = operands
+        slots = index._slots
+        for rule, mate, i, target in firings:
+            if mate:
+                lefts, rights = slots[i], slots[i + 1]
                 if lefts and rights:
                     for bucket in (*lefts.values(), *rights.values()):
                         used[src].update(bucket)
-                    if join(rule, lefts, rights, bounds, out):
+                    if join(rule, lefts, rights, bounds, arrivals[target]):
                         pruned = True
             else:
-                for size, bucket in operands.items():
+                for size, bucket in slots[i].items():
                     used[src].update(bucket)
-                    if drip(rule, size, bucket, bounds, out, codec, kernels):
+                    if drip(rule, size, bucket, bounds, arrivals[target], codec, kernels):
                         pruned = True
 
     kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
@@ -236,9 +239,11 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
 
 
 def check_steps(max_steps) -> None:
-    """Refuse a step budget that is not an int >= 0, as `Bounds` refuses its limits."""
+    """Refuse a step budget that is not an int from 0 to MAX_STEPS, as `Bounds` does."""
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise ValueError(f"max_steps must be non-negative and an int, not {max_steps!r}")
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps {max_steps} is over the limit of {MAX_STEPS}")
 
 
 def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Multiset], TPTrace]:

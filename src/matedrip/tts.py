@@ -302,6 +302,8 @@ def directives(text: str):
 # the file is parsed, and decoding a closure state's tubes compares every
 # pair of them.
 MAX_COMPARTMENTS = 1000
+# The largest tissue step budget: a run's trace keeps a population per step.
+MAX_STEPS = 1_000_000
 
 # The only directives a system file may give more than once.
 _REPEATABLE = frozenset({"AXIOM", "RULE", "FILTER"})

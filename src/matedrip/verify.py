@@ -21,7 +21,7 @@ from .compilers import CompileOptions, compile_machine, term_symbol
 from .multiset import Multiset
 from .regmach import RegisterMachine, enumerate_accepted
 from .tp import TissueSystem, check_steps, tp_run
-from .tts import Bounds, closure, results_of_state
+from .tts import MAX_STEPS, Bounds, closure, results_of_state
 
 Vector = tuple[int, ...]
 
@@ -90,6 +90,9 @@ def run_verify(
     check_stability: bool = True,
 ) -> VerifyReport:
     check_steps(max_steps)
+    loose_steps = max_steps + 10  # the stability re-run's step budget
+    if check_stability and loose_steps > MAX_STEPS:
+        raise ValueError(f"max_steps {max_steps} takes the stability re-run over {MAX_STEPS} steps")
     k = machine.inputs
     system = compile_machine(machine, construction, opts)
     oracle = frozenset(enumerate_accepted(machine, bound, fuel))
@@ -100,7 +103,7 @@ def run_verify(
 
     pruned = False
     if check_stability:
-        loose_raw, _ = _system_vectors(system, k, bounds.loosened(), max_steps + 10)
+        loose_raw, _ = _system_vectors(system, k, bounds.loosened(), loose_steps)
         loose_boxed = {v for v in loose_raw if all(c <= bound for c in v)}
         pruned = boxed != loose_boxed
 

@@ -3,10 +3,13 @@ reference: the rule kernels of `rules.py`, `_naive_closure` and
 `_naive_tp_step`."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import matedrip.engine
+import matedrip.tp
 import matedrip.tts
 from conftest import SYMBOLS, small_multisets, small_rules
 from matedrip import (
@@ -25,9 +28,11 @@ from matedrip import (
     initial_state,
     is_fixpoint,
     parse_rule,
+    tp_run,
     tp_step,
 )
-from matedrip.engine import Codec, OperandIndex, drip1, drip2, fill, rule_productions
+from matedrip.engine import (
+    Codec, OperandIndex, drip, drip1, drip2, fill, join, rule_productions)
 from matedrip.tts import _productions
 from test_tp import _naive_tp_step, system_of
 from test_tts import _assert_matches_reference, _naive_productions, one_tube
@@ -243,6 +248,67 @@ def test_semi_naive_fold_matches_one_batch(rules, pool, max_size, keep_empty, da
     naive = {v for _, v in _naive_productions(one_tube(rules, [], SYMBOLS), [pool])}
     assert {codec.decode(v) for v in out} == {v for v in naive if bounds.keeps(len(v))}
     assert cut == any(len(v) > max_size for v in naive)
+
+
+def _no_call(*args):
+    raise AssertionError("a batch that filed no operand reached a rule")
+
+
+@settings(max_examples=100)
+@given(st.lists(small_rules(SYMBOLS), min_size=1, max_size=5),
+       st.lists(small_multisets(SYMBOLS, 4), unique=True, max_size=14),
+       st.lists(small_multisets(SYMBOLS + ("z",), 4), unique=True, min_size=1, max_size=8),
+       st.integers(1, 8))
+def test_a_batch_that_files_into_no_rule_changes_nothing(rules, pool, strays, max_size):
+    # after a batch of the pool, a batch whose vesicles hold no rule's need
+    # reaches neither join nor drip and leaves the productions, the cut and
+    # the index's mate operands as they were
+    rules = [rule for rule in rules if all(_needs(rule))]
+    strays = [v for v in strays
+              if not any(v.contains(need) for rule in rules for need in _needs(rule))]
+    codec = Codec(SYMBOLS + ("z",), rules, max(4, max_size))
+    bounds = Bounds(max_size)
+    index = OperandIndex(codec, map(codec.compile, rules))
+    out = set()
+
+    def file(vesicles):
+        batch = index.empty()
+        batch.extend(map(codec.encode, vesicles))
+        return rule_productions(index, batch, out, bounds, codec, (drip1, drip2))
+
+    file(pool)
+    before = set(out), {key: {size: list(bucket) for size, bucket in operands.items()}
+                        for key, operands in _buckets(index).items()}
+    with mock.patch.object(matedrip.engine, "join", _no_call), \
+            mock.patch.object(matedrip.engine, "drip", _no_call):
+        assert not file(strays)
+    assert (out, _buckets(index)) == before
+
+
+def test_joins_and_drips_get_operands(monkeypatch, even):
+    # both engines call join with two non-empty maps and drip with a
+    # non-empty bucket, and do call each
+    calls = []
+
+    def spy_join(rule, lefts, rights, *rest):
+        assert lefts and rights
+        calls.append("join")
+        return join(rule, lefts, rights, *rest)
+
+    def spy_drip(rule, size, vesicles, *rest):
+        assert vesicles
+        calls.append("drip")
+        return drip(rule, size, vesicles, *rest)
+
+    for module in (matedrip.engine, matedrip.tp):
+        monkeypatch.setattr(module, "join", spy_join)
+        monkeypatch.setattr(module, "drip", spy_drip)
+    faithful = compile_machine(even, "thm1", CompileOptions(fidelity="faithful"))
+    assert closure(faithful, Bounds(10, 6000, 400)).population == 6000
+    assert "join" in calls
+    calls.clear()
+    tp_run(compile_machine(even, "thm4"), 40, Bounds(12, 20000, 200))
+    assert set(calls) == {"join", "drip"}
 
 
 @pytest.mark.parametrize("keep_empty", [True, False])

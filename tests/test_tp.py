@@ -36,6 +36,7 @@ from matedrip import (
 )
 from matedrip.cli import main
 from matedrip.engine import Codec
+from matedrip.tts import MAX_STEPS
 from test_compilers import rand_machine
 
 
@@ -537,6 +538,18 @@ def test_a_repeated_state_ends_the_stepping(even, eq, monkeypatch, tmp_path, cap
 def test_run_refuses_a_step_budget_that_is_no_count(max_steps):
     with pytest.raises(ValueError, match="max_steps must be non-negative"):
         tp_run(parse_tp(BOUNCE), max_steps, Bounds())
+
+
+def test_run_refuses_a_step_budget_over_the_limit(tmp_path, capsys):
+    # the trace keeps one population tuple per step, so a budget is capped;
+    # 10**6 itself runs (test_a_repeated_state_ends_the_stepping)
+    with pytest.raises(ValueError, match="max_steps 1000001 is over the limit of 1000000"):
+        tp_run(parse_tp(BOUNCE), MAX_STEPS + 1, Bounds())
+    path = tmp_path / "bounce.tp"
+    path.write_text(BOUNCE)
+    assert main(["run", str(path), "--max-steps", str(MAX_STEPS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert "max_steps 1000001 is over the limit" in captured.err and captured.out == ""
 
 
 def test_validate_tp():

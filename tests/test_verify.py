@@ -1,8 +1,11 @@
 import pytest
 
+from conftest import machine_path
 from matedrip import Bounds
+from matedrip.cli import main
 from matedrip.compilers import CompileOptions
 from matedrip.regmach import parse_machine
+from matedrip.tts import MAX_STEPS
 from matedrip.verify import format_report, run_verify, vector_of
 from matedrip import Multiset
 
@@ -70,6 +73,19 @@ def test_a_step_budget_that_is_no_int_is_refused(even, max_steps):
     with pytest.raises(ValueError, match="max_steps must be non-negative"):
         run_verify(even, "even.rm", "thm4", bound=2, fuel=100,
                    bounds=Bounds(6, 500, 20), max_steps=max_steps)
+
+
+def test_a_step_budget_whose_rerun_passes_the_limit_is_refused(even, capsys):
+    # the stability re-run takes 10 more steps, so a budget within 10 of
+    # MAX_STEPS is refused, and the message names the budget given
+    message = "max_steps 999991 takes the stability re-run over 1000000 steps"
+    for construction in ("thm1", "thm4"):
+        with pytest.raises(ValueError, match=message):
+            run_verify(even, "even.rm", construction, bound=2, fuel=100,
+                       bounds=Bounds(6, 500, 20), max_steps=MAX_STEPS - 9)
+    assert main(["verify", "thm4", machine_path("even.rm"), "--max-steps", "999991"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: thm4's cell-3 zero check takes a "
