@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
-from .multiset import is_number
+from .multiset import directives, is_number
 from .regmach import enumerate_accepted, load_machine, run
 from .tp import TissueSystem, check_steps, parse_tp, render_tp, tp_run, validate_tp
-from .tts import Bounds, closure, directives, parse_tts, render_tts, results_of_state
+from .tts import Bounds, closure, parse_tts, render_tts, results_of_state
 from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
 
 
@@ -54,7 +54,7 @@ def _load_system(path: str):
     """Parse a `.tp` file if its first directive is `SYSTEM TP`, else a `.tts` file."""
     text = Path(path).read_text(encoding="utf-8")
     _, head, rest = next(directives(text), (0, "", ""))
-    return parse_tp(text) if (head, rest.upper()) == ("SYSTEM", "TP") else parse_tts(text)
+    return parse_tp(text) if (head.upper(), rest.upper()) == ("SYSTEM", "TP") else parse_tts(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,40 @@ def is_reserved(name: str) -> bool:
     return name.startswith(RESERVED_PREFIX)
 
 
+# -- the line skeleton of the .rm, .tts and .tp file formats -----------------
+
+
+def parse_number(token: str) -> int:
+    """A count, index or register number, which must be ASCII digits."""
+    if not is_number(token):
+        raise MultisetError(f"expected a number, got {token!r}")
+    return int(token)
+
+
+def split_head(text: str) -> tuple[str, str]:
+    """(first word, stripped rest) of `text`, split on any whitespace."""
+    words = text.split(None, 1)
+    return (words[0], words[1].strip()) if len(words) == 2 else (text.strip(), "")
+
+
+def directives(text: str):
+    """(line number, head, rest) of every line that is not blank once its
+    `#` comment is stripped.  The head keeps its case."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, *split_head(line)
+
+
+def located(problems: list[tuple], at: dict) -> str:
+    """One message for (where, problem) pairs: `line N: problem` for each
+    `where` that `at` maps to a line N, in line order, then the problems
+    of the file as a whole."""
+    lines = sorted((at[where], problem) for where, problem in problems if where in at)
+    return "; ".join([f"line {n}: {problem}" for n, problem in lines]
+                     + [problem for where, problem in problems if where not in at])
+
+
 def _checked_size(size: int) -> int:
     """`size`, refused with MultisetError above sys.maxsize, which len()
     could not return."""

@@ -3,6 +3,10 @@
 A machine accepts an input vector when it reaches HALT from the start label
 with registers 1..k loaded; rejection is operational (non-halting), so every
 run carries an explicit fuel budget.
+
+`.rm` files are read through `multiset.directives`, the line reader of the
+`.tts` and `.tp` formats too, and every problem that belongs to a line,
+such as an undefined target label, names it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .multiset import check_symbol, is_number, is_reserved
+from .multiset import check_symbol, directives, is_reserved, located, parse_number
 
 
 class MachineError(ValueError):
@@ -60,10 +64,11 @@ class RegisterMachine:
 
     def _problems(self) -> list[tuple[str | None, str]]:
         """(where, problem) pairs; `where` is the label of the instruction at
-        fault, "INPUTS", "START", or None for the machine as a whole."""
+        fault, "REGISTERS", "INPUTS", "START", or None for the machine as a
+        whole."""
         problems = []
         if self.registers < 1:
-            problems.append((None, "register count must be positive"))
+            problems.append(("REGISTERS", "register count must be positive"))
         if not 0 <= self.inputs <= self.registers:
             problems.append(
                 ("INPUTS", f"input arity {self.inputs} exceeds register count {self.registers}"))
@@ -191,80 +196,56 @@ def normalize_clearing(machine: RegisterMachine) -> RegisterMachine:
 
 # The most registers a machine file may declare: thm1 and cor3 texts grow as the count squared.
 MAX_REGISTERS = 1000
+# What each declaration line gives, as its error message names it.
+_DECLARATIONS = {"REGISTERS": "n", "INPUTS": "k", "START": "label"}
 
 
 def parse_machine(text: str) -> RegisterMachine:
     """Line format: REGISTERS n / INPUTS k / START l / label ADD r next /
-    label SUB r nonzero zero / label HALT.  '#' starts a comment."""
-    registers = inputs = None
-    start = None
+    label SUB r nonzero zero / label HALT.  '#' starts a comment.  Errors
+    carry their line number, and so do the problems `_problems` ties to a
+    declaration or an instruction label."""
+    declared: dict[str, int | str] = {}  # the value of REGISTERS, INPUTS and START
     instructions: dict[str, Instruction] = {}
-    at: dict[str, int] = {}  # line of each instruction label, INPUTS and START
-
-    def fail(lineno, msg):
-        raise MachineError(f"line {lineno}: {msg}")
-
-    def number(lineno, token):
+    at: dict[str, int] = {}  # line of each declaration and instruction label
+    for lineno, label, rest in directives(text):
+        tokens = rest.split()
+        head = label.upper()
         try:
-            return int(token)
-        except ValueError as exc:  # a numeral past int's digit limit
-            fail(lineno, str(exc))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0].upper()
-        if head == "REGISTERS":
-            if registers is not None or len(tokens) != 2 or not is_number(tokens[1]):
-                fail(lineno, "expected a single REGISTERS <n> line")
-            registers = number(lineno, tokens[1])
-            if registers > MAX_REGISTERS:
-                fail(lineno, f"REGISTERS {registers} is over the limit of {MAX_REGISTERS}")
-        elif head == "INPUTS":
-            if inputs is not None or len(tokens) != 2 or not is_number(tokens[1]):
-                fail(lineno, "expected a single INPUTS <k> line")
-            inputs, at["INPUTS"] = number(lineno, tokens[1]), lineno
-        elif head == "START":
-            if start is not None or len(tokens) != 2:
-                fail(lineno, "expected a single START <label> line")
-            start, at["START"] = tokens[1], lineno
-        else:
-            label = tokens[0]
-            try:
-                check_symbol(label)
-            except ValueError as exc:
-                fail(lineno, str(exc))
-            if is_reserved(label):
-                fail(lineno, f"label {label!r} uses the reserved '@' prefix")
-            if label in instructions:
-                fail(lineno, f"duplicate label {label!r}")
-            at[label] = lineno
-            op = tokens[1].upper() if len(tokens) > 1 else ""
-            if op == "ADD" and len(tokens) == 4 and is_number(tokens[2]):
-                instructions[label] = Add(number(lineno, tokens[2]), tokens[3])
-            elif op == "SUB" and len(tokens) == 5 and is_number(tokens[2]):
-                instructions[label] = Sub(number(lineno, tokens[2]), tokens[3], tokens[4])
-            elif op == "HALT" and len(tokens) == 2:
-                instructions[label] = Halt()
+            if head in _DECLARATIONS:
+                if head in declared or len(tokens) != 1:
+                    raise MachineError(f"expected a single {head} <{_DECLARATIONS[head]}> line")
+                declared[head] = tokens[0] if head == "START" else parse_number(tokens[0])
+                at[head] = lineno
+                if head == "REGISTERS" and declared[head] > MAX_REGISTERS:
+                    raise MachineError(f"REGISTERS {declared[head]} is over the limit of {MAX_REGISTERS}")
             else:
-                fail(lineno, f"unrecognized instruction: {line!r}")
+                check_symbol(label)
+                if is_reserved(label):
+                    raise MachineError(f"label {label!r} uses the reserved '@' prefix")
+                if label in instructions:
+                    raise MachineError(f"duplicate label {label!r}")
+                at[label] = lineno
+                op = tokens[0].upper() if tokens else ""
+                if op == "ADD" and len(tokens) == 3:
+                    instructions[label] = Add(parse_number(tokens[1]), tokens[2])
+                elif op == "SUB" and len(tokens) == 4:
+                    instructions[label] = Sub(parse_number(tokens[1]), tokens[2], tokens[3])
+                elif op == "HALT" and len(tokens) == 1:
+                    instructions[label] = Halt()
+                else:
+                    raise MachineError(f"unrecognized instruction: {f'{label} {rest}'.strip()!r}")
+        except ValueError as exc:  # MultisetError included
+            raise MachineError(f"line {lineno}: {exc}") from exc
 
-    if registers is None:
-        raise MachineError("missing REGISTERS line")
-    if inputs is None:
-        raise MachineError("missing INPUTS line")
-    if start is None:
-        raise MachineError("missing START line")
-    machine = RegisterMachine(registers, inputs, start, instructions)
+    for head in _DECLARATIONS:
+        if head not in declared:
+            raise MachineError(f"missing {head} line")
+    machine = RegisterMachine(
+        declared["REGISTERS"], declared["INPUTS"], declared["START"], instructions)
     problems = machine._problems()
     if problems:
-        # the problems of one line first, in line order
-        located = sorted((at[where], problem) for where, problem in problems if where in at)
-        raise MachineError("; ".join(
-            [f"line {n}: {problem}" for n, problem in located]
-            + [problem for where, problem in problems if where not in at]))
+        raise MachineError(located(problems, at))
     return machine
 
 

@@ -17,9 +17,9 @@ from pathlib import Path
 from .engine import (
     Bounds, Codec, OperandIndex, admissible, drip, fill, join, lazy_field)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset
+from .multiset import Multiset, located, parse_number, split_head
 from .rules import Rule, apply_mate, parse_rule
-from .tts import MAX_STEPS, FormatError, parse_number, parse_system, split_head
+from .tts import FormatError, parse_system
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
@@ -80,30 +80,40 @@ class TPTrace:
 
 def validate_tp(system: TissueSystem) -> tuple[list[str], list[str]]:
     """Returns (violations, warnings)."""
-    problems: list[str] = []
+    problems, warnings = _problems(system)
+    return [problem for _, problem in problems], warnings
+
+
+def _problems(system: TissueSystem) -> tuple[list[tuple], list[str]]:
+    """(violations, warnings); each violation is a (where, problem) pair,
+    `where` being "CELLS", "TERMINAL", "OUTPUT", ("AXIOM", cell, axiom),
+    ("RULE", k) for the k-th rule, or None for the system as a whole."""
+    problems: list[tuple] = []
     warnings: list[str] = []
     n = system.cells
     if n < 1:
-        problems.append("cell count must be positive")
+        problems.append(("CELLS", "cell count must be positive"))
     if len(system.axioms) != n:
-        problems.append("axiom sequence must have one entry per cell")
+        problems.append((None, "axiom sequence must have one entry per cell"))
     if not system.terminal <= system.alphabet:
-        problems.append("terminal alphabet must be a subset of the alphabet")
+        problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     if not 1 <= system.output_cell <= n:
-        problems.append(f"output cell {system.output_cell} out of range")
+        problems.append(("OUTPUT", f"output cell {system.output_cell} out of range"))
     for c, axioms in enumerate(system.axioms, start=1):
         for ax in axioms:
             extra = ax.support - system.alphabet
             if extra:
-                problems.append(f"cell {c} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}")
-    for tp in system.rules:
+                problems.append((("AXIOM", c, ax),
+                                 f"cell {c} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}"))
+    for k, tp in enumerate(system.rules):
         if not (1 <= tp.source <= n and 1 <= tp.target <= n):
-            problems.append(f"rule {tp.source}: {tp.render()} references a cell out of range")
+            problems.append((("RULE", k), f"rule {tp.source}: {tp.render()} references a cell out of range"))
         elif tp.source == tp.target:
             warnings.append(f"rule {tp.source}: {tp.render()} keeps results in its own cell")
         extra = tp.rule.symbols() - system.alphabet
         if extra:
-            problems.append(f"rule {tp.source}: {tp.render()} uses symbols outside the alphabet: {sorted(extra)}")
+            problems.append((("RULE", k),
+                             f"rule {tp.source}: {tp.render()} uses symbols outside the alphabet: {sorted(extra)}"))
     return problems, warnings
 
 
@@ -167,15 +177,28 @@ def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
+    """The axioms `bounds` admits, placed by `fill` as a step places its
+    arrivals, so the population cap holds from step 0.  The state holds
+    only its packed form."""
     contents: list[set[Multiset]] = [set() for _ in range(system.cells)]
     admitted, pruned = admissible(
         ((c, v) for c in range(system.cells) for v in system.axioms[c]), bounds)
     for c, v in admitted:
         contents[c].add(v)
-    log = frozenset(
-        v for v in contents[system.output_cell - 1] if v.support <= system.terminal
-    )
-    return TPState(0, tuple(frozenset(c) for c in contents), log, pruned)
+    packed = _pack(system, TPState(0, tuple(map(frozenset, contents)), frozenset(), pruned), bounds)
+    cells, cut = fill(packed.cells, bounds, 0, packed.codec)
+    return _packed_state(system, packed, 0, pruned or cut, cells, packed.log)
+
+
+def _packed_state(system: TissueSystem, packed: _Packed, step: int, pruned: bool,
+                  cells: list, log: frozenset[int]) -> TPState:
+    """A state holding only its packed form: `cells`, and `log` with the
+    results in the output cell added."""
+    log = log | {v for v in cells[system.output_cell - 1] if not v & packed.nonterminal}
+    state = object.__new__(TPState)
+    state.__dict__.update(step=step, pruned=pruned, _packed=_Packed(
+        packed.source, packed.codec, packed.anchored, packed.nonterminal, cells, log))
+    return state
 
 
 def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
@@ -230,12 +253,11 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     pruned |= cut
     cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
 
-    results = {v for v in cells[system.output_cell - 1] if not v & packed.nonterminal}
-    log = packed.log | results
-    after = object.__new__(TPState)
-    after.__dict__.update(step=state.step + 1, pruned=pruned, _packed=_Packed(
-        packed.source, codec, packed.anchored, packed.nonterminal, cells, log))
-    return after
+    return _packed_state(system, packed, state.step + 1, pruned, cells, packed.log)
+
+
+# The largest tissue step budget: a run's trace keeps a population per step.
+MAX_STEPS = 1_000_000
 
 
 def check_steps(max_steps) -> None:
@@ -301,7 +323,7 @@ def parse_tp(text: str) -> TissueSystem:
     def on_output(rest):
         nonlocal output
         output = parse_number(rest)
-        return (output,)
+        return "OUTPUT", (output,)
 
     def on_rule(rest):
         idx, body = split_head(rest)
@@ -310,9 +332,9 @@ def parse_tp(text: str) -> TissueSystem:
             raise FormatError("rule must name a target cell: RULE i KIND (...) -> j")
         tp = TPRule(parse_number(idx), parse_rule(rule_text), parse_number(tgt.strip()))
         rules.append(tp)
-        return (tp.source, tp.target)
+        return ("RULE", len(rules) - 1), (tp.source, tp.target)
 
-    alphabet, terminal, cells, axioms = parse_system(
+    alphabet, terminal, cells, axioms, at = parse_system(
         text, "TP", "CELLS", {"OUTPUT": on_output, "RULE": on_rule})
     if alphabet is None or cells is None or output is None:
         raise FormatError("system must declare ALPHABET, CELLS and OUTPUT")
@@ -324,9 +346,9 @@ def parse_tp(text: str) -> TissueSystem:
         rules=tuple(rules),
         output_cell=output,
     )
-    problems, _ = validate_tp(system)
+    problems, _ = _problems(system)
     if problems:
-        raise FormatError("; ".join(problems))
+        raise FormatError(located(problems, at))
     return system
 
 

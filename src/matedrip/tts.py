@@ -4,6 +4,11 @@ Tubes hold sets of multiset-carrying vesicles.  Rules act inside tubes and
 never remove anything; vesicles whose support fits a filter flow to the
 target tube while copies remain.  The engine computes the least fixpoint of
 that monotone operator, truncated by explicit exploration bounds.
+
+`parse_system` is the reader shared by `.tts` and `.tp` files.  Like
+`regmach.parse_machine`, it reads lines through `multiset.directives` and
+reports the problems a validation finds through `multiset.located`, so
+every problem that belongs to a line names it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .engine import (
     Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, lazy_field,
     rule_productions)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset, is_number
+from .multiset import Multiset, directives, located, parse_number, split_head
 from .rules import Rule, apply_mate, parse_rule
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
@@ -98,36 +103,47 @@ TTSState.contents = lazy_field("contents", _Packed.contents)
 
 
 def validate_tts(system: TestTubeSystem) -> list[str]:
+    return [problem for _, problem in _problems(system)]
+
+
+def _problems(system: TestTubeSystem) -> list[tuple]:
+    """(where, problem) pairs; `where` is "TUBES", "TERMINAL", "OUTPUT",
+    ("AXIOM", tube, axiom), ("RULE", tube, k) for a tube's k-th rule,
+    ("FILTER", source, target, k) for a filter's k-th branch (k = 0 for the
+    problems of the filter as a whole), or None for the system as a whole."""
     problems = []
     n = system.tubes
     if n < 1:
-        problems.append("tube count must be positive")
+        problems.append(("TUBES", "tube count must be positive"))
     if len(system.axioms) != n or len(system.rules) != n:
-        problems.append("axiom/rule sequences must have one entry per tube")
+        problems.append((None, "axiom/rule sequences must have one entry per tube"))
     if not system.terminal <= system.alphabet:
-        problems.append("terminal alphabet must be a subset of the alphabet")
+        problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     for i in system.outputs:
         if not 1 <= i <= n:
-            problems.append(f"output tube {i} out of range")
+            problems.append(("OUTPUT", f"output tube {i} out of range"))
     for t, axioms in enumerate(system.axioms, start=1):
         for ax in axioms:
             extra = ax.support - system.alphabet
             if extra:
-                problems.append(f"tube {t} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}")
+                problems.append((("AXIOM", t, ax),
+                                 f"tube {t} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}"))
     for t, rules in enumerate(system.rules, start=1):
-        for rule in rules:
+        for k, rule in enumerate(rules):
             extra = rule.symbols() - system.alphabet
             if extra:
-                problems.append(f"tube {t} rule {rule.render()} uses symbols outside the alphabet: {sorted(extra)}")
+                problems.append((("RULE", t, k),
+                                 f"tube {t} rule {rule.render()} uses symbols outside the alphabet: {sorted(extra)}"))
     for i, filt, j in system.filters:
         if not (1 <= i <= n and 1 <= j <= n):
-            problems.append(f"filter ({i} -> {j}) references a tube out of range")
+            problems.append((("FILTER", i, j, 0), f"filter ({i} -> {j}) references a tube out of range"))
         if i == j:
-            problems.append(f"filter ({i} -> {j}) must connect two distinct tubes")
-        for branch in filt.branches:
+            problems.append((("FILTER", i, j, 0), f"filter ({i} -> {j}) must connect two distinct tubes"))
+        for k, branch in enumerate(filt.branches):
             extra = branch.allowed - system.alphabet
             if extra:
-                problems.append(f"filter ({i} -> {j}) uses symbols outside the alphabet: {sorted(extra)}")
+                problems.append((("FILTER", i, j, k),
+                                 f"filter ({i} -> {j}) uses symbols outside the alphabet: {sorted(extra)}"))
     return problems
 
 
@@ -275,35 +291,10 @@ def _parse_brace_group(text: str, what: str) -> str:
     return text[1:-1].strip()
 
 
-def parse_number(token: str) -> int:
-    """A count or compartment index, which must be ASCII digits."""
-    if not is_number(token):
-        raise FormatError(f"expected a number, got {token!r}")
-    return int(token)
-
-
-def split_head(text: str) -> tuple[str, str]:
-    """(first word, stripped rest) of `text`, split on any whitespace."""
-    words = text.split(None, 1)
-    return (words[0], words[1].strip()) if len(words) == 2 else (text.strip(), "")
-
-
-def directives(text: str):
-    """(line number, upper-cased head, rest) of every line that is not blank
-    once its `#` comment is stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            head, rest = split_head(line)
-            yield lineno, head.upper(), rest
-
-
 # The most compartments a system file may declare: each is allocated when
 # the file is parsed, and decoding a closure state's tubes compares every
 # pair of them.
 MAX_COMPARTMENTS = 1000
-# The largest tissue step budget: a run's trace keeps a population per step.
-MAX_STEPS = 1_000_000
 
 # The only directives a system file may give more than once.
 _REPEATABLE = frozenset({"AXIOM", "RULE", "FILTER"})
@@ -312,26 +303,29 @@ _REPEATABLE = frozenset({"AXIOM", "RULE", "FILTER"})
 def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
-    Strips `#` comments, checks `SYSTEM kind` and reads ALPHABET, TERMINAL,
-    the compartment count `count_head` (at most MAX_COMPARTMENTS) and AXIOM
-    lines.  Every other head goes to `handlers[head](rest)`, which returns
-    the compartment indices the line names.  Only AXIOM, RULE and FILTER
-    lines may repeat.  Errors carry their line number, and so does a
-    compartment index out of range once the count is known.  Returns
-    (alphabet, terminal, count, axioms by compartment index); the alphabet
-    and count are None when undeclared.
+    Checks `SYSTEM kind` and reads ALPHABET, TERMINAL, the compartment
+    count `count_head` (at most MAX_COMPARTMENTS) and AXIOM lines.  Every
+    other head goes to `handlers[head](rest)`, which returns the line's
+    `where` and the compartment indices the line names.  Only AXIOM, RULE
+    and FILTER lines may repeat.  Errors carry their line number, and so
+    does a compartment index out of range once the count is known.
+    Returns (alphabet, terminal, count, axioms by compartment index, at);
+    the alphabet and count are None when undeclared, and `at` maps each
+    head that may not repeat, each ("AXIOM", index, axiom) and each
+    handler's `where` to its line, for `located`.
     """
     alphabet = count = None
     terminal: frozenset[str] = frozenset()
     axioms: dict[int, set[Multiset]] = {}
     named: list[tuple[int, int]] = []  # (compartment index, line number)
-    seen: set[str] = set()
+    at: dict = {}
     for lineno, head, rest in directives(text):
+        head = head.upper()
         try:
-            if head in seen:
+            if head in at:
                 raise FormatError(f"duplicate {head} line")
             if head not in _REPEATABLE:
-                seen.add(head)
+                at[head] = lineno
             if head == "SYSTEM":
                 if rest.upper() != kind:
                     raise FormatError(f"expected SYSTEM {kind}, got {rest!r}")
@@ -346,11 +340,14 @@ def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple
             elif head == "AXIOM":
                 idx, body = split_head(rest)
                 idx = parse_number(idx)
-                axioms.setdefault(idx, set()).add(
-                    Multiset.parse(_parse_brace_group(body, "axiom")))
+                ax = Multiset.parse(_parse_brace_group(body, "axiom"))
+                axioms.setdefault(idx, set()).add(ax)
+                at.setdefault(("AXIOM", idx, ax), lineno)
                 named.append((idx, lineno))
             elif head in handlers:
-                named += [(idx, lineno) for idx in handlers[head](rest)]
+                where, indices = handlers[head](rest)
+                at[where] = lineno
+                named += [(idx, lineno) for idx in indices]
             else:
                 raise FormatError(f"unknown directive {head!r}")
         except ValueError as exc:  # MultisetError and RuleError included
@@ -359,7 +356,7 @@ def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple
         for idx, lineno in named:
             if not 1 <= idx <= count:
                 raise FormatError(f"line {lineno}: index {idx} out of range for {count_head} {count}")
-    return alphabet, terminal, count, axioms
+    return alphabet, terminal, count, axioms, at
 
 
 def parse_tts(text: str) -> TestTubeSystem:
@@ -370,13 +367,13 @@ def parse_tts(text: str) -> TestTubeSystem:
     def on_output(rest):
         nonlocal outputs
         outputs = frozenset(parse_number(tok) for tok in rest.split())
-        return outputs
+        return "OUTPUT", outputs
 
     def on_rule(rest):
         idx, body = split_head(rest)
         idx = parse_number(idx)
         rules.setdefault(idx, []).append(parse_rule(body))
-        return (idx,)
+        return ("RULE", idx, len(rules[idx]) - 1), (idx,)
 
     def on_filter(rest):
         src, arrow, tail = rest.partition("->")
@@ -389,9 +386,9 @@ def parse_tts(text: str) -> TestTubeSystem:
         branch = SupportFilter(frozenset(_parse_brace_group(body, "filter support").split()))
         ends = (parse_number(src.strip()), parse_number(tgt))
         filters.setdefault(ends, []).append(branch)
-        return ends
+        return ("FILTER", *ends, len(filters[ends]) - 1), ends
 
-    alphabet, terminal, tubes, axioms = parse_system(
+    alphabet, terminal, tubes, axioms, at = parse_system(
         text, "TTS", "TUBES", {"OUTPUT": on_output, "RULE": on_rule, "FILTER": on_filter})
     if alphabet is None or tubes is None:
         raise FormatError("system must declare ALPHABET and TUBES")
@@ -406,9 +403,9 @@ def parse_tts(text: str) -> TestTubeSystem:
         ),
         outputs=outputs,
     )
-    problems = validate_tts(system)
+    problems = _problems(system)
     if problems:
-        raise FormatError("; ".join(problems))
+        raise FormatError(located(problems, at))
     return system
 
 

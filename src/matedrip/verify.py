@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from .compilers import CompileOptions, compile_machine, term_symbol
 from .multiset import Multiset
 from .regmach import RegisterMachine, enumerate_accepted
-from .tp import TissueSystem, check_steps, tp_run
-from .tts import MAX_STEPS, Bounds, closure, results_of_state
+from .tp import MAX_STEPS, TissueSystem, check_steps, tp_run
+from .tts import Bounds, closure, results_of_state
 
 Vector = tuple[int, ...]
 

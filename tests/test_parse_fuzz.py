@@ -2,10 +2,10 @@
 
 Lines are directive-shaped (a known head followed by tokens that are
 sometimes valid and sometimes not) mixed with arbitrary text, blank lines
-and comments.  Only the parser's own error type may come out.  An error
-about one line starts with `line N:` naming a non-blank line; any other
-error must be one of the whole-file messages: a missing declaration or a
-problem found by validating the parsed machine or system.
+and comments.  Only the parser's own error type may come out.  Each
+problem in its message either starts with `line N:` naming a non-blank
+line or is a whole-file message: a missing declaration or a machine's HALT
+count.  The problems with a line come first, in line order.
 """
 
 import re
@@ -96,15 +96,30 @@ def _system_lines(kind, count_head, tp):
 tts_texts = _texts(_system_lines("TTS", "TUBES", tp=False))
 tp_texts = _texts(_system_lines("TP", "CELLS", tp=True))
 
+
+def _system_programs(kind, count_head, tp):
+    """Well-formed lines, so that parsing reaches validation: symbols outside
+    the alphabet in axioms, rules, filters and the terminal set, filters from
+    a tube to itself, and a count of 0."""
+    index = st.sampled_from(["1", "2"])
+    names = st.lists(st.sampled_from(["a", "b", "z"]), max_size=2).map(" ".join)
+    target = st.builds(" -> {}".format, index) if tp else st.just("")
+    lines = [st.builds("AXIOM {} {{{}}}".format, index, names),
+             st.builds("RULE {} DRIP1 (. | {} | . ; {} , .){}".format, index,
+                       st.sampled_from(["a", "z"]), names, target)]
+    if not tp:
+        lines.append(st.builds("FILTER {} -> {} SUPPORT {{{}}}".format, index, index, names))
+    head = f"SYSTEM {kind}\nOUTPUT 1\n"
+    return st.builds(
+        "{}\n{}".format,
+        st.sampled_from([head + f"ALPHABET a b\n{count_head} 2", head + f"ALPHABET a\n{count_head} 0",
+                         head + f"TERMINAL a z\nALPHABET a b\n\n{count_head} 2"]),
+        st.lists(st.one_of(*lines), max_size=5).map("\n".join))
+
 _LINE = re.compile(r"line (\d+): ")
 _MACHINE_WHOLE = re.compile(
-    r"missing (REGISTERS|INPUTS|START) line|register count must be positive"
-    r"|expected exactly one HALT instruction, found \d+")
-_SYSTEM_WHOLE = re.compile(
-    r"system must declare .*|(tube|cell) count must be positive"
-    r"|terminal alphabet must be a subset of the alphabet"
-    r"|.* uses symbols outside the alphabet: .*|filter \(\d+ -> \d+\) must connect two distinct tubes"
-    r"|rule \d+: .* keeps results in its own cell")
+    r"missing (?:REGISTERS|INPUTS|START) line|expected exactly one HALT instruction, found \d+")
+_SYSTEM_WHOLE = re.compile(r"system must declare .*")
 
 
 def _check(parse, error, whole_file, text):
@@ -112,14 +127,17 @@ def _check(parse, error, whole_file, text):
         parse(text)
     except error as exc:
         message = str(exc)
-        at = _LINE.match(message)
-        if at:
-            lines = text.splitlines()
-            n = int(at.group(1))
+        # a rule's text holds "; ", so a problem starts only where a line
+        # number or a whole-file message does
+        problems = re.split(rf"; (?=line \d+: |{whole_file.pattern})", message)
+        located = [int(at.group(1)) for at in map(_LINE.match, problems) if at]
+        # problems of one line first, in line order, then the whole-file ones
+        assert located == sorted(located), message
+        for problem in problems[len(located):]:
+            assert whole_file.fullmatch(problem), message
+        lines = text.splitlines()
+        for n in located:
             assert 1 <= n <= len(lines) and lines[n - 1].split("#", 1)[0].strip(), message
-        else:
-            for problem in message.split("; "):
-                assert whole_file.fullmatch(problem), message
 
 
 @FUZZ
@@ -143,6 +161,18 @@ def test_fuzzed_tts_text(text):
 @FUZZ
 @given(tp_texts)
 def test_fuzzed_tp_text(text):
+    _check(parse_tp, FormatError, _SYSTEM_WHOLE, text)
+
+
+@FUZZ
+@given(_system_programs("TTS", "TUBES", tp=False))
+def test_fuzzed_tts_program(text):
+    _check(parse_tts, FormatError, _SYSTEM_WHOLE, text)
+
+
+@FUZZ
+@given(_system_programs("TP", "CELLS", tp=True))
+def test_fuzzed_tp_program(text):
     _check(parse_tp, FormatError, _SYSTEM_WHOLE, text)
 
 

@@ -116,6 +116,8 @@ def test_parse_rejects_bad_lines():
         parse_machine("REGISTERS 1\nINPUTS 2\nSTART l0\nl0 HALT\n")
     with pytest.raises(MachineError, match="not defined"):
         parse_machine("REGISTERS 1\nINPUTS 1\nSTART l0\nl0 ADD 1 missing\nlh HALT\n")
+    with pytest.raises(MachineError, match="^line 2: register count must be positive$"):
+        parse_machine("# none\nREGISTERS 0\nINPUTS 0\nSTART lh\nlh HALT\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,5 +1,5 @@
-"""The runtime imports nothing outside the standard library, and each test
-module uses every name it imports."""
+"""The runtime imports nothing outside the standard library, its lower
+layers import no engine, and each test module uses every name it imports."""
 
 import ast
 import sys
@@ -23,6 +23,27 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_lower_layers_import_no_engine():
+    # the multiset algebra, the rules and the register machines sit below
+    # the engine core and the two system modules that run on it
+    engine = [["matedrip", name] for name in ("engine", "tts", "tp")]
+    for name in ("multiset", "rules", "regmach"):
+        path = Path(matedrip.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = node.module or ""
+                if node.level:
+                    package = f"matedrip.{package}".rstrip(".")
+                # `from . import tts` names the module among the imported names
+                modules = [package, *(f"{package}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[:2] not in engine, f"{name}.py imports {module}"
 
 
 def test_test_modules_use_every_name_they_import():

@@ -24,11 +24,13 @@ from matedrip import (
     apply_drip,
     apply_drip1,
     apply_mate,
+    closure,
     compile_machine,
     initial_state,
     load_machine,
     parse_rule,
     parse_tp,
+    parse_tts,
     render_tp,
     tp_run,
     tp_step,
@@ -36,7 +38,7 @@ from matedrip import (
 )
 from matedrip.cli import main
 from matedrip.engine import Codec
-from matedrip.tts import MAX_STEPS
+from matedrip.tp import MAX_STEPS
 from test_compilers import rand_machine
 
 
@@ -151,6 +153,26 @@ def test_results_accumulate_across_steps():
     )
     result_set, trace = tp_run(system, 4, Bounds())
     assert ms("a") in result_set
+
+
+def test_population_cap_holds_from_step_0():
+    # the start keeps what a closure's first fill keeps: by cell, then render
+    axioms = "".join(f"AXIOM 1 {{{x}}}\n" for x in "abcde")
+    system = parse_tp("SYSTEM TP\nALPHABET a b c d e\nTERMINAL a b c d e\nCELLS 2\nOUTPUT 2\n"
+                      + axioms)
+    bounds = Bounds(max_population=2)
+    start = initial_state(system, bounds)
+    assert start.contents == (frozenset({ms("a"), ms("b")}), frozenset()) and start.pruned
+    _, trace = tp_run(system, 3, bounds)
+    assert trace.populations == ((2, 0),) * 4 and trace.pruned
+    tube = closure(parse_tts("SYSTEM TTS\nALPHABET a b c d e\nTUBES 1\n" + axioms), bounds)
+    assert tube.contents == start.contents[:1] and tube.pruned and tube.iterations == 0
+
+    split = system_of(2, [(1, ms("d")), (1, ms("c")), (2, ms("b")), (2, ms("a"))], [], "abcd",
+                      terminal="abcd", output=2)
+    start = initial_state(split, Bounds(max_population=3))
+    assert start.contents == (frozenset({ms("c"), ms("d")}), frozenset({ms("a")}))
+    assert start.pruned and start.result_log == {ms("a")}
 
 
 def test_oversize_arrival_sets_pruned():
@@ -629,6 +651,12 @@ def test_format_errors():
     (f"SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nRULE 1 DRIP (a^{10**19} | . | . ; . , .) -> 1\n", 5),
     (f"SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nRULE 1 DRIP (a^{HALF} | . | . ; . , a^{HALF}) -> 1\n",
      5),
+    # problems found in the system once it is read
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 1 DRIP (. | a | . ; z , .) -> 2\n", 5),
+    ("SYSTEM TP\nALPHABET a\nCELLS 2\nOUTPUT 1\nRULE 1 DRIP (. | a | . ; a , .) -> 2\n"
+     "RULE 1 DRIP (. | a | . ; z , .) -> 2\n", 6),
+    ("SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nAXIOM 1 {z}\n", 5),
+    ("SYSTEM TP\nALPHABET a\nTERMINAL q\nCELLS 1\nOUTPUT 1\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):

@@ -515,10 +515,30 @@ def test_format_errors():
     (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 {{a^{10**20}}}\n", 4),
     (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 DRIP1 (. | a | . ; a^{10**20} , .)\n", 4),
     (f"SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 MATE (a^{HALF} | a^{HALF} , . | . ; .)\n", 4),
+    # problems found in the system once it is read
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nAXIOM 1 {z}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTERMINAL q\nTUBES 1\n", 3),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 MATE (a | z , a | . ; .)\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nRULE 1 MATE (a | . , a | . ; .)\n"
+     "RULE 1 MATE (a | z , a | . ; .)\n", 5),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 1\nFILTER 1 -> 1 SUPPORT {a}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 2 SUPPORT {q}\n", 4),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 1 -> 2 SUPPORT {a}\nFILTER 1 -> 2 SUPPORT {q}\n", 5),
+    ("SYSTEM TTS\nALPHABET a\nTUBES 0\n", 3),
 ])
 def test_format_errors_give_the_line(text, lineno):
     with pytest.raises(FormatError, match=f"^line {lineno}: "):
         parse_tts(text)
+
+
+def test_system_problems_come_in_line_order():
+    text = "SYSTEM TTS\nALPHABET a\nTUBES 2\nFILTER 2 -> 1 SUPPORT {q}\nAXIOM 1 {z}\nTERMINAL q\n"
+    with pytest.raises(FormatError) as info:
+        parse_tts(text)
+    assert str(info.value) == (
+        "line 4: filter (2 -> 1) uses symbols outside the alphabet: ['q']; "
+        "line 5: tube 1 axiom z uses symbols outside the alphabet: ['z']; "
+        "line 6: terminal alphabet must be a subset of the alphabet")
 
 
 def test_a_thousand_tubes_parse():
@@ -659,7 +679,8 @@ def test_population_cut_decodes_nothing(even, monkeypatch):
     del decoded[:]
     for _ in range(3):
         tissue_state = tp_step(tissue, tissue_state, bounds)
-    assert cuts == [False, False, True] and not decoded
+    # the first fill places the axioms
+    assert cuts == [False, False, False, True] and not decoded
     assert tissue_state.population == bounds.max_population
     assert sum(map(len, tissue_state.contents)) == bounds.max_population and decoded
 

@@ -5,7 +5,7 @@ from matedrip import Bounds
 from matedrip.cli import main
 from matedrip.compilers import CompileOptions
 from matedrip.regmach import parse_machine
-from matedrip.tts import MAX_STEPS
+from matedrip.tp import MAX_STEPS
 from matedrip.verify import format_report, run_verify, vector_of
 from matedrip import Multiset
 
