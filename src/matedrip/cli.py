@@ -51,10 +51,11 @@ def _parse_input_vector(text: str) -> tuple[int, ...]:
 
 
 def _load_system(path: str):
-    """Parse a `.tp` file if its first directive is `SYSTEM TP`, else a `.tts` file."""
+    """Parse a `.tp` file if its first SYSTEM directive, on any line, says
+    TP, else a `.tts` file."""
     text = Path(path).read_text(encoding="utf-8")
-    _, head, rest = next(directives(text), (0, "", ""))
-    return parse_tp(text) if (head.upper(), rest.upper()) == ("SYSTEM", "TP") else parse_tts(text)
+    kind = next((rest.upper() for _, head, rest in directives(text) if head.upper() == "SYSTEM"), "")
+    return parse_tp(text) if kind == "TP" else parse_tts(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,8 @@ on a mid-computation vesicle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .multiset import EMPTY, Multiset, is_reserved
+from .multiset import EMPTY, Multiset, is_reserved, value_class
 from .regmach import Add, RegisterMachine, Sub, normalize_clearing
 from .rules import DripRule, MateRule, Rule
 from .tp import TissueSystem, TPRule
@@ -42,7 +41,7 @@ class CompileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CompileOptions:
     fidelity: str = "guarded"
     normalize: bool = True
@@ -52,7 +51,7 @@ class CompileOptions:
             raise ValueError(f"fidelity must be one of {FIDELITIES}")
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SystemMetrics:
     kind: str  # "TTS" | "TP"
     compartments: int
@@ -126,7 +125,7 @@ def _prepare(machine: RegisterMachine, opts: CompileOptions) -> RegisterMachine:
 _STEP, _GUESS, _HALT = "step", "guess", "halt"
 
 
-@dataclass
+@value_class
 class _MateEntry:
     rule: MateRule
     partners: tuple[Multiset, ...]  # axiom vesicles serving as the second operand
@@ -138,7 +137,7 @@ class _MateEntry:
                 raise CompileError(f"internal: partner {partner} does not cover {self.rule.render()}")
 
 
-@dataclass
+@value_class
 class _Skeleton:
     """The register-machine simulation shared by all four constructions:
     the working vesicles (tube-1 axioms, thm4's species) and their mates."""

@@ -28,13 +28,12 @@ state fields that decode on first read.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .multiset import Multiset
+from .multiset import Multiset, value_class
 from .rules import DripRule, MateRule, Rule
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Bounds:
     """Exploration bounds; the unbounded closure is approximated under these."""
 
@@ -489,7 +488,7 @@ def lazy_field(name: str, decode) -> property:
     """The property behind a field of a frozen state that the state may hold
     packed, in its `_packed` attribute.  The first read keeps
     decode(state._packed) as the field's value.  The setter serves only the
-    dataclass `__init__`, since a frozen state refuses assignment."""
+    `value_class` `__init__`, since a frozen state refuses assignment."""
     slot = "_" + name
 
     def get(state):

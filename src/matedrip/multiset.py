@@ -8,8 +8,9 @@ hash-stable.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import product
-from typing import Iterable, Iterator
+from operator import attrgetter
 
 RESERVED_PREFIX = "@"
 
@@ -44,6 +45,61 @@ def check_symbol(name: str) -> str:
 def is_reserved(name: str) -> bool:
     """Names starting with '@' are reserved for generated symbols."""
     return name.startswith(RESERVED_PREFIX)
+
+
+# -- value classes --------------------------------------------------------
+
+
+def value_class(cls=None, /, *, frozen: bool = False):
+    """Class decorator: a value whose fields are the attributes `cls`
+    annotates itself, in order, with their class attributes as defaults.
+
+    Adds `__init__` (by position or keyword, then `__post_init__` where the
+    class has one), `__eq__` within one class and `__repr__` as
+    `Name(field=value, ...)`.  A frozen class hashes by its fields and
+    refuses assignment and deletion with AttributeError; a mutable one is
+    unhashable.  It stands in for `dataclasses.dataclass`, whose import and
+    code generation took half of importing this package, and has no
+    ordering, no `field()` and generates no code: an attribute without an
+    annotation is simply not a field.
+    """
+    if cls is None:
+        return lambda cls: value_class(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    # the tuple of the field values, which a dataclass also hashes
+    values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or given.keys() != set(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{cls.__name__}() takes each of {names} once, got "
+                                f"{len(args)} by position and {sorted(kwargs)} by keyword")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: field {name!r} cannot change")
 
 
 # -- the line skeleton of the .rm, .tts and .tp file formats -----------------

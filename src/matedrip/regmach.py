@@ -11,31 +11,30 @@ such as an undefined target label, names it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .multiset import check_symbol, directives, is_reserved, located, parse_number
+from .multiset import check_symbol, directives, is_reserved, located, parse_number, value_class
 
 
 class MachineError(ValueError):
     """Malformed machine text or structure."""
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Add:
     register: int
     next_label: str
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Sub:
     register: int
     nonzero: str
     zero: str
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Halt:
     pass
 
@@ -43,7 +42,7 @@ class Halt:
 Instruction = Add | Sub | Halt
 
 
-@dataclass
+@value_class
 class RegisterMachine:
     """n registers, labelled ADD/SUB/HALT program, input arity as metadata."""
 
@@ -94,7 +93,7 @@ class RegisterMachine:
 Config = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class RunResult:
     accepted: bool
     reason: str | None  # None | "timeout" | "nonterminating-detected"

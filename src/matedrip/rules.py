@@ -13,16 +13,15 @@ the rules in engine.py, and the tests hold those against these references.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .multiset import EMPTY, Multiset, MultisetError
+from .multiset import EMPTY, Multiset, MultisetError, value_class
 
 
 class RuleError(ValueError):
     """Malformed rule text."""
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class MateRule:
     """(u | a , b | v ; x): fuse two vesicles, replacing a+b by x."""
 
@@ -50,7 +49,7 @@ class MateRule:
         return f"MATE ({self.u} | {self.a} , {self.b} | {self.v} ; {self.x})"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class DripRule:
     """(u | c | v ; y , z): split one vesicle in two, replacing c by y and z."""
 

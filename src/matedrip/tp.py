@@ -10,14 +10,13 @@ accumulated from the output cell as they appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import cycle, islice
 from pathlib import Path
 
 from .engine import (
     Bounds, Codec, OperandIndex, admissible, drip, fill, join, lazy_field)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset, located, parse_number, split_head
+from .multiset import Multiset, located, parse_number, split_head, value_class
 from .rules import Rule, apply_mate, parse_rule
 from .tts import FormatError, parse_system
 
@@ -27,7 +26,7 @@ from .tts import FormatError, parse_system
 # firing; no engine calls apply_mate.
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TPRule:
     source: int
     rule: Rule
@@ -37,7 +36,7 @@ class TPRule:
         return f"{self.rule.render()} -> {self.target}"
 
 
-@dataclass
+@value_class
 class TissueSystem:
     alphabet: frozenset[str]
     terminal: frozenset[str]
@@ -47,7 +46,7 @@ class TissueSystem:
     output_cell: int
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TPState:
     """A tissue state.  A state `tp_step` returns holds its contents and
     result log packed; `contents` and `result_log` are decoded on first
@@ -58,7 +57,7 @@ class TPState:
     result_log: frozenset[Multiset]
     pruned: bool
     # the packed form tp_step left, so the next step need not encode it
-    _packed: "_Packed | None" = field(default=None, init=False, repr=False, compare=False)
+    _packed = None
 
     @property
     def population(self) -> int:
@@ -69,7 +68,7 @@ class TPState:
         return tuple(map(len, cells))
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TPTrace:
     """Per-step population counts of a run."""
 

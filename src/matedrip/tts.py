@@ -13,14 +13,13 @@ every problem that belongs to a line names it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (
     Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, lazy_field,
     rule_productions)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset, directives, located, parse_number, split_head
+from .multiset import Multiset, directives, located, parse_number, split_head, value_class
 from .rules import Rule, apply_mate, parse_rule
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
@@ -33,7 +32,7 @@ class FormatError(ValueError):
     """Malformed system text."""
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SupportFilter:
     """Passes a vesicle iff every carried symbol lies in `allowed`."""
 
@@ -43,7 +42,7 @@ class SupportFilter:
         return vesicle.support <= self.allowed
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TubeFilter:
     """Finite union of support filters; passes iff some branch passes."""
 
@@ -53,7 +52,7 @@ class TubeFilter:
         return any(b.passes(vesicle) for b in self.branches)
 
 
-@dataclass
+@value_class
 class TestTubeSystem:
     __test__ = False  # not a pytest class despite the name
 
@@ -66,7 +65,7 @@ class TestTubeSystem:
     outputs: frozenset[int]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TTSState:
     """A closure state.  A state `closure` returns holds its tubes packed;
     `contents` is decoded on first read and then kept."""
@@ -74,7 +73,7 @@ class TTSState:
     contents: tuple[frozenset[Multiset], ...]
     pruned: bool
     iterations: int
-    _packed: "_Packed | None" = field(default=None, init=False, repr=False, compare=False)
+    _packed = None
 
     @property
     def population(self) -> int:

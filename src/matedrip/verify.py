@@ -15,10 +15,9 @@ is at the default bounds (neither run reaches the injected vector (1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .compilers import CompileOptions, compile_machine, term_symbol
-from .multiset import Multiset
+from .multiset import Multiset, value_class
 from .regmach import RegisterMachine, enumerate_accepted
 from .tp import MAX_STEPS, TissueSystem, check_steps, tp_run
 from .tts import Bounds, closure, results_of_state
@@ -28,7 +27,7 @@ Vector = tuple[int, ...]
 DEFAULT_MAX_STEPS = 60
 
 
-@dataclass
+@value_class
 class VerifyReport:
     machine: str
     construction: str
@@ -46,8 +45,8 @@ class VerifyReport:
     engine_truncated: bool             # raw truncation flag of the base run
     pruned: bool                       # boxed results unstable under looser bounds
     verdict: str                       # "match" | "mismatch"
-    missing: frozenset[Vector] = field(default_factory=frozenset)
-    unexpected: frozenset[Vector] = field(default_factory=frozenset)
+    missing: frozenset[Vector] = frozenset()
+    unexpected: frozenset[Vector] = frozenset()
 
     @property
     def matched(self) -> bool:

@@ -147,6 +147,17 @@ def test_tp_file_with_spaced_system_line(tmp_path, capsys):
     assert "error" not in captured.err
 
 
+def test_tp_file_with_a_later_system_line(tmp_path, capsys):
+    """The SYSTEM line picks the parser on any line, as for parse_tp."""
+    path = tmp_path / "late.tp"
+    path.write_text("ALPHABET a\nSYSTEM TP\nTERMINAL a\nCELLS 1\nOUTPUT 1\nAXIOM 1 {a}\n")
+    assert main(["metrics", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("TP cells=1 ")
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a"] and captured.err == ""
+
+
 def test_tab_separated_system_file(tmp_path, capsys):
     path = tmp_path / "tabbed.tts"
     path.write_text("SYSTEM\tTTS\nALPHABET\ta b\nTERMINAL\ta\nTUBES\t1\nOUTPUT\t1\n"

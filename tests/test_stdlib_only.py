@@ -1,7 +1,10 @@
-"""The runtime imports nothing outside the standard library, its lower
-layers import no engine, and each test module uses every name it imports."""
+"""The runtime imports nothing outside the standard library, nor the
+slow-to-import `dataclasses`; its lower layers import no engine; and each
+test module uses every name it imports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +26,21 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+                assert name.split(".")[0] != "dataclasses", f"{path.name}: {name}"
+
+
+def test_import_loads_no_code_generation():
+    # importing the package is most of a short run's time: it writes and
+    # evaluates no code, so neither `dataclasses` nor `inspect` is loaded
+    for path in SOURCES:
+        called = {node.func.id for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"exec", "eval", "compile"}, path.name
+    code = "import matedrip, sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == []
 
 
 def test_lower_layers_import_no_engine():

@@ -1,7 +1,6 @@
 import copy
 import gc
 import random
-from dataclasses import FrozenInstanceError
 import weakref
 from collections import Counter
 
@@ -387,10 +386,10 @@ def test_frozen_step_state_copies_read_like_the_original(even):
     state = _stepped(system, bounds, 10)
     for name, value in (("step", 0), ("contents", ()), ("result_log", frozenset()),
                         ("pruned", False)):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(state, name, value)
     _, trace = tp_run(system, 2, bounds)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         trace.pruned = False
 
     # a copy reads its fields without touching the original's packed form

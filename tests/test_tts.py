@@ -1,6 +1,5 @@
 import copy
 import gc
-from dataclasses import FrozenInstanceError
 import weakref
 from collections import Counter
 
@@ -716,7 +715,7 @@ def test_frozen_state_copies_read_like_the_original(even):
 
     state = closure(system, bounds)
     for name, value in (("contents", ()), ("pruned", True), ("iterations", 0)):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(state, name, value)
     assert state == closure(system, bounds)
 
