@@ -13,12 +13,15 @@ compartment's new vesicles are filed in one `OperandIndex.extend` call on
 an empty copy of its index, and a fill that fits the cap is a set union.
 A fill that the cap cuts sorts only the compartment it splits, by the text
 `Codec.render` writes straight from the packed fields.
-The index keeps each need side's operands in a slot of its own.  A
-closure round joins that batch against the index and keeps its mate
+The index keeps each need side's operands in a slot of its own and, in a
+closure, the vesicles each branch of a filter leaving the tube passes.
+A closure round joins that batch against the index and keeps its mate
 operands, and it and the tissue step reach only the rules whose slots the
 batch filed into.  The index files a vesicle by the plan of its support
-signature, the symbols named in the rules' needs that it holds, so a need
-is tested per vesicle only when it asks for some symbol more than once.
+signature, the symbols named in the rules' needs or forbidden by the
+branches that it holds, so a need is tested per vesicle only when it asks
+for some symbol more than once, and no branch is tested per vesicle.  A
+drip kernel fires once per size bucket of its operands.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission, the population-capped fill and the
@@ -230,58 +233,72 @@ class Codec:
                      for branch in tube_filter.branches)
 
 
-def drip1(rule: PackedDrip, vesicle: int) -> tuple[int, int]:
-    """One-sided drip on a packed vesicle that holds the rule's need: the
-    vesicle shifted by y - c - v, and the constant z + v."""
-    return vesicle + rule.delta, rule.second
+def drip1(rule: PackedDrip, vesicles: list) -> list:
+    """One-sided drip on a bucket of packed vesicles that hold the rule's
+    need: each vesicle shifted by y - c - v.  The other product of every
+    firing is the constant z + v, `rule.second`."""
+    delta = rule.delta
+    return [v + delta for v in vesicles]
 
 
-def drip2(rule: PackedDrip, vesicle: int, size: int, codec: Codec) -> list[tuple]:
-    """Two-sided drip on a packed vesicle of `size` that holds the rule's
-    need: for each split of the residual vesicle - (u + c + v) into s + w,
-    the outcome ((s + u + y, its size), (z + v + w, its size)).  The splits
-    step over the residual's nonzero fields as `Codec.decode` does."""
-    residual = vesicle - rule.need
-    rest = residual >> codec.base
-    splits = [(0, 0)]  # (packed s, |s|)
-    while rest:
-        shift, name = codec.top[rest.bit_length()]
-        count = rest >> shift
-        rest -= count << shift
-        unit = (1 << codec.shift[name]) + codec.salt[name]
-        splits = [(s + k * unit, n + k) for s, n in splits for k in range(count + 1)]
-    left = size - rule.need_size
-    return [((s + rule.first, n + rule.first_size),
-             (rule.second + residual - s, rule.second_size + left - n)) for s, n in splits]
+def drip2(rule: PackedDrip, vesicles: list, size: int, codec: Codec) -> list[tuple]:
+    """Two-sided drip on a bucket of packed vesicles of `size` that hold the
+    rule's need: for each vesicle and each split of its residual
+    vesicle - (u + c + v) into s + w, the outcome ((s + u + y, its size),
+    (z + v + w, its size)).  The splits step over the residual's nonzero
+    fields as `Codec.decode` does."""
+    left = rule.second_size + size - rule.need_size
+    outcomes = []
+    for vesicle in vesicles:
+        residual = vesicle - rule.need
+        rest = residual >> codec.base
+        splits = [(0, 0)]  # (packed s, |s|)
+        while rest:
+            shift, name = codec.top[rest.bit_length()]
+            count = rest >> shift
+            rest -= count << shift
+            unit = (1 << codec.shift[name]) + codec.salt[name]
+            splits = [(s + k * unit, n + k) for s, n in splits for k in range(count + 1)]
+        outcomes += [((s + rule.first, n + rule.first_size),
+                      (rule.second + residual - s, left - n)) for s, n in splits]
+    return outcomes
 
 
 class OperandIndex:
-    """The operands of a compartment's packed rules.
+    """The operands of a compartment's packed rules, and the vesicles that
+    pass each of its filter branches.
 
     Each need side owns a slot: a mate rule two, its left then its right,
-    and a drip rule one, the vesicles that contain its need.  `_slots[i]`
-    holds slot i's operands as a size -> packed vesicles map, and
-    `_layout` maps each packed rule, in the order given, to (whether it is
-    a mate, its first slot); a rule given twice is indexed once.  A batch
-    of vesicles is filed by one `extend` call on an `empty()` copy, whose
-    mate operands `rule_productions` appends to its tube's index.
+    and a drip rule one, the vesicles that contain its need.  Each filter
+    branch, given as the mask of the symbols it forbids, owns one more
+    slot, the vesicles that hold none of them; `branches` lists those
+    slots in the order given.  `_slots[i]` holds slot i's vesicles as a
+    size -> packed vesicles map, and `_layout` maps each packed rule, in
+    the order given, to (whether it is a mate, its first slot); a rule
+    given twice is indexed once.  A batch of vesicles is filed by one
+    `extend` call on an `empty()` copy, whose mate operands
+    `rule_productions` appends to its tube's index.
 
     A vesicle is classified by its support signature, the guard bits of the
-    fields it holds among the symbols that some need mentions.  The first
-    vesicle of a signature fixes its plan: the needs whose support lies
-    inside the signature.  Holding the support is enough for a need whose
-    counts are all 1, so only a need with a larger count is tested again
-    for each vesicle.  Plans depend on the rules and the codec alone, and
-    the copies that `empty` makes share them.
+    fields it holds among the symbols that some need mentions or some
+    branch forbids.  The first vesicle of a signature fixes its plan: the
+    needs whose support lies inside the signature and the branches whose
+    forbidden symbols lie outside it.  Holding the support is enough for a
+    need whose counts are all 1, so only a need with a larger count is
+    tested again for each vesicle.  Plans depend on the rules, the branches
+    and the codec alone, and the copies that `empty` makes share them.
     """
 
-    def __init__(self, codec: Codec, rules=()):
+    def __init__(self, codec: Codec, rules=(), branches=()):
         self._codec = codec
         self._layout: dict[PackedMate | PackedDrip, tuple[bool, int]] = {}
-        # per slot: (guard bits of the need's support, (the packed need to
-        # test per vesicle, or 0 when holding the support is enough, slot))
-        self._entries: list[tuple[int, tuple[int, int]]] = []
-        self._relevant = 0  # the guard bits of every symbol some need mentions
+        # per slot: (guard bits read, the value they must have in a
+        # signature, (the packed need to test per vesicle, or 0 when the
+        # signature is enough, slot)); a need reads its support and must
+        # hold all of it, a branch reads its forbidden symbols and must
+        # hold none
+        self._entries: list[tuple[int, int, tuple[int, int]]] = []
+        self._relevant = 0  # every guard bit some entry reads
         for rule in dict.fromkeys(rules):
             mate = isinstance(rule, PackedMate)
             self._layout[rule] = mate, len(self._entries)
@@ -290,8 +307,12 @@ class OperandIndex:
             for need, packed in sides:
                 support = codec.mask(need.support) & codec.guards
                 test = packed if len(need) > len(need.support) else 0
-                self._entries.append((support, (test, len(self._entries))))
+                self._entries.append((support, support, (test, len(self._entries))))
                 self._relevant |= support
+        self.branches = range(len(self._entries), len(self._entries) + len(branches))
+        for forbidden, slot in zip(branches, self.branches):
+            self._entries.append((forbidden & codec.guards, 0, (0, slot)))
+            self._relevant |= forbidden & codec.guards
         # signature -> plan, a tuple of (need, slot) entries made from a list:
         # one made from a generator is resized, growing CPython's tuple free lists
         self._plans: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -305,8 +326,8 @@ class OperandIndex:
                 for rule, (mate, i) in self._layout.items()}
 
     def empty(self) -> "OperandIndex":
-        """An index over the same rules that holds no vesicles and shares
-        this one's plans."""
+        """An index over the same rules and branches that holds no vesicles
+        and shares this one's plans."""
         index = object.__new__(OperandIndex)
         index.__dict__.update(self.__dict__)
         index._slots = [defaultdict(list) for _ in self._entries]
@@ -314,7 +335,8 @@ class OperandIndex:
 
     def extend(self, vesicles):
         """File packed vesicles, each of size below 2**width - 1, in
-        iteration order, with one call for the whole batch."""
+        iteration order, with one call for the whole batch: each goes to
+        the slots of the needs it holds and of the branches it passes."""
         codec, relevant, plans, slots = self._codec, self._relevant, self._plans, self._slots
         guards, units, field = codec.guards, codec.units, codec.field
         for vesicle in vesicles:
@@ -324,8 +346,8 @@ class OperandIndex:
             signature = (raised - units) & relevant
             plan = plans.get(signature)
             if plan is None:
-                plan = plans[signature] = tuple([entry for support, entry in self._entries
-                                                 if support & signature == support])
+                plan = plans[signature] = tuple([entry for bits, held, entry in self._entries
+                                                 if signature & bits == held])
             if plan:
                 size = vesicle % field
                 for need, slot in plan:
@@ -366,26 +388,25 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     product was oversize.
     A one-sided rule fires only if its first products, all of one size, are kept.
 
-    `kernels` is (apply_drip1, apply_drip), called once per firing on the
-    packed rule and vesicle: the first for a one-sided rule, the second,
-    with the vesicle's size and the codec, for a two-sided one.
+    `kernels` is (apply_drip1, apply_drip), called at most once per bucket
+    on the packed rule and the bucket: the first for a one-sided rule, the
+    second, with the bucket's size and the codec, for a two-sided one.
     """
     apply_drip1, apply_drip = kernels
     if rule.rule.one_sided:
         first_size = size + rule.dsize
         if bounds.keeps(first_size):
-            out.update([apply_drip1(rule, v)[0] for v in vesicles])
+            out.update(apply_drip1(rule, vesicles))
         if bounds.keeps(rule.second_size):
             out.add(rule.second)
         return max(first_size, rule.second_size) > bounds.max_size
     oversize = False
-    for v in vesicles:
-        for pair in apply_drip(rule, v, size, codec):
-            for product, product_size in pair:
-                if bounds.keeps(product_size):
-                    out.add(product)
-                elif product_size > bounds.max_size:
-                    oversize = True
+    for pair in apply_drip(rule, vesicles, size, codec):
+        for product, product_size in pair:
+            if bounds.keeps(product_size):
+                out.add(product)
+            elif product_size > bounds.max_size:
+                oversize = True
     return oversize
 
 

@@ -152,10 +152,17 @@ def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResu
 
 
 def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[tuple[int, ...]]:
-    """All accepted vectors in {0..bound}^k; the oracle for verification."""
+    """All accepted vectors in {0..bound}^k; the oracle for verification.
+    A box of more than MAX_VECTORS vectors is refused before any is run."""
     if bound < 0:
         raise MachineError(f"bound must be non-negative, got {bound}")
     k = machine.inputs
+    vectors = 1
+    for _ in range(k):  # stops at the first factor past the limit
+        vectors *= bound + 1
+        if vectors > MAX_VECTORS:
+            raise MachineError(f"bound {bound} over {k} inputs gives more than "
+                               f"{MAX_VECTORS} vectors to run")
     return {
         vec
         for vec in product(range(bound + 1), repeat=k)
@@ -195,6 +202,8 @@ def normalize_clearing(machine: RegisterMachine) -> RegisterMachine:
 
 # The most registers a machine file may declare: thm1 and cor3 texts grow as the count squared.
 MAX_REGISTERS = 1000
+# The most vectors `enumerate_accepted` runs: its box holds (bound + 1) ** k.
+MAX_VECTORS = 1_000_000
 # What each declaration line gives, as its error message names it.
 _DECLARATIONS = {"REGISTERS": "n", "INPUTS": "k", "START": "label"}
 

@@ -22,8 +22,8 @@ from .tts import FormatError, parse_system
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
-# looks the first two up when it starts and calls them once per drip
-# firing; no engine calls apply_mate.
+# looks the first two up when it starts and calls them at most once per
+# drip rule and size bucket; no engine calls apply_mate.
 
 
 @value_class(frozen=True)

@@ -24,8 +24,8 @@ from .rules import Rule, apply_mate, parse_rule
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  Each
-# closure round looks the first two up and calls them once per drip
-# firing; no engine calls apply_mate.
+# closure round looks the first two up and calls them at most once per
+# drip rule and size bucket; no engine calls apply_mate.
 
 
 class FormatError(ValueError):
@@ -146,33 +146,40 @@ def _problems(system: TestTubeSystem) -> list[tuple]:
     return problems
 
 
-def _operator(system: TestTubeSystem, codec: Codec) -> tuple[list[OperandIndex], list[tuple]]:
-    """Per tube, an empty operand index over its rules, and the filters as
-    (source, forbidden masks, target) with 0-based tubes."""
-    indexes = [OperandIndex(codec, map(codec.compile, rules)) for rules in system.rules]
-    filters = [(i - 1, codec.filter(filt), j - 1) for i, filt, j in system.filters]
-    return indexes, filters
+def _operator(system: TestTubeSystem, codec: Codec) -> tuple[list[OperandIndex], list[list]]:
+    """Per tube, an empty operand index over its rules and the branches of
+    the filters leaving it, and the (slot, target) of each such branch,
+    with 0-based tubes."""
+    leaving: list[list] = [[] for _ in system.rules]  # per tube: (forbidden mask, target)
+    for i, filt, j in system.filters:
+        leaving[i - 1] += [(mask, j - 1) for mask in codec.filter(filt)]
+    indexes = [OperandIndex(codec, map(codec.compile, rules), [mask for mask, _ in branches])
+               for rules, branches in zip(system.rules, leaving)]
+    routes = [[(slot, target) for slot, (_, target) in zip(index.branches, branches)]
+              for index, branches in zip(indexes, leaving)]
+    return indexes, routes
 
 
-def _round(indexes: list[OperandIndex], filters: list[tuple], frontier: list[set[int]],
+def _round(indexes: list[OperandIndex], routes: list[list], frontier: list[set[int]],
            bounds: Bounds, codec: Codec) -> tuple[list[set[int]], bool]:
     """(produced, cut): per tube, the rule productions that involve a
     frontier vesicle and the frontier vesicles that pass a filter into it,
     and whether a production was left out for size.  Each tube's frontier
     is filed in a batch of its own, which `rule_productions` joins against
-    the tube's index and folds into it."""
+    the tube's index and folds into it; the batch's branch slots hold the
+    vesicles each filter branch passes."""
     kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
     produced: list[set[int]] = [set() for _ in frontier]
     cut = False
-    for index, new, out in zip(indexes, frontier, produced):
-        if new:
+    for index, passes, new, out in zip(indexes, routes, frontier, produced):
+        if new and index._entries:
             batch = index.empty()
             batch.extend(new)
             if rule_productions(index, batch, out, bounds, codec, kernels):
                 cut = True
-    for i, forbidden, j in filters:
-        for mask in forbidden:
-            produced[j].update([v for v in frontier[i] if not v & mask])
+            for slot, target in passes:
+                for bucket in batch._slots[slot].values():
+                    produced[target].update(bucket)
     return produced, cut
 
 
@@ -187,9 +194,9 @@ def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[i
     largest = max((len(v) for tube in contents for v in tube), default=0)
     codec = Codec(system.alphabet, [r for rules in system.rules for r in rules],
                   max(largest, max_size))
-    indexes, filters = _operator(system, codec)
+    indexes, routes = _operator(system, codec)
     pool = [set(map(codec.encode, tube)) for tube in contents]
-    produced, _ = _round(indexes, filters, pool, Bounds(max_size=max_size), codec)
+    produced, _ = _round(indexes, routes, pool, Bounds(max_size=max_size), codec)
     return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
 
@@ -216,7 +223,7 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
     tube's operand index grows only as `_round` folds in its frontier's
     mate operands; the indexes and the round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
-    indexes, filters = _operator(system, codec)
+    indexes, routes = _operator(system, codec)
     initial, pruned = admissible(
         ((t, v) for t in range(system.tubes) for v in system.axioms[t]), bounds)
     fresh: list[set[int]] = [set() for _ in range(system.tubes)]
@@ -231,7 +238,7 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
             tube |= new
         if cut:
             return contents, True, iterations
-        produced, cut = _round(indexes, filters, fresh, bounds, codec)
+        produced, cut = _round(indexes, routes, fresh, bounds, codec)
         pruned = pruned or cut
         fresh = [p - c for p, c in zip(produced, contents)]
         del produced  # not held while the next round produces

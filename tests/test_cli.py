@@ -178,6 +178,17 @@ def test_negative_bound_exits_2(capsys):
         assert captured.out == ""
 
 
+def test_oversized_oracle_box_exits_2(capsys):
+    # 100001 ** 2 vectors: refused at once, by rm enum and verify alike
+    for argv in (["rm", "enum", machine_path("eq.rm"), "--bound", "100000", "--fuel", "1"],
+                 ["verify", "thm1", machine_path("eq.rm"), "--bound", "100000"],
+                 ["verify", "thm4", machine_path("even.rm"), "--bound", "1000000"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "more than 1000000 vectors" in captured.err
+        assert captured.out == ""
+
+
 def test_negative_max_steps_exits_2(tmp_path, capsys):
     # only tissue runs read --max-steps, but every system kind refuses it
     for construction, suffix in (("thm1", "tts"), ("thm4", "tp")):

@@ -121,10 +121,12 @@ def test_oversize_drip1_product_does_not_spill():
     # count the codec must hold without touching the next field's bits
     rule = parse_rule("DRIP1 (. | . | . ; a^5 , .)")
     codec = Codec({"a", "b"}, [rule], 4)
-    for text in ("a^4", "a^4 b^3", "b^4"):
-        vesicle = ms(text)
-        first, second = drip1(codec.compile(rule), codec.encode(vesicle))
-        assert (codec.decode(first), codec.decode(second)) == apply_drip1(rule, vesicle)
+    packed = codec.compile(rule)
+    bucket = [ms(text) for text in ("a^4", "a^4 b^3", "b^4")]
+    shifted = drip1(packed, [codec.encode(v) for v in bucket])
+    assert len(shifted) == len(bucket)
+    for vesicle, first in zip(bucket, shifted):
+        assert (codec.decode(first), codec.decode(packed.second)) == apply_drip1(rule, vesicle)
         assert first & codec.guards == 0
     system = one_tube([rule], [ms("a^4"), ms("a b^3")], {"a", "b"})
     for max_size in (4, 9, 10):
@@ -155,22 +157,34 @@ def test_two_sided_drip_kernel_matches_apply_drip(rule, extra, other):
         assert codec.decode(codec.encode(v1) + codec.encode(v2) + packed.delta) == fused
         assert len(fused) == len(v1) + len(v2) + packed.dsize
         return
+    # a bucket of the vesicles of one size that hold the need: the kernels
+    # take it whole, and their output is that of one firing per vesicle
     vesicle = rule.u + rule.c + rule.v + extra
+    bucket = list(dict.fromkeys(
+        [vesicle, *(rule.u + rule.c + rule.v + Multiset({s: len(extra)}) for s in SYMBOLS)]))
     codec = Codec(SYMBOLS, [rule], len(vesicle))
     packed = codec.compile(rule)
     if rule.one_sided:
-        first, second = drip1(packed, codec.encode(vesicle))
-        assert (codec.decode(first), codec.decode(second)) == apply_drip1(rule, vesicle)
-        assert len(codec.decode(first)) == len(vesicle) + packed.dsize
-        assert len(codec.decode(second)) == packed.second_size
+        shifted = drip1(packed, [codec.encode(v) for v in bucket])
+        assert len(shifted) == len(bucket)
+        for v, first in zip(bucket, shifted):
+            assert (codec.decode(first), codec.decode(packed.second)) == apply_drip1(rule, v)
+            assert len(codec.decode(first)) == len(v) + packed.dsize
+        assert len(codec.decode(packed.second)) == packed.second_size
         return
-    got = drip2(packed, codec.encode(vesicle), len(vesicle), codec)
+    got = drip2(packed, [codec.encode(v) for v in bucket], len(vesicle), codec)
     decoded = [tuple((codec.decode(p), n) for p, n in pair) for pair in got]
-    assert len(decoded) == len(set(decoded))
     assert all(len(m) == n for pair in decoded for m, n in pair)
-    # packed, salt included, exactly as the outcomes encode
-    assert ({tuple(p for p, _ in pair) for pair in got}
-            == {tuple(map(codec.encode, pair)) for pair in apply_drip(rule, vesicle)})
+    # packed, salt included, exactly as the outcomes encode, in bucket order
+    expected = [tuple(map(codec.encode, pair)) for v in bucket for pair in apply_drip(rule, v)]
+    assert sorted(tuple(p for p, _ in pair) for pair in got) == sorted(expected)
+    start = 0
+    for v in bucket:
+        # each vesicle's outcomes are distinct and form one run of the list
+        n = len(apply_drip(rule, v))
+        alone = drip2(packed, [codec.encode(v)], len(v), codec)
+        assert got[start:start + n] == alone and len(set(alone)) == n
+        start += n
 
 
 def _needs(rule):
@@ -342,13 +356,14 @@ def test_oversize_drip1_bucket_is_not_fired(monkeypatch):
     fired = []
     drip1 = matedrip.tts.apply_drip1
     monkeypatch.setattr(matedrip.tts, "apply_drip1",
-                        lambda rule, v: fired.append(v) or drip1(rule, v))
+                        lambda rule, vesicles: fired.append(list(vesicles)) or drip1(rule, vesicles))
     state = closure(system, Bounds(2, 100, 10))
     assert not fired and state.pruned
     assert state.contents[0] == frozenset({ms("c p"), EMPTY})
     # one size up, {c p} fires once and {c^2 p} at the new max_size does not
     state = closure(system, Bounds(3, 100, 10))
-    assert len(fired) == 1 and state.pruned
+    codec = Codec({"c", "p"}, system.rules[0], 3)
+    assert fired == [[codec.encode(ms("c p"))]] and state.pruned
     assert state.contents[0] == frozenset({ms("c p"), ms("c^2 p"), EMPTY})
     _assert_matches_reference(system, Bounds(3, 100, 10))
 

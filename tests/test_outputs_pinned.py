@@ -140,7 +140,7 @@ def test_outputs_do_not_depend_on_the_hash_seed():
               "    print(*key, output_digest(*key))\n")
     runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
-            for seed in ("0", "1")]  # side by side, as each takes a couple of seconds
+            for seed in ("0", "3")]  # side by side, as each takes a couple of seconds
     outputs = [run.communicate(timeout=120)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outputs[0].count("\n") == len(PINNED_OUTPUTS)

@@ -1,5 +1,6 @@
 import pytest
 
+import matedrip.regmach
 from matedrip import (
     Add,
     Halt,
@@ -183,3 +184,24 @@ def test_enumerate_rejects_negative_bound(even, eq):
     with pytest.raises(MachineError, match="non-negative"):
         enumerate_accepted(eq, -2, 100)
     assert enumerate_accepted(even, 0, 100) == {(0,)}
+
+
+def test_enumerate_refuses_a_box_past_max_vectors(even, eq, monkeypatch):
+    # (bound + 1) ** k vectors: 100001 ** 2 is refused before any is run
+    with pytest.raises(MachineError, match="more than 1000000 vectors"):
+        enumerate_accepted(eq, 100_000, 1)
+    with pytest.raises(MachineError, match="more than 1000000 vectors"):
+        enumerate_accepted(even, 1_000_000, 1)
+    # the count stops at the first factor past the limit, whatever k is
+    wide = parse_machine("REGISTERS 1000\nINPUTS 1000\nSTART h\nh HALT\n")
+    with pytest.raises(MachineError, match="over 1000 inputs"):
+        enumerate_accepted(wide, 10**100, 1)
+    assert enumerate_accepted(wide, 0, 1) == {(0,) * 1000}
+    # a box of exactly the limit runs, one vector more is refused
+    monkeypatch.setattr(matedrip.regmach, "MAX_VECTORS", 16)
+    assert enumerate_accepted(eq, 3, 200) == {(0, 0), (1, 1), (2, 2), (3, 3)}
+    with pytest.raises(MachineError, match="more than 16 vectors"):
+        enumerate_accepted(eq, 4, 200)
+    assert enumerate_accepted(even, 15, 100) == {(n,) for n in range(0, 16, 2)}
+    with pytest.raises(MachineError, match="more than 16 vectors"):
+        enumerate_accepted(even, 16, 100)

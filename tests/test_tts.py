@@ -4,7 +4,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matedrip.tp
 from conftest import HALF, small_alphabets, small_bounds, small_multisets, small_rules
@@ -35,7 +35,7 @@ from matedrip import (
     validate_tts,
 )
 from matedrip.engine import Codec, OperandIndex
-from matedrip.tts import _productions
+from matedrip.tts import _operator, _productions, _round
 
 
 def ms(text):
@@ -592,6 +592,102 @@ def test_uncapped_results_grow_with_max_size(system, max_size, keep_empty):
     if all(state.population < 300 and state.iterations < 30 for state in (small, large)):
         assert all(a <= b for a, b in zip(small.contents, large.contents))
         assert results_of_state(system, small) <= results_of_state(system, large)
+
+
+@st.composite
+def filtered_rounds(draw):
+    """A system of 2-3 tubes with union filters, some of whose tubes have no
+    rules and some of whose branches allow every symbol or none, and a
+    frontier per tube that may hold the empty vesicle."""
+    names = draw(small_alphabets())
+    tubes = draw(st.integers(2, 3))
+    rules = tuple(tuple(draw(st.lists(small_rules(names), max_size=2))) for _ in range(tubes))
+    allowed = st.one_of(st.just(frozenset()), st.just(frozenset(names)),
+                        st.frozensets(st.sampled_from(names)))
+    filters = []
+    for _ in range(draw(st.integers(1, 4))):
+        source, target = draw(st.permutations(range(1, tubes + 1)))[:2]
+        branches = draw(st.lists(allowed, min_size=1, max_size=3))
+        filters.append((source, TubeFilter(tuple(map(SupportFilter, branches))), target))
+    system = TestTubeSystem(alphabet=frozenset(names), terminal=frozenset(), tubes=tubes,
+                            axioms=(fs(),) * tubes, rules=rules, filters=tuple(filters),
+                            outputs=frozenset({1}))
+    frontier = [set(draw(st.lists(small_multisets(names, 4), max_size=6))) for _ in range(tubes)]
+    return system, frontier
+
+
+_EVERY_BRANCH = (
+    TestTubeSystem(
+        alphabet=frozenset({"a", "b"}), terminal=frozenset(), tubes=3, axioms=(fs(),) * 3,
+        rules=((parse_rule("DRIP1 (. | a | . ; b , .)"),), (), ()),
+        filters=((1, TubeFilter((SupportFilter(frozenset()), SupportFilter(frozenset({"a"})))), 2),
+                 (2, TubeFilter((SupportFilter(frozenset({"a", "b"})),)), 3),
+                 (2, TubeFilter((SupportFilter(frozenset()),)), 1)),
+        outputs=frozenset({3})),
+    [{EMPTY, ms("a"), ms("a b"), ms("b^2")}, {EMPTY, ms("b"), ms("a^3 b")}, {ms("a")}])
+
+
+@settings(max_examples=150)
+@given(filtered_rounds())
+@example(_EVERY_BRANCH)
+def test_round_filter_passage_matches_tube_filter(round_input):
+    # the vesicles a round passes through each filter, read from the index's
+    # branch slots, against TubeFilter.passes on the decoded frontier; the
+    # round's rule productions still come out as the reference's
+    system, frontier = round_input
+    bounds = Bounds(max_size=8)
+    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], 8)
+    passage = [set() for _ in frontier]
+    for i, filt, j in system.filters:
+        passage[j - 1] |= {v for v in frontier[i - 1] if filt.passes(v)}
+
+    def round_of(system):
+        indexes, routes = _operator(system, codec)
+        packed = [set(map(codec.encode, tube)) for tube in frontier]
+        produced, _ = _round(indexes, routes, packed, bounds, codec)
+        return [set(map(codec.decode, tube)) for tube in produced]
+
+    ruleless = TestTubeSystem(system.alphabet, system.terminal, system.tubes, system.axioms,
+                              ((),) * system.tubes, system.filters, system.outputs)
+    assert round_of(ruleless) == passage
+    expected = [set() for _ in frontier]
+    for t, v in _naive_productions(system, frontier):
+        if bounds.keeps(len(v)):
+            expected[t].add(v)
+    assert round_of(system) == expected
+
+
+# cor2 drips only to grow its seeds, one vesicle a bucket; cor3 works by drip alone
+@pytest.mark.parametrize("construction, per_call", [("cor2", 1), ("cor3", 4)])
+def test_a_round_fires_each_drip_once_per_size_bucket(even, construction, per_call, monkeypatch):
+    # each kernel call takes a whole bucket: in each tube's batch of a round,
+    # one call per (rule, size) at most, and every vesicle of a call has
+    # that size; a rule that two tubes hold fires once in each
+    system = compile_machine(even, construction, CompileOptions(fidelity="faithful"))
+    calls, batches = [], []
+    productions = matedrip.tts.rule_productions
+    drip1, drip2 = matedrip.tts.apply_drip1, matedrip.tts.apply_drip
+
+    def spied_productions(index, batch, out, bounds, codec, kernels):
+        batches.append(codec.field)
+        return productions(index, batch, out, bounds, codec, kernels)
+
+    def spy(kernel):
+        def call(rule, vesicles, *rest):
+            sizes = {v % batches[-1] for v in vesicles}
+            calls.append((len(batches), rule, sizes, len(vesicles)))
+            return kernel(rule, vesicles, *rest)
+        return call
+
+    monkeypatch.setattr(matedrip.tts, "rule_productions", spied_productions)
+    monkeypatch.setattr(matedrip.tts, "apply_drip1", spy(drip1))
+    monkeypatch.setattr(matedrip.tts, "apply_drip", spy(drip2))
+    closure(system, Bounds(8, 3000, 100))
+    assert calls and all(len(sizes) == 1 for _, _, sizes, _ in calls)
+    buckets = Counter((batch, rule, min(sizes)) for batch, rule, sizes, _ in calls)
+    assert max(buckets.values()) == 1
+    # cor3's buckets hold many vesicles, so it makes far fewer calls than firings
+    assert sum(n for *_, n in calls) >= per_call * len(calls)
 
 
 def _unordered(system):
