@@ -149,13 +149,20 @@ class Codec:
       borrow leaves the salt region; if not, a guard bit is cleared
       already, and a borrow into field 0 cannot set one.
 
-    `top[n]` is the (shift, name) of the field that holds bit n - 1 of a
-    vesicle whose salt is shifted out, the highest set bit at bit length
-    n, with shifts relative to `base`.  The `width` entries of a field
-    share one tuple, so the table grows linearly with the alphabet.
-    `decode`, `render` and `drip2` shift out the salt and step down a
-    vesicle's nonzero fields with it, dropping each by subtracting its
-    count at its shift.
+    `top[n]` is the (shift, name, pairs, tokens) of the field that holds
+    bit n - 1 of a vesicle whose salt is shifted out, the highest set bit
+    at bit length n, with shifts relative to `base`.  `pairs` and `tokens`
+    map a count to the field's one (name, count) tuple and its `name` /
+    `name^count` text, filled on first use, so every decoded vesicle
+    shares a pair object with all others of that symbol and count
+    (hash-consing: Filliâtre & Conchon, ML Workshop 2006).  They hold only
+    the counts met, never 2**width of them.  The `width` entries of a
+    field share one tuple, so the table grows linearly with the alphabet.
+    A field's packed unit, 2**shift + salt, is not cached: it has as many
+    bits as a whole packed vesicle, so a unit per field would grow with
+    the square of the alphabet.  `decode`, `render` and `drip2` shift out
+    the salt and step down a vesicle's nonzero fields with it, dropping
+    each by subtracting its count at its shift.
     """
 
     def __init__(self, alphabet, rules, largest: int):
@@ -172,7 +179,7 @@ class Codec:
         self.units = sum(1 << shift for shift in self.shift.values())
         self.top = [None]
         for i, name in enumerate(self.names):
-            self.top += [(i * width, name)] * width
+            self.top += [(i * width, name, {}, {})] * width
         self._compiled: dict[Rule, PackedMate | PackedDrip] = {}
 
     def encode(self, pairs) -> int:
@@ -185,15 +192,19 @@ class Codec:
         """The multiset of a packed vesicle, stepping over its nonzero
         fields only: with the salt shifted out, the top field is the one
         its bit length falls in, its count is what lies above the field's
-        shift, and subtracting that count at the shift drops it."""
+        shift, and subtracting that count at the shift drops it.  Each
+        field appends its shared (name, count) pair."""
         top = self.top
         packed >>= self.base
         items = []
         size = 0
         while packed:
-            shift, name = top[packed.bit_length()]
+            shift, name, pairs, _ = top[packed.bit_length()]
             count = packed >> shift
-            items.append((name, count))
+            pair = pairs.get(count)
+            if pair is None:
+                pair = pairs[count] = (name, count)
+            items.append(pair)
             size += count
             packed -= count << shift
         items.reverse()
@@ -201,18 +212,21 @@ class Codec:
 
     def render(self, packed: int) -> str:
         """`self.decode(packed).render()` without building the Multiset:
-        the same walk over the nonzero fields, writing each as `name` or
-        `name^count`, and '.' for the empty vesicle."""
+        the same walk over the nonzero fields, writing each field's shared
+        `name` or `name^count` token, and '.' for the empty vesicle."""
         top = self.top
         packed >>= self.base
-        tokens = []
+        text = []
         while packed:
-            shift, name = top[packed.bit_length()]
+            shift, name, _, tokens = top[packed.bit_length()]
             count = packed >> shift
-            tokens.append(f"{name}^{count}" if count > 1 else name)
+            token = tokens.get(count)
+            if token is None:
+                token = tokens[count] = f"{name}^{count}" if count > 1 else name
+            text.append(token)
             packed -= count << shift
-        tokens.reverse()
-        return " ".join(tokens) or "."
+        text.reverse()
+        return " ".join(text) or "."
 
     def mask(self, names) -> int:
         """All bits of the fields of `names`."""
@@ -254,7 +268,7 @@ def drip2(rule: PackedDrip, vesicles: list, size: int, codec: Codec) -> list[tup
         rest = residual >> codec.base
         splits = [(0, 0)]  # (packed s, |s|)
         while rest:
-            shift, name = codec.top[rest.bit_length()]
+            shift, name, _, _ = codec.top[rest.bit_length()]
             count = rest >> shift
             rest -= count << shift
             unit = (1 << codec.shift[name]) + codec.salt[name]

@@ -66,8 +66,12 @@ def test_codec_round_trip_and_need_test(m1, m2, largest):
     codec = Codec(SYMBOLS, [], largest)
     for m in (m1, m2, m1 + m2):
         packed = codec.encode(m)
-        assert codec.decode(packed) == m
-        assert codec.render(packed) == m.render()
+        first, second = codec.decode(packed), codec.decode(packed)
+        assert first == second == m
+        assert all(p is q for p, q in zip(first._items, second._items, strict=True))
+        # the first render may fill the codec's token cache, the second reads it
+        for _ in range(2):
+            assert codec.render(packed) == m.render()
         assert packed % codec.field == len(m)
     assert codec.encode(m1 + m2) == codec.encode(m1) + codec.encode(m2)
     # each way round, so that whenever the salts differ one case tests a
@@ -114,6 +118,63 @@ def test_codec_table_grows_linearly_with_the_alphabet():
         tracemalloc.stop()
     assert traced < 8e6
     assert codec.decode(codec.encode([("s0", 3), ("s5999", 16)])) == ms("s0^3 s5999^16")
+    # the pair and token caches fill only for the counts met, with one
+    # vesicle that holds every symbol
+    everything = Multiset.of(*names)
+    tracemalloc.start()
+    try:
+        codec = Codec(names, [], len(names))
+        packed = codec.encode(everything)
+        decoded, text = codec.decode(packed), codec.render(packed)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 8e6
+    assert decoded == everything and text == everything.render()
+
+
+def test_codec_caches_only_the_counts_met():
+    # --max-size 10**9 is a legal bound: a cache sized by 2**width would
+    # not fit in memory
+    tracemalloc.start()
+    try:
+        codec = Codec(["a", "b"], [], 10**9)
+        vesicle = ms("a^1000000000 b^3")
+        packed = codec.encode(vesicle)
+        decoded, text = codec.decode(packed), codec.render(packed)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 1e6
+    assert decoded == vesicle and text == "a^1000000000 b^3"
+
+
+def _assert_pairs_shared(compartments):
+    pairs = [pair for vesicles in compartments for v in vesicles for pair in v._items]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+
+def test_decoded_states_share_their_pairs(even):
+    # one (name, count) tuple per distinct value across all compartments; a
+    # fresh tuple per field of every vesicle takes about 470 bytes per vesicle
+    faithful = CompileOptions(fidelity="faithful")
+    state = closure(compile_machine(even, "cor3", faithful), Bounds(10, 2000, 400))
+    tracemalloc.start()
+    try:
+        contents = state.contents
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.population >= 1000
+    assert traced < 320 * state.population
+    _assert_pairs_shared(contents)
+    tissue = compile_machine(even, "thm4", faithful)
+    bounds = Bounds(12, 3000, 200)
+    cells = initial_state(tissue, bounds)
+    for _ in range(24):
+        cells = tp_step(tissue, cells, bounds)
+    assert cells.population >= 500
+    _assert_pairs_shared(cells.contents)
 
 
 def test_oversize_drip1_product_does_not_spill():
