@@ -54,7 +54,8 @@ class Bounds:
 
     def keeps(self, size: int) -> bool:
         """The size rule: exploration keeps a vesicle of `size` iff it fits
-        `max_size` and is non-empty unless `keep_empty` holds."""
+        `max_size` and is non-empty unless `keep_empty` holds.  `join` and
+        `drip` apply it inline, and their tests hold them to it."""
         return size <= self.max_size and (size > 0 or self.keep_empty)
 
     def loosened(self) -> "Bounds":
@@ -377,8 +378,15 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
     are fused, and the size of a fusion follows from the bucket sizes.
     Returns whether some pair was left out because its fusion is oversize;
     that follows from the largest sizes alone, so no such pair is visited.
+
+    `Bounds.keeps` is applied inline: the room test on the two bucket sizes
+    is its max_size test, so the one size test left per pair of buckets is
+    whether the fusion is empty when `keep_empty` does not hold.
     """
-    room = bounds.max_size - rule.dsize
+    dsize = rule.dsize
+    room = bounds.max_size - dsize
+    void = None if bounds.keep_empty else -dsize  # lsize + rsize of a dropped empty fusion
+    delta = rule.delta
     sizes = sorted(rights)
     shifted = {}
     for lsize, lbucket in lefts.items():
@@ -386,11 +394,11 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
         for rsize in sizes:
             if rsize > cap:
                 break
-            if not bounds.keeps(lsize + rsize + rule.dsize):
+            if lsize + rsize == void:
                 continue
             right = shifted.get(rsize)
             if right is None:
-                right = shifted[rsize] = [v + rule.delta for v in rights[rsize]]
+                right = shifted[rsize] = [v + delta for v in rights[rsize]]
             out.update([v1 + v2 for v2 in right for v1 in lbucket])
     return max(lefts) + sizes[-1] > room
 
@@ -401,26 +409,28 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     of packed vesicles of `size` that contain its need.  Returns whether a
     product was oversize.
     A one-sided rule fires only if its first products, all of one size, are kept.
+    Each product's size is held to `Bounds.keeps`, applied inline.
 
     `kernels` is (apply_drip1, apply_drip), called at most once per bucket
     on the packed rule and the bucket: the first for a one-sided rule, the
     second, with the bucket's size and the codec, for a two-sided one.
     """
     apply_drip1, apply_drip = kernels
+    max_size, keep_empty = bounds.max_size, bounds.keep_empty
     if rule.rule.one_sided:
-        first_size = size + rule.dsize
-        if bounds.keeps(first_size):
+        first_size, second_size = size + rule.dsize, rule.second_size
+        if first_size <= max_size and (first_size or keep_empty):
             out.update(apply_drip1(rule, vesicles))
-        if bounds.keeps(rule.second_size):
+        if second_size <= max_size and (second_size or keep_empty):
             out.add(rule.second)
-        return max(first_size, rule.second_size) > bounds.max_size
+        return first_size > max_size or second_size > max_size
     oversize = False
     for pair in apply_drip(rule, vesicles, size, codec):
         for product, product_size in pair:
-            if bounds.keeps(product_size):
-                out.add(product)
-            elif product_size > bounds.max_size:
+            if product_size > max_size:
                 oversize = True
+            elif product_size or keep_empty:
+                out.add(product)
     return oversize
 
 

@@ -230,18 +230,20 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
             continue
         index = template.empty()
         index.extend(cell)
-        slots = index._slots
+        slots, gone = index._slots, used[src]
         for rule, mate, i, target in firings:
             if mate:
                 lefts, rights = slots[i], slots[i + 1]
                 if lefts and rights:
-                    for bucket in (*lefts.values(), *rights.values()):
-                        used[src].update(bucket)
+                    for bucket in lefts.values():
+                        gone.update(bucket)
+                    for bucket in rights.values():
+                        gone.update(bucket)
                     if join(rule, lefts, rights, bounds, arrivals[target]):
                         pruned = True
             else:
                 for size, bucket in slots[i].items():
-                    used[src].update(bucket)
+                    gone.update(bucket)
                     if drip(rule, size, bucket, bounds, arrivals[target], codec, kernels):
                         pruned = True
 

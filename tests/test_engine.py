@@ -15,6 +15,7 @@ from conftest import SYMBOLS, small_multisets, small_rules
 from matedrip import (
     Bounds,
     CompileOptions,
+    DripRule,
     EMPTY,
     MateRule,
     Multiset,
@@ -246,6 +247,70 @@ def test_two_sided_drip_kernel_matches_apply_drip(rule, extra, other):
         alone = drip2(packed, [codec.encode(v)], len(v), codec)
         assert got[start:start + n] == alone and len(set(alone)) == n
         start += n
+
+
+def _size_map(codec, vesicles):
+    """The packed `vesicles` as the size -> operands map `join` takes."""
+    by_size = {}
+    for v in vesicles:
+        by_size.setdefault(len(v), []).append(codec.encode(v))
+    return by_size
+
+
+_mate_rules = st.builds(MateRule, *[small_multisets(SYMBOLS, 1)] * 5)
+_extras = st.lists(small_multisets(SYMBOLS, 3), min_size=1, max_size=5)
+
+
+@settings(max_examples=200)
+@given(_mate_rules, _extras, _extras, st.integers(1, 7), st.booleans())
+# right maps of one size and of several sizes
+@example(parse_rule("MATE (. | a , b | . ; x)"), [ms("a"), ms("b^2")], [ms("x"), ms("a")], 3, True)
+@example(parse_rule("MATE (. | a , b | . ; x)"), [ms("x")], [EMPTY, ms("a"), ms("a^2 b")], 4, False)
+# zero-size fusions, kept or dropped
+@example(parse_rule("MATE (. | a , b | . ; .)"), [EMPTY, ms("x")], [EMPTY, ms("b")], 1, True)
+@example(parse_rule("MATE (. | a , b | . ; .)"), [EMPTY, ms("x")], [EMPTY, ms("b")], 1, False)
+@example(parse_rule("MATE (. | . , . | . ; .)"), [EMPTY], [EMPTY], 1, False)
+def test_join_matches_apply_mate_pair_by_pair(rule, left_extras, right_extras, max_size,
+                                               keep_empty):
+    # every left x right pair through the Multiset kernel and the size
+    # rule, against what join adds and its oversize flag
+    lefts = list(dict.fromkeys(rule.u + rule.a + e for e in left_extras))
+    rights = list(dict.fromkeys(rule.b + rule.v + e for e in right_extras))
+    bounds = Bounds(max_size, keep_empty=keep_empty)
+    codec = Codec(SYMBOLS, [rule], max(max_size, *map(len, lefts + rights)))
+    out = set()
+    oversize = join(codec.compile(rule), _size_map(codec, lefts), _size_map(codec, rights),
+                    bounds, out)
+    fusions = [apply_mate(rule, v1, v2) for v1 in lefts for v2 in rights]
+    assert out == {codec.encode(f) for f in fusions if bounds.keeps(len(f))}
+    assert oversize == any(len(f) > max_size for f in fusions)
+
+
+_drip_rules = st.builds(DripRule, *[small_multisets(SYMBOLS, 1)] * 5, one_sided=st.booleans())
+
+
+@settings(max_examples=200)
+@given(_drip_rules, _extras, st.integers(1, 7), st.booleans())
+# zero-size products, kept or dropped
+@example(parse_rule("DRIP (. | x | . ; . , .)"), [EMPTY, ms("a"), ms("a b")], 1, False)
+@example(parse_rule("DRIP (. | x | . ; . , .)"), [EMPTY, ms("a"), ms("a b")], 1, True)
+@example(parse_rule("DRIP1 (. | x | . ; . , .)"), [EMPTY, ms("a")], 1, False)
+@example(parse_rule("DRIP (l1 | x | . ; a , b)"), [ms("a^2 b"), ms("l10")], 3, True)
+def test_drip_matches_apply_drip_product_by_product(rule, extras, max_size, keep_empty):
+    # each size bucket of vesicles that hold the need through drip, against
+    # every outcome of the Multiset kernel held to the size rule
+    vesicles = list(dict.fromkeys(rule.u + rule.c + rule.v + e for e in extras))
+    bounds = Bounds(max_size, keep_empty=keep_empty)
+    codec = Codec(SYMBOLS, [rule], max(max_size, *map(len, vesicles)))
+    packed, out, oversize = codec.compile(rule), set(), False
+    for size, bucket in _size_map(codec, vesicles).items():
+        if drip(packed, size, bucket, bounds, out, codec, (drip1, drip2)):
+            oversize = True
+    products = [p for v in vesicles
+                for pair in ([apply_drip1(rule, v)] if rule.one_sided else apply_drip(rule, v))
+                for p in pair]
+    assert out == {codec.encode(p) for p in products if bounds.keeps(len(p))}
+    assert oversize == any(len(p) > max_size for p in products)
 
 
 def _needs(rule):

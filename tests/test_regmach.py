@@ -1,4 +1,8 @@
+import tracemalloc
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import matedrip.regmach
 from matedrip import (
@@ -6,6 +10,8 @@ from matedrip import (
     Halt,
     MachineError,
     RegisterMachine,
+    RunResult,
+    Sub,
     enumerate_accepted,
     normalize_clearing,
     parse_machine,
@@ -48,6 +54,150 @@ def test_run_detects_tight_loops():
     result = run(machine, (0,), 1000)
     assert not result.accepted and result.reason == "nonterminating-detected"
     assert result.steps < 10
+
+
+def test_run_memory_does_not_grow_with_fuel(eq):
+    # (1, 0) drains register 1, then loops on ADD 1 without a repeat: the
+    # run times out, and keeps no configuration per step
+    tracemalloc.start()
+    try:
+        result = run(eq, (1, 0), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == RunResult(False, "timeout", "ld", (199_998, 0), 200_000)
+    assert peak < 2**20
+
+
+def _seen_set_run(machine, inputs, fuel):
+    """`run` as it was written first: every configuration kept in a set."""
+    config = (machine.start, tuple(inputs) + (0,) * (machine.registers - len(inputs)))
+    seen = set()
+    steps = 0
+    while True:
+        nxt = step(machine, config)
+        if nxt is None:
+            return RunResult(True, None, config[0], config[1], steps)
+        if config in seen:
+            return RunResult(False, "nonterminating-detected", config[0], config[1], steps)
+        seen.add(config)
+        if steps >= fuel:
+            return RunResult(False, "timeout", config[0], config[1], steps)
+        config = nxt
+        steps += 1
+
+
+def _outcome(call, *args):
+    """What a call returns, or the message of the MachineError it raises."""
+    try:
+        return call(*args)
+    except MachineError as exc:
+        return f"MachineError: {exc}"
+
+
+_LABELS = ("l0", "l1", "l2", "l3", "l4")
+
+
+@st.composite
+def random_machines(draw):
+    """A machine of 1-3 registers over some of `_LABELS`, started at l0,
+    that is not validated: it may hold any number of HALTs and may jump to
+    the undefined label `lx`."""
+    registers = draw(st.integers(1, 3))
+    labels = _LABELS[:draw(st.integers(1, len(_LABELS)))]
+    targets = st.sampled_from(labels + ("lx",))
+    instructions = {}
+    for label in labels:
+        kind = draw(st.sampled_from(("ADD", "SUB", "SUB", "HALT")))
+        register = draw(st.integers(1, registers))
+        if kind == "ADD":
+            instructions[label] = Add(register, draw(targets))
+        elif kind == "SUB":
+            instructions[label] = Sub(register, draw(targets), draw(targets))
+        else:
+            instructions[label] = Halt()
+    return RegisterMachine(registers, draw(st.integers(0, registers)), "l0", instructions)
+
+
+# drains register 1 in a tail of input + 1 steps, then cycles through c0..c3
+# with register 2 going 0, 1, 2, 1: the first repeat is step input + 5
+_TAIL_THEN_CYCLE = parse_machine(
+    "REGISTERS 2\nINPUTS 1\nSTART l0\nl0 SUB 1 l0 c0\nc0 ADD 2 c1\nc1 ADD 2 c2\n"
+    "c2 SUB 2 c3 c3\nc3 SUB 2 c0 c0\nlh HALT\n")
+# accepts every input in input + 1 steps, and names a label it never reaches
+_UNREACHED_UNDEFINED = RegisterMachine(1, 1, "l0", {
+    "l0": Sub(1, "l0", "lh"), "l1": Add(1, "lx"), "lh": Halt()})
+
+
+@settings(max_examples=300)
+@given(random_machines(), st.lists(st.integers(0, 4), min_size=3, max_size=3),
+       st.integers(1, 60))
+@example(_TAIL_THEN_CYCLE, [2, 0, 0], 7)
+@example(_TAIL_THEN_CYCLE, [2, 0, 0], 6)
+@example(_TAIL_THEN_CYCLE, [0, 0, 0], 1)
+def test_run_matches_the_seen_set_run(machine, values, fuel):
+    inputs = tuple(values[:machine.inputs])
+    assert _outcome(run, machine, inputs, fuel) == _outcome(_seen_set_run, machine, inputs, fuel)
+
+
+def test_run_reports_the_first_repeat_at_every_fuel():
+    # the repeat comes at step input + 5, at c0 with both registers zero;
+    # with less fuel the run times out wherever step `fuel` leaves it
+    for value in range(7):
+        for fuel in range(1, value + 12):
+            result = run(_TAIL_THEN_CYCLE, (value,), fuel)
+            assert result == _seen_set_run(_TAIL_THEN_CYCLE, (value,), fuel)
+            if fuel >= value + 5:
+                assert result == RunResult(
+                    False, "nonterminating-detected", "c0", (0, 0), value + 5)
+            else:
+                assert result.reason == "timeout" and result.steps == fuel
+
+
+def _accepted_by_run(machine, bound, fuel):
+    return {vec for vec in product(range(bound + 1), repeat=machine.inputs)
+            if run(machine, vec, fuel).accepted}
+
+
+@settings(max_examples=300)
+@given(random_machines(), st.integers(0, 4), st.integers(1, 60))
+@example(_UNREACHED_UNDEFINED, 4, 60)
+@example(_UNREACHED_UNDEFINED, 4, 3)  # input 2 halts in exactly 3 steps
+@example(_TAIL_THEN_CYCLE, 4, 60)
+def test_enumerate_matches_run(machine, bound, fuel):
+    assert (_outcome(enumerate_accepted, machine, bound, fuel)
+            == _outcome(_accepted_by_run, machine, bound, fuel))
+
+
+def test_enumerate_halting_in_exactly_fuel_steps():
+    # input n halts in n + 1 steps, and lx is never reached
+    assert enumerate_accepted(_UNREACHED_UNDEFINED, 6, 3) == {(0,), (1,), (2,)}
+    reached = RegisterMachine(1, 1, "l0", {"l0": Add(1, "l1"), "l1": Add(1, "lx"), "lh": Halt()})
+    # every run reaches lx at step 2: past a fuel of 1, not past a fuel of 2
+    assert enumerate_accepted(reached, 3, 1) == set()
+    with pytest.raises(MachineError, match="^unknown label 'lx'$"):
+        enumerate_accepted(reached, 3, 2)
+
+
+def test_enumerate_calls_neither_run_nor_step(even, eq, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle ran a vector through the interpreter")
+
+    monkeypatch.setattr(matedrip.regmach, "run", refuse)
+    monkeypatch.setattr(matedrip.regmach, "step", refuse)
+    assert enumerate_accepted(even, 5, 100) == {(0,), (2,), (4,)}
+    assert enumerate_accepted(eq, 3, 200) == {(0, 0), (1, 1), (2, 2), (3, 3)}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: run(m, (2,), 2.5), "fuel must be an int, not 2.5"),
+    (lambda m: run(m, (2,), True), "fuel must be an int, not True"),
+    (lambda m: enumerate_accepted(m, 2.5, 100), "bound must be an int, not 2.5"),
+    (lambda m: enumerate_accepted(m, True, 100), "bound must be an int, not True"),
+], ids=["run-float-fuel", "run-bool-fuel", "enumerate-float-bound", "enumerate-bool-bound"])
+def test_fuel_and_bound_must_be_ints(even, call, message):
+    with pytest.raises(MachineError, match=f"^{message}$"):
+        call(even)
 
 
 def test_run_fuel_monotonicity(even):
