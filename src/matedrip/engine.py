@@ -11,17 +11,22 @@ and a tissue state's contents and result log when they are read, and for
 the results a closure state is asked for.  Admission is batched: a
 compartment's new vesicles are filed in one `OperandIndex.extend` call on
 an empty copy of its index, and a fill that fits the cap is a set union.
-A fill that the cap cuts sorts only the compartment it splits, by the text
-`Codec.render` writes straight from the packed fields.
+A fill that the cap cuts selects from the one compartment it splits by
+the text `Codec.render` writes straight from the packed fields: it groups
+that compartment by first token, places whole groups in token order, and
+renders only the group the cut falls in.  Tokens are joined by a space
+and no symbol name holds a character at or below it, so first tokens
+order the texts as the texts themselves do.
 The index keeps each need side's operands in a slot of its own and, in a
 closure, the vesicles each branch of a filter leaving the tube passes.
 A closure round joins that batch against the index and keeps its mate
 operands, and it and the tissue step reach only the rules whose slots the
-batch filed into.  The index files a vesicle by the plan of its support
-signature, the symbols named in the rules' needs or forbidden by the
-branches that it holds, so a need is tested per vesicle only when it asks
-for some symbol more than once, and no branch is tested per vesicle.  A
-drip kernel fires once per size bucket of its operands.
+batch filed into.  A join streams its fusions into the output set.  The
+index files a vesicle by the plan of its support signature, the symbols
+named in the rules' needs or forbidden by the branches that it holds, so
+a need is tested per vesicle only when it asks for some symbol more than
+once, and no branch is tested per vesicle.  A drip kernel fires once per
+size bucket of its operands.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, admission, the population-capped fill and the
@@ -31,6 +36,8 @@ state fields that decode on first read.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product, starmap
+from operator import add
 
 from .multiset import Multiset, value_class
 from .rules import DripRule, MateRule, Rule
@@ -98,6 +105,13 @@ class PackedDrip:
         self.dsize = len(rule.y) - len(rule.c) - len(rule.v)
         self.second = encode(rule.z) + encode(rule.v)
         self.second_size = len(rule.z) + len(rule.v)
+
+
+def _token(tokens: dict, name: str, count: int) -> str:
+    """The `name` or `name^count` token of a count not yet in a field's
+    `tokens` cache, now cached there."""
+    token = tokens[count] = f"{name}^{count}" if count > 1 else name
+    return token
 
 
 def _multiplier(i: int) -> int:
@@ -221,10 +235,7 @@ class Codec:
         while packed:
             shift, name, _, tokens = top[packed.bit_length()]
             count = packed >> shift
-            token = tokens.get(count)
-            if token is None:
-                token = tokens[count] = f"{name}^{count}" if count > 1 else name
-            text.append(token)
+            text.append(tokens.get(count) or _token(tokens, name, count))
             packed -= count << shift
         text.reverse()
         return " ".join(text) or "."
@@ -376,6 +387,10 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
 
     Both maps must hold operands.  Only pairs whose fusion fits max_size
     are fused, and the size of a fusion follows from the bucket sizes.
+    The fusions of a pair of buckets are streamed into `out` by
+    `itertools.starmap(operator.add, product(...))`, so no list of them
+    is built and no bytecode runs per pair; each right bucket is shifted
+    by the rule's delta once per call.
     Returns whether some pair was left out because its fusion is oversize;
     that follows from the largest sizes alone, so no such pair is visited.
 
@@ -398,8 +413,8 @@ def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) 
                 continue
             right = shifted.get(rsize)
             if right is None:
-                right = shifted[rsize] = [v + delta for v in rights[rsize]]
-            out.update([v1 + v2 for v2 in right for v1 in lbucket])
+                right = shifted[rsize] = list(map(delta.__add__, rights[rsize]))
+            out.update(starmap(add, product(right, lbucket)))
     return max(lefts) + sizes[-1] > room
 
 
@@ -492,9 +507,11 @@ def fill(fresh: list[set[int]], bounds: Bounds, population: int,
 
     The order matters only when the cap cuts the batch.  A batch that fits
     is returned as it is.  In a cut one, each compartment that fits the
-    room left is placed whole, the one compartment the cap splits is
-    sorted by `Codec.render` and cut, and the later ones get nothing, so
-    only the split compartment is rendered and nothing is decoded.
+    room left is placed whole, the one compartment the cap splits keeps
+    its `room` first vesicles in `Codec.render` order (`_first_rendered`),
+    and the later ones get nothing.  Only the vesicles that share the
+    first token of the one the cut falls on are rendered whole, and
+    nothing is decoded.
     """
     room = max(bounds.max_population - population, 0)
     if sum(map(len, fresh)) <= room:
@@ -505,10 +522,47 @@ def fill(fresh: list[set[int]], bounds: Bounds, population: int,
             placed.append(vesicles)
             room -= len(vesicles)
         else:
-            # render gives each multiset its own text, so no tie-break is needed
-            placed.append(set(sorted(vesicles, key=codec.render)[:room]) if room else set())
+            placed.append(_first_rendered(vesicles, room, codec) if room else set())
             room = 0
     return placed, True
+
+
+def _first_rendered(vesicles: set[int], room: int, codec: Codec) -> set[int]:
+    """The `room` vesicles of `vesicles`, 0 < room < len(vesicles), whose
+    `Codec.render` texts come first, selected by first token (a one-digit
+    most-significant-digit radix select: McIlroy, Bostic & McIlroy,
+    Computing Systems 6, 1993).
+
+    A vesicle's first token is that of its lowest nonzero field, found
+    through `rest & -rest` on the salt-free int, or '.' when it is empty.
+    The vesicles are grouped by it, and whole groups are taken in token
+    order while they fit; only the group the cut falls in is rendered and
+    sorted.  That keeps the render order: tokens are joined by a space,
+    and no symbol name holds a character at or below the space
+    (`multiset.check_symbol`), so a text whose first token is smaller,
+    even a proper prefix of the other's, as `l1` of `l1^2` or `l10`, is
+    smaller.  Render gives each multiset its own text, so no tie-break is
+    needed.
+    """
+    base, field, top = codec.base, codec.field, codec.top
+    groups: dict[str, list[int]] = defaultdict(list)
+    for vesicle in vesicles:
+        rest = vesicle >> base
+        if rest:
+            shift, name, _, tokens = top[(rest & -rest).bit_length()]
+            count = rest >> shift & field
+            groups[tokens.get(count) or _token(tokens, name, count)].append(vesicle)
+        else:
+            groups["."].append(vesicle)
+    kept: set[int] = set()
+    for token in sorted(groups):
+        group = groups[token]
+        if len(group) > room:
+            group = sorted(group, key=codec.render)[:room]
+        kept.update(group)
+        room -= len(group)
+        if not room:
+            return kept
 
 
 def decode_compartments(codec: Codec,

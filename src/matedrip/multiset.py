@@ -33,12 +33,21 @@ def is_number(token: str) -> bool:
 
 
 def check_symbol(name: str) -> str:
-    """Validate a symbol name and return it unchanged."""
+    """Validate a symbol name and return it unchanged.
+
+    A name is printable (`str.isprintable`), holds no space and none of the
+    grammars' structural characters, and is neither empty nor '.'.  So no
+    name holds a character at or below the space, which joins the tokens
+    of a rendered multiset: `engine.fill` orders texts by first token on
+    that ground.  The test runs in C string methods, since `validate_tts`
+    checks every name of a system on each `closure` call; only a refused
+    name is scanned for the character to report.
+    """
     if not name or name == ".":
         raise MultisetError(f"invalid symbol name: {name!r}")
-    for ch in name:
-        if ch.isspace() or ch in _FORBIDDEN:
-            raise MultisetError(f"symbol {name!r} contains forbidden character {ch!r}")
+    if not (name.isprintable() and " " not in name and _FORBIDDEN.isdisjoint(name)):
+        bad = next(ch for ch in name if not ch.isprintable() or ch == " " or ch in _FORBIDDEN)
+        raise MultisetError(f"symbol {name!r} contains forbidden character {bad!r}")
     return name
 
 

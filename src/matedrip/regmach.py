@@ -2,7 +2,8 @@
 
 A machine accepts an input vector when it reaches HALT from the start label
 with registers 1..k loaded; rejection is operational (non-halting), so every
-run carries an explicit fuel budget, a non-bool int, as a bound is.
+run carries an explicit fuel budget, a non-bool int of at most MAX_FUEL;
+a bound is a non-bool int too.
 
 `run` and `step` are the reference interpreter: `run` reports how a run
 ended and finds a repeated configuration with one checkpoint, so its memory
@@ -129,15 +130,24 @@ def step(machine: RegisterMachine, config: Config) -> Config | None:
     return (inst.zero, regs)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a fuel or bound that is not an int of at least `least`, as
+# The largest fuel: a run that neither halts nor repeats makes up to twice
+# its fuel in steps, and `matedrip rm run machines/even.rm --input 3` takes
+# 1.8-2.3 s at this fuel on a shared 2-core box.
+MAX_FUEL = 1_000_000
+
+
+def _check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """Refuse a fuel or bound that is not an int from `least` to `most`, as
     `tp.check_steps` does for step budgets: a bool or a float would
-    otherwise pass as a budget."""
+    otherwise pass as a budget, and a fuel past MAX_FUEL would let one
+    call work without a limit in sight."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise MachineError(f"{name} must be an int, not {value!r}")
     if value < least:
         raise MachineError(f"{name} must be at least {least}" if least
                            else f"{name} must be non-negative, got {value}")
+    if most is not None and value > most:
+        raise MachineError(f"{name} {value} is over the limit of {most}")
 
 
 def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResult:
@@ -164,7 +174,7 @@ def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResu
         raise MachineError(f"expected {machine.inputs} inputs, got {len(inputs)}")
     if any(x < 0 for x in inputs):
         raise MachineError(f"inputs must be non-negative, got {tuple(inputs)}")
-    _check_count("fuel", fuel, 1)
+    _check_count("fuel", fuel, 1, MAX_FUEL)
     start: Config = (machine.start, tuple(inputs) + (0,) * (machine.registers - len(inputs)))
     config, steps = start, 0
     mark, power, lam = start, 1, 0  # the checkpoint, its phase length, steps since it
@@ -234,7 +244,7 @@ def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[t
         if vectors > MAX_VECTORS:
             raise MachineError(f"bound {bound} over {k} inputs gives more than "
                                f"{MAX_VECTORS} vectors to run")
-    _check_count("fuel", fuel, 1)
+    _check_count("fuel", fuel, 1, MAX_FUEL)
     number = {label: i for i, label in enumerate(machine.instructions)}
 
     def at(label: str) -> int:  # an undefined label is numbered past the program

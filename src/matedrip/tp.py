@@ -18,7 +18,7 @@ from .engine import (
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import Multiset, located, parse_number, split_head, value_class
 from .rules import Rule, apply_mate, parse_rule
-from .tts import FormatError, parse_system
+from .tts import FormatError, name_problems, parse_system
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
@@ -85,8 +85,9 @@ def validate_tp(system: TissueSystem) -> tuple[list[str], list[str]]:
 
 def _problems(system: TissueSystem) -> tuple[list[tuple], list[str]]:
     """(violations, warnings); each violation is a (where, problem) pair,
-    `where` being "CELLS", "TERMINAL", "OUTPUT", ("AXIOM", cell, axiom),
-    ("RULE", k) for the k-th rule, or None for the system as a whole."""
+    `where` being "CELLS", "ALPHABET", "TERMINAL", "OUTPUT", ("AXIOM",
+    cell, axiom), ("RULE", k) for the k-th rule, or None for the system as
+    a whole."""
     problems: list[tuple] = []
     warnings: list[str] = []
     n = system.cells
@@ -94,6 +95,7 @@ def _problems(system: TissueSystem) -> tuple[list[tuple], list[str]]:
         problems.append(("CELLS", "cell count must be positive"))
     if len(system.axioms) != n:
         problems.append((None, "axiom sequence must have one entry per cell"))
+    problems += name_problems(system.alphabet, system.terminal)
     if not system.terminal <= system.alphabet:
         problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     if not 1 <= system.output_cell <= n:

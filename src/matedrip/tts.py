@@ -19,7 +19,9 @@ from .engine import (
     Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, lazy_field,
     rule_productions)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset, directives, located, parse_number, split_head, value_class
+from .multiset import (
+    Multiset, MultisetError, check_symbol, directives, located, parse_number, split_head,
+    value_class)
 from .rules import Rule, apply_mate, parse_rule
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
@@ -105,17 +107,34 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
     return [problem for _, problem in _problems(system)]
 
 
+def name_problems(alphabet, terminal) -> list[tuple]:
+    """("ALPHABET" or "TERMINAL", problem) pairs, in order, for the names
+    of either set that `check_symbol` refuses.  `parse_system` refuses
+    them line by line in a file; the `_problems` of both system kinds call
+    this for a system built through the API."""
+    problems = []
+    for where, names in (("ALPHABET", alphabet), ("TERMINAL", terminal)):
+        for name in names:
+            try:
+                check_symbol(name)
+            except MultisetError as exc:
+                problems.append((where, str(exc)))
+    return sorted(problems)
+
+
 def _problems(system: TestTubeSystem) -> list[tuple]:
-    """(where, problem) pairs; `where` is "TUBES", "TERMINAL", "OUTPUT",
-    ("AXIOM", tube, axiom), ("RULE", tube, k) for a tube's k-th rule,
-    ("FILTER", source, target, k) for a filter's k-th branch (k = 0 for the
-    problems of the filter as a whole), or None for the system as a whole."""
+    """(where, problem) pairs; `where` is "TUBES", "ALPHABET", "TERMINAL",
+    "OUTPUT", ("AXIOM", tube, axiom), ("RULE", tube, k) for a tube's k-th
+    rule, ("FILTER", source, target, k) for a filter's k-th branch (k = 0
+    for the problems of the filter as a whole), or None for the system as
+    a whole."""
     problems = []
     n = system.tubes
     if n < 1:
         problems.append(("TUBES", "tube count must be positive"))
     if len(system.axioms) != n or len(system.rules) != n:
         problems.append((None, "axiom/rule sequences must have one entry per tube"))
+    problems += name_problems(system.alphabet, system.terminal)
     if not system.terminal <= system.alphabet:
         problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     for i in system.outputs:
@@ -309,11 +328,12 @@ _REPEATABLE = frozenset({"AXIOM", "RULE", "FILTER"})
 def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple:
     """The skeleton shared by the `.tts` and `.tp` line formats.
 
-    Checks `SYSTEM kind` and reads ALPHABET, TERMINAL, the compartment
-    count `count_head` (at most MAX_COMPARTMENTS) and AXIOM lines.  Every
-    other head goes to `handlers[head](rest)`, which returns the line's
-    `where` and the compartment indices the line names.  Only AXIOM, RULE
-    and FILTER lines may repeat.  Errors carry their line number, and so
+    Checks `SYSTEM kind` and reads ALPHABET and TERMINAL, whose names must
+    pass `check_symbol`, the compartment count `count_head` (at most
+    MAX_COMPARTMENTS) and AXIOM lines.  Every other head goes to
+    `handlers[head](rest)`, which returns the line's `where` and the
+    compartment indices the line names.  Only AXIOM, RULE and FILTER lines
+    may repeat.  Errors carry their line number, and so
     does a compartment index out of range once the count is known.
     Returns (alphabet, terminal, count, axioms by compartment index, at);
     the alphabet and count are None when undeclared, and `at` maps each
@@ -336,9 +356,9 @@ def parse_system(text: str, kind: str, count_head: str, handlers: dict) -> tuple
                 if rest.upper() != kind:
                     raise FormatError(f"expected SYSTEM {kind}, got {rest!r}")
             elif head == "ALPHABET":
-                alphabet = frozenset(rest.split())
+                alphabet = frozenset(map(check_symbol, rest.split()))
             elif head == "TERMINAL":
-                terminal = frozenset(rest.split())
+                terminal = frozenset(map(check_symbol, rest.split()))
             elif head == count_head:
                 count = parse_number(rest)
                 if count > MAX_COMPARTMENTS:

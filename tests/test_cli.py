@@ -178,6 +178,32 @@ def test_negative_bound_exits_2(capsys):
         assert captured.out == ""
 
 
+def test_fuel_over_the_limit_exits_2(capsys):
+    # a fuel past regmach.MAX_FUEL is refused before any step is run
+    for argv in (["rm", "run", machine_path("even.rm"), "--input", "3",
+                  "--fuel", "100000000000000000000"],
+                 ["rm", "enum", machine_path("even.rm"), "--bound", "2", "--fuel", "1000001"],
+                 ["verify", "thm1", machine_path("even.rm"), "--fuel", "1000001"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "is over the limit of 1000000" in captured.err
+        assert captured.out == ""
+
+
+def test_unusable_alphabet_names_exit_2(tmp_path, capsys):
+    # no axiom or rule could name `b^2`, and a control character is refused too
+    for suffix, text, lineno in (
+            ("tts", "SYSTEM TTS\nALPHABET a b^2\nTUBES 1\nOUTPUT 1\n", 2),
+            ("tp", "SYSTEM TP\nALPHABET a\nCELLS 1\nOUTPUT 1\nTERMINAL a\x01b\n", 5)):
+        path = tmp_path / f"bad.{suffix}"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {lineno}: symbol ")
+        assert "forbidden character" in captured.err
+        assert captured.out == ""
+
+
 def test_oversized_oracle_box_exits_2(capsys):
     # 100001 ** 2 vectors: refused at once, by rm enum and verify alike
     for argv in (["rm", "enum", machine_path("eq.rm"), "--bound", "100000", "--fuel", "1"],

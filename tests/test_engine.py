@@ -580,8 +580,18 @@ def _naive_fill(fresh, bounds, population, codec):
     return placed, len(keyed) > room
 
 
+# Names on either side of '.', '^' and one another as text: "-x" < "." <
+# "l1" < "l10" < "l1A" < "l1^10" < "l1^2" < "l1a" < "x", while the fields
+# go -x, l1, l10, l1A, l1a, x.  A cut fill selects by first token, the
+# token of the lowest field, so these are the orders it must not confuse.
+_FILL_NAMES = ("-x", "l1", "l10", "l1A", "l1a", "x")
+_FILL_CODEC = Codec(_FILL_NAMES, [], 14)
+_fill_vesicles = st.dictionaries(st.sampled_from(_FILL_NAMES), st.integers(1, 14),
+                                 max_size=4).map(lambda counts: _FILL_CODEC.encode(counts.items()))
+
+
 @settings(max_examples=300)
-@given(st.lists(st.sets(_packed_vesicles, max_size=6), min_size=1, max_size=4),
+@given(st.lists(st.sets(_fill_vesicles, max_size=40), min_size=1, max_size=4),
        st.integers(0, 5), st.data())
 def test_fill_matches_naive_fill(fresh, population, data):
     # every room from 0 to the batch size: inside each compartment, at each
@@ -590,9 +600,32 @@ def test_fill_matches_naive_fill(fresh, population, data):
     room = data.draw(st.integers(0, total))
     population = max(population, 1 - room)  # max_population is at least 1
     bounds = Bounds(14, population + room)
-    placed, cut = fill([set(vs) for vs in fresh], bounds, population, _RENDER_CODEC)
-    assert (placed, cut) == _naive_fill(fresh, bounds, population, _RENDER_CODEC)
+    placed, cut = fill([set(vs) for vs in fresh], bounds, population, _FILL_CODEC)
+    assert (placed, cut) == _naive_fill(fresh, bounds, population, _FILL_CODEC)
     assert cut == (total > room)
+
+
+def test_cut_fill_renders_only_the_first_token_group_it_cuts():
+    # first-token groups in text order, with the empty vesicle '.' among them
+    groups = [["-x", "-x l1a"], ["."], ["l1", "l1 l10", "l1 l1A", "l1 x^3"], ["l10"],
+              ["l1A x"], ["l1^10 x"], ["l1^2", "l1^2 x"], ["l1a"], ["x"]]
+    codec = Codec(_FILL_NAMES, [], 14)
+    render = codec.render
+    rendered = []
+    codec.render = lambda vesicle: rendered.append(vesicle) or render(vesicle)
+    packed = [[codec.encode(Multiset.parse(text)) for text in group] for group in groups]
+    fresh = {v for group in packed for v in group}
+    start = 0
+    for group in packed:
+        # a cut on the boundary before the group, then one inside it
+        for room in range(start, start + len(group)):
+            rendered.clear()
+            bounds = Bounds(14, max(room, 1))
+            placed, cut = fill([set(fresh)], bounds, bounds.max_population - room, codec)
+            assert cut and (placed, cut) == _naive_fill([fresh], bounds,
+                                                        bounds.max_population - room, codec)
+            assert sorted(rendered) == (sorted(group) if room > start else [])
+        start += len(group)
 
 
 def test_two_sided_drip_products_match_apply_drip():

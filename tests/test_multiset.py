@@ -42,7 +42,9 @@ def brute_splits(m):
 def test_symbol_validation():
     assert check_symbol("a1") == "a1"
     assert check_symbol("@A.l1") == "@A.l1"
-    for bad in ("", ".", "a b", "x;y", "x|y", "x^2", "x{", "x}", "x,y", "x(", "x)", "x#y"):
+    for bad in ("", ".", "a b", "x;y", "x|y", "x^2", "x{", "x}", "x,y", "x(", "x)", "x#y",
+                # not printable: controls, and a space other than ' '
+                "a\x01b", "a\x1bb", "a\xa0b"):
         with pytest.raises(MultisetError):
             check_symbol(bad)
     assert is_reserved("@X")

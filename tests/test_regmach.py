@@ -200,6 +200,15 @@ def test_fuel_and_bound_must_be_ints(even, call, message):
         call(even)
 
 
+def test_fuel_over_the_limit_is_refused(even):
+    # a run that neither halts nor repeats makes up to twice its fuel in steps
+    over = matedrip.regmach.MAX_FUEL + 1
+    for call in (lambda: run(even, (3,), over), lambda: enumerate_accepted(even, 2, over)):
+        with pytest.raises(MachineError, match=f"^fuel {over} is over the limit of {over - 1}$"):
+            call()
+    assert run(even, (4,), over - 1).accepted
+
+
 def test_run_fuel_monotonicity(even):
     for value in range(5):
         for fuel in (1, 2, 5, 50):

@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import re
 import weakref
 from collections import Counter
 
@@ -606,6 +607,21 @@ def test_validate_tp():
     stray = system_of(1, [(1, ms("zz"))], [], {"a"})
     problems, _ = validate_tp(stray)
     assert any("outside the alphabet" in p for p in problems)
+
+
+def test_alphabet_and_terminal_names_are_checked():
+    # in a file, the line that declares the name; through the API, at tp_run
+    for text, lineno, name in (("SYSTEM TP\nALPHABET a b^2\nCELLS 1\nOUTPUT 1\n", 2, "b^2"),
+                               ("SYSTEM TP\nALPHABET a\nTERMINAL a\x1bb\nCELLS 1\nOUTPUT 1\n",
+                                3, "a\x1bb")):
+        with pytest.raises(FormatError, match=re.escape(f"line {lineno}: symbol {name!r} contains")):
+            parse_tp(text)
+    for alphabet, terminal in (({"a", "b^2"}, set()), ({"a", "a\x1bb"}, {"a\x1bb"})):
+        system = system_of(1, [(1, ms("a"))], [], alphabet, terminal)
+        problems, _ = validate_tp(system)
+        assert any("forbidden character" in p for p in problems)
+        with pytest.raises(ValueError, match="forbidden character"):
+            tp_run(system, 1, Bounds())
 
 
 def test_format_roundtrip():

@@ -1,5 +1,6 @@
 import copy
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -237,6 +238,19 @@ def test_validate_tts():
         axioms=(frozenset(),), rules=((),), filters=(), outputs=frozenset(),
     )
     assert any("terminal" in p for p in validate_tts(bad_terminal))
+
+
+def test_alphabet_and_terminal_names_are_checked():
+    # in a file, the line that declares the name; through the API, at closure
+    for text, lineno, name in (("SYSTEM TTS\nALPHABET a b^2 c;d\nTUBES 1\n", 2, "b^2"),
+                               ("SYSTEM TTS\nALPHABET a\nTUBES 1\nTERMINAL a\x01b\n", 4, "a\x01b")):
+        with pytest.raises(FormatError, match=re.escape(f"line {lineno}: symbol {name!r} contains")):
+            parse_tts(text)
+    for alphabet, terminal in (({"a", "b^2"}, set()), ({"a", "a\x01b"}, {"a\x01b"})):
+        system = one_tube([], [ms("a")], alphabet, terminal)
+        assert any("forbidden character" in p for p in validate_tts(system))
+        with pytest.raises(ValueError, match="forbidden character"):
+            closure(system, Bounds())
 
 
 def test_format_roundtrip():
