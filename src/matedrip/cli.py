@@ -14,9 +14,9 @@ from pathlib import Path
 from .compilers import CONSTRUCTIONS, CompileOptions, compile_machine, metrics
 from .multiset import directives, is_number
 from .regmach import enumerate_accepted, load_machine, run
-from .tp import TissueSystem, check_steps, parse_tp, render_tp, tp_run, validate_tp
-from .tts import Bounds, closure, parse_tts, render_tts, results_of_state
-from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_verify
+from .tp import TissueSystem, check_steps, parse_tp, render_tp, validate_tp
+from .tts import Bounds, parse_tts, render_tts
+from .verify import DEFAULT_MAX_STEPS, format_report, render_vector, run_system, run_verify
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser):
@@ -143,12 +143,7 @@ def cmd_run(args) -> int:
         _, warnings = validate_tp(system)  # parse_tp has raised on any problem
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        result_set, trace = tp_run(system, args.max_steps, bounds)
-        pruned = trace.pruned
-    else:
-        state = closure(system, bounds)
-        result_set = results_of_state(system, state)
-        pruned = state.pruned
+    result_set, pruned = run_system(system, bounds, args.max_steps)
     for vesicle in sorted(result_set, key=lambda m: m.render()):
         print(vesicle.render())
     if pruned:

@@ -29,8 +29,11 @@ once, and no branch is tested per vesicle.  A drip kernel fires once per
 size bucket of its operands.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
-the mate join, drip firing, admission, the population-capped fill and the
-state fields that decode on first read.
+the mate join, drip firing, the population-capped fill and the state
+fields that decode on first read.  It also holds the packed start both
+engines begin from: `packed_start` admits the axioms per compartment and
+packs them with `pack`, the one place a codec is sized from given
+contents.
 """
 
 from __future__ import annotations
@@ -486,17 +489,23 @@ def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds:
     return cut
 
 
-def admissible(batch, bounds: Bounds) -> tuple[list, bool]:
-    """The (compartment, Multiset) pairs of `batch` that `bounds` admits, and
-    whether one was refused for size: since max_size >= 1, a refused
-    vesicle is oversize unless it is empty."""
-    admitted, oversize = [], False
-    for cv in batch:
-        if bounds.keeps(len(cv[1])):
-            admitted.append(cv)
-        elif len(cv[1]):
-            oversize = True
-    return admitted, oversize
+def pack(alphabet, rules, compartments, max_size: int) -> tuple[Codec, list[frozenset[int]]]:
+    """A codec over `alphabet` and `rules` sized by max_size and by the
+    largest vesicle of `compartments`, collections of Multisets, and each
+    compartment packed by it.  A size bounds every count, and
+    `OperandIndex.extend` needs each size below 2**width - 1."""
+    largest = max((len(v) for vesicles in compartments for v in vesicles), default=0)
+    codec = Codec(alphabet, rules, max(largest, max_size))
+    return codec, [frozenset(map(codec.encode, vesicles)) for vesicles in compartments]
+
+
+def packed_start(alphabet, rules, axioms, bounds: Bounds) -> tuple[Codec, list, bool]:
+    """(codec, compartments, oversize): the axioms, given per compartment,
+    that `bounds` admits, packed by `pack`, and whether one was larger
+    than max_size."""
+    admitted = [[v for v in vesicles if bounds.keeps(len(v))] for vesicles in axioms]
+    oversize = any(len(v) > bounds.max_size for vesicles in axioms for v in vesicles)
+    return (*pack(alphabet, rules, admitted, bounds.max_size), oversize)
 
 
 def fill(fresh: list[set[int]], bounds: Bounds, population: int,

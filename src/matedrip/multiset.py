@@ -121,6 +121,19 @@ def parse_number(token: str) -> int:
     return int(token)
 
 
+def check_count(error: type, name: str, value, least: int, most: int | None = None) -> None:
+    """Refuse, with `error`, a budget or bound that is not an int from
+    `least` to `most`: a bool or a float would otherwise pass as one, and
+    a value past `most` would let one call work without a limit in sight."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise error(f"{name} must be at least {least}" if least
+                    else f"{name} must be non-negative, got {value}")
+    if most is not None and value > most:
+        raise error(f"{name} {value} is over the limit of {most}")
+
+
 def split_head(text: str) -> tuple[str, str]:
     """(first word, stripped rest) of `text`, split on any whitespace."""
     words = text.split(None, 1)

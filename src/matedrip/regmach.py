@@ -10,8 +10,7 @@ ended and finds a repeated configuration with one checkpoint, so its memory
 does not grow with the fuel.  The acceptance oracle `enumerate_accepted`
 does not go through them: it compiles the machine once into a list of
 instruction tuples indexed by label number and runs each vector of its box
-in a loop that asks only whether HALT comes within the fuel.  The 16 oracle
-calls of the guarded verify sweep fell from about 20 ms to 2.5 ms so.
+in a loop that asks only whether HALT comes within the fuel.
 
 `.rm` files are read through `multiset.directives`, the line reader of the
 `.tts` and `.tp` formats too, and every problem that belongs to a line,
@@ -23,7 +22,8 @@ from __future__ import annotations
 from itertools import product, repeat
 from pathlib import Path
 
-from .multiset import check_symbol, directives, is_reserved, located, parse_number, value_class
+from .multiset import (
+    check_count, check_symbol, directives, is_reserved, located, parse_number, value_class)
 
 
 class MachineError(ValueError):
@@ -136,20 +136,6 @@ def step(machine: RegisterMachine, config: Config) -> Config | None:
 MAX_FUEL = 1_000_000
 
 
-def _check_count(name: str, value, least: int, most: int | None = None) -> None:
-    """Refuse a fuel or bound that is not an int from `least` to `most`, as
-    `tp.check_steps` does for step budgets: a bool or a float would
-    otherwise pass as a budget, and a fuel past MAX_FUEL would let one
-    call work without a limit in sight."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MachineError(f"{name} must be an int, not {value!r}")
-    if value < least:
-        raise MachineError(f"{name} must be at least {least}" if least
-                           else f"{name} must be non-negative, got {value}")
-    if most is not None and value > most:
-        raise MachineError(f"{name} {value} is over the limit of {most}")
-
-
 def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResult:
     """Run from the start label; registers 1..k hold the input, others zero.
 
@@ -174,7 +160,7 @@ def run(machine: RegisterMachine, inputs: tuple[int, ...], fuel: int) -> RunResu
         raise MachineError(f"expected {machine.inputs} inputs, got {len(inputs)}")
     if any(x < 0 for x in inputs):
         raise MachineError(f"inputs must be non-negative, got {tuple(inputs)}")
-    _check_count("fuel", fuel, 1, MAX_FUEL)
+    check_count(MachineError, "fuel", fuel, 1, MAX_FUEL)
     start: Config = (machine.start, tuple(inputs) + (0,) * (machine.registers - len(inputs)))
     config, steps = start, 0
     mark, power, lam = start, 1, 0  # the checkpoint, its phase length, steps since it
@@ -221,7 +207,8 @@ def _first_repeat(machine: RegisterMachine, start: Config, lam: int) -> tuple[Co
 
 def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[tuple[int, ...]]:
     """All accepted vectors in {0..bound}^k; the oracle for verification.
-    A box of more than MAX_VECTORS vectors is refused before any is run.
+    A box of more than MAX_VECTORS vectors, or one whose vectors times
+    `fuel` pass MAX_ORACLE_STEPS, is refused before any vector is run.
 
     The vectors accepted are those `run(machine, v, fuel).accepted` names,
     found without `run`: the machine is compiled once into a list indexed
@@ -231,12 +218,9 @@ def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[t
     `run` it checks HALT before the budget, and it raises `MachineError`
     for an undefined label only when a run reaches it.  It keeps no
     configuration, so a diverging run costs its `fuel` steps whether or not
-    it repeats.  The 16 oracle calls of the guarded verify sweep took about
-    20 ms through `run` and take 2.5 ms so (best of 20, in process, on a
-    shared 2-core box); `rm enum machines/eq.rm --bound 40 --fuel 2000`
-    fell from 2.4-2.8 s to 0.45 s, with the same 41 lines.
+    it repeats.
     """
-    _check_count("bound", bound, 0)
+    check_count(MachineError, "bound", bound, 0)
     k = machine.inputs
     vectors = 1
     for _ in range(k):  # stops at the first factor past the limit
@@ -244,7 +228,10 @@ def enumerate_accepted(machine: RegisterMachine, bound: int, fuel: int) -> set[t
         if vectors > MAX_VECTORS:
             raise MachineError(f"bound {bound} over {k} inputs gives more than "
                                f"{MAX_VECTORS} vectors to run")
-    _check_count("fuel", fuel, 1, MAX_FUEL)
+    check_count(MachineError, "fuel", fuel, 1, MAX_FUEL)
+    if vectors * fuel > MAX_ORACLE_STEPS:
+        raise MachineError(f"bound {bound} over {k} inputs at fuel {fuel} allows "
+                           f"{vectors * fuel} steps, over the limit of {MAX_ORACLE_STEPS}")
     number = {label: i for i, label in enumerate(machine.instructions)}
 
     def at(label: str) -> int:  # an undefined label is numbered past the program
@@ -320,6 +307,10 @@ def normalize_clearing(machine: RegisterMachine) -> RegisterMachine:
 MAX_REGISTERS = 1000
 # The most vectors `enumerate_accepted` runs: its box holds (bound + 1) ** k.
 MAX_VECTORS = 1_000_000
+# The most steps `enumerate_accepted` may allow, its vectors times its
+# fuel: at this cap `rm enum` of a machine that never halts takes about 8 s
+# on a shared 2-core box.
+MAX_ORACLE_STEPS = 100_000_000
 # What each declaration line gives, as its error message names it.
 _DECLARATIONS = {"REGISTERS": "n", "INPUTS": "k", "START": "label"}
 

@@ -14,11 +14,11 @@ from itertools import cycle, islice
 from pathlib import Path
 
 from .engine import (
-    Bounds, Codec, OperandIndex, admissible, drip, fill, join, lazy_field)
+    Bounds, Codec, OperandIndex, drip, fill, join, lazy_field, pack, packed_start)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
-from .multiset import Multiset, located, parse_number, split_head, value_class
+from .multiset import Multiset, check_count, located, parse_number, split_head, value_class
 from .rules import Rule, apply_mate, parse_rule
-from .tts import FormatError, name_problems, parse_system
+from .tts import FormatError, common_problems, parse_system, render_header
 
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
@@ -88,24 +88,13 @@ def _problems(system: TissueSystem) -> tuple[list[tuple], list[str]]:
     `where` being "CELLS", "ALPHABET", "TERMINAL", "OUTPUT", ("AXIOM",
     cell, axiom), ("RULE", k) for the k-th rule, or None for the system as
     a whole."""
-    problems: list[tuple] = []
-    warnings: list[str] = []
     n = system.cells
-    if n < 1:
-        problems.append(("CELLS", "cell count must be positive"))
+    problems = common_problems(system, n, "cell")
+    warnings: list[str] = []
     if len(system.axioms) != n:
         problems.append((None, "axiom sequence must have one entry per cell"))
-    problems += name_problems(system.alphabet, system.terminal)
-    if not system.terminal <= system.alphabet:
-        problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     if not 1 <= system.output_cell <= n:
         problems.append(("OUTPUT", f"output cell {system.output_cell} out of range"))
-    for c, axioms in enumerate(system.axioms, start=1):
-        for ax in axioms:
-            extra = ax.support - system.alphabet
-            if extra:
-                problems.append((("AXIOM", c, ax),
-                                 f"cell {c} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}"))
     for k, tp in enumerate(system.rules):
         if not (1 <= tp.source <= n and 1 <= tp.target <= n):
             problems.append((("RULE", k), f"rule {tp.source}: {tp.render()} references a cell out of range"))
@@ -157,13 +146,9 @@ TPState.contents = lazy_field("contents", _Packed.contents)
 TPState.result_log = lazy_field("result_log", _Packed.result_log)
 
 
-def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
-    # sized by vesicle size, which bounds every count and must stay below
-    # 2**width - 1 for OperandIndex.extend
-    largest = max((len(v) for cell in (*state.contents, state.result_log) for v in cell),
-                  default=0)
-    codec = Codec(system.alphabet, [tp.rule for tp in system.rules],
-                  max(largest, bounds.max_size))
+def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]],
+                 log: frozenset[int]) -> _Packed:
+    """The packed form of the cells and result log that `codec` packed."""
     firings: dict[int, list] = {}
     for tp in system.rules:
         firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
@@ -171,8 +156,6 @@ def _pack(system: TissueSystem, state: TPState, bounds: Bounds) -> _Packed:
     for src, pairs in firings.items():
         index = OperandIndex(codec, [rule for rule, _ in pairs])
         anchored[src] = (index, [(rule, *index._layout[rule], target) for rule, target in pairs])
-    cells = [frozenset(map(codec.encode, cell)) for cell in state.contents]
-    log = frozenset(map(codec.encode, state.result_log))
     return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
                    codec.mask(system.alphabet - system.terminal), cells, log)
 
@@ -181,13 +164,10 @@ def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     """The axioms `bounds` admits, placed by `fill` as a step places its
     arrivals, so the population cap holds from step 0.  The state holds
     only its packed form."""
-    contents: list[set[Multiset]] = [set() for _ in range(system.cells)]
-    admitted, pruned = admissible(
-        ((c, v) for c in range(system.cells) for v in system.axioms[c]), bounds)
-    for c, v in admitted:
-        contents[c].add(v)
-    packed = _pack(system, TPState(0, tuple(map(frozenset, contents)), frozenset(), pruned), bounds)
-    cells, cut = fill(packed.cells, bounds, 0, packed.codec)
+    codec, cells, pruned = packed_start(
+        system.alphabet, [tp.rule for tp in system.rules], system.axioms, bounds)
+    packed = _packed_form(system, codec, cells, frozenset())
+    cells, cut = fill(cells, bounds, 0, codec)
     return _packed_state(system, packed, 0, pruned or cut, cells, packed.log)
 
 
@@ -219,7 +199,9 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     """
     packed = state._packed
     if packed is None or not packed.serves(system, bounds):
-        packed = _pack(system, state, bounds)
+        codec, (*cells, log) = pack(system.alphabet, [tp.rule for tp in system.rules],
+                                    (*state.contents, state.result_log), bounds.max_size)
+        packed = _packed_form(system, codec, cells, log)
     codec = packed.codec
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
     pruned = state.pruned
@@ -265,10 +247,7 @@ MAX_STEPS = 1_000_000
 
 def check_steps(max_steps) -> None:
     """Refuse a step budget that is not an int from 0 to MAX_STEPS, as `Bounds` does."""
-    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative and an int, not {max_steps!r}")
-    if max_steps > MAX_STEPS:
-        raise ValueError(f"max_steps {max_steps} is over the limit of {MAX_STEPS}")
+    check_count(ValueError, "max_steps", max_steps, 0, MAX_STEPS)
 
 
 def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Multiset], TPTrace]:
@@ -306,14 +285,7 @@ def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Mu
 
 
 def render_tp(system: TissueSystem) -> str:
-    lines = ["SYSTEM TP"]
-    lines.append("ALPHABET " + " ".join(sorted(system.alphabet)))
-    lines.append("TERMINAL " + " ".join(sorted(system.terminal)))
-    lines.append(f"CELLS {system.cells}")
-    lines.append(f"OUTPUT {system.output_cell}")
-    for c in range(system.cells):
-        for ax in sorted(system.axioms[c], key=Multiset.render):
-            lines.append(f"AXIOM {c + 1} {{{ax}}}")
+    lines = render_header(system, "TP", "CELLS", system.cells, (system.output_cell,))
     for tp in sorted(system.rules, key=lambda r: (r.source, r.rule.render(), r.target)):
         lines.append(f"RULE {tp.source} {tp.rule.render()} -> {tp.target}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .engine import (
-    Bounds, Codec, OperandIndex, admissible, decode_compartments, fill, lazy_field,
+    Bounds, Codec, OperandIndex, decode_compartments, fill, lazy_field, pack, packed_start,
     rule_productions)
 from .engine import drip1 as apply_drip1, drip2 as apply_drip
 from .multiset import (
@@ -107,19 +107,31 @@ def validate_tts(system: TestTubeSystem) -> list[str]:
     return [problem for _, problem in _problems(system)]
 
 
-def name_problems(alphabet, terminal) -> list[tuple]:
-    """("ALPHABET" or "TERMINAL", problem) pairs, in order, for the names
-    of either set that `check_symbol` refuses.  `parse_system` refuses
-    them line by line in a file; the `_problems` of both system kinds call
-    this for a system built through the API."""
+def common_problems(system, count: int, noun: str) -> list[tuple]:
+    """(where, problem) pairs for the parts that tube and tissue systems
+    share: the `count` of compartments, each a `noun` ("tube" or "cell"),
+    the ALPHABET and TERMINAL names, which `parse_system` also refuses line
+    by line in a file, the terminal subset and the axiom symbols."""
     problems = []
-    for where, names in (("ALPHABET", alphabet), ("TERMINAL", terminal)):
-        for name in names:
+    if count < 1:
+        problems.append((noun.upper() + "S", f"{noun} count must be positive"))
+    names = []
+    for where, symbols in (("ALPHABET", system.alphabet), ("TERMINAL", system.terminal)):
+        for name in symbols:
             try:
                 check_symbol(name)
             except MultisetError as exc:
-                problems.append((where, str(exc)))
-    return sorted(problems)
+                names.append((where, str(exc)))
+    problems += sorted(names)
+    if not system.terminal <= system.alphabet:
+        problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
+    for c, axioms in enumerate(system.axioms, start=1):
+        for ax in axioms:
+            extra = ax.support - system.alphabet
+            if extra:
+                problems.append((("AXIOM", c, ax),
+                                 f"{noun} {c} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}"))
+    return problems
 
 
 def _problems(system: TestTubeSystem) -> list[tuple]:
@@ -128,24 +140,13 @@ def _problems(system: TestTubeSystem) -> list[tuple]:
     rule, ("FILTER", source, target, k) for a filter's k-th branch (k = 0
     for the problems of the filter as a whole), or None for the system as
     a whole."""
-    problems = []
     n = system.tubes
-    if n < 1:
-        problems.append(("TUBES", "tube count must be positive"))
+    problems = common_problems(system, n, "tube")
     if len(system.axioms) != n or len(system.rules) != n:
         problems.append((None, "axiom/rule sequences must have one entry per tube"))
-    problems += name_problems(system.alphabet, system.terminal)
-    if not system.terminal <= system.alphabet:
-        problems.append(("TERMINAL", "terminal alphabet must be a subset of the alphabet"))
     for i in system.outputs:
         if not 1 <= i <= n:
             problems.append(("OUTPUT", f"output tube {i} out of range"))
-    for t, axioms in enumerate(system.axioms, start=1):
-        for ax in axioms:
-            extra = ax.support - system.alphabet
-            if extra:
-                problems.append((("AXIOM", t, ax),
-                                 f"tube {t} axiom {ax} uses symbols outside the alphabet: {sorted(extra)}"))
     for t, rules in enumerate(system.rules, start=1):
         for k, rule in enumerate(rules):
             extra = rule.symbols() - system.alphabet
@@ -204,17 +205,11 @@ def _round(indexes: list[OperandIndex], routes: list[list], frontier: list[set[i
 
 def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[int, Multiset]]:
     """Everything one application step could add that fits `max_size`,
-    computed from scratch: one round with all of `contents` as frontier.
-
-    The codec's fields are sized from the contents too, as `tp._pack`
-    does: a size bounds every count, and `OperandIndex.extend` needs each
-    size below 2**width - 1.
-    """
-    largest = max((len(v) for tube in contents for v in tube), default=0)
-    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules],
-                  max(largest, max_size))
+    computed from scratch: one round with all of `contents` as frontier,
+    packed by `pack`, which sizes the codec's fields from them too."""
+    codec, pool = pack(system.alphabet, [r for rules in system.rules for r in rules], contents,
+                       max_size)
     indexes, routes = _operator(system, codec)
-    pool = [set(map(codec.encode, tube)) for tube in contents]
     produced, _ = _round(indexes, routes, pool, Bounds(max_size=max_size), codec)
     return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
@@ -230,24 +225,23 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
     problems = validate_tts(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
-    codec = Codec(system.alphabet, [r for rules in system.rules for r in rules], bounds.max_size)
-    contents, pruned, iterations = _explore(system, bounds, codec)
+    codec, axioms, oversize = packed_start(
+        system.alphabet, [r for rules in system.rules for r in rules], system.axioms, bounds)
+    contents, pruned, iterations = _explore(system, bounds, codec, axioms)
     state = object.__new__(TTSState)
-    state.__dict__.update(pruned=pruned, iterations=iterations, _packed=_Packed(codec, contents))
+    state.__dict__.update(pruned=oversize or pruned, iterations=iterations,
+                          _packed=_Packed(codec, contents))
     return state
 
 
-def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec) -> tuple:
-    """The closure on packed vesicles: (tubes, pruned, iterations).  Each
-    tube's operand index grows only as `_round` folds in its frontier's
-    mate operands; the indexes and the round's sets are dropped on return."""
+def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) -> tuple:
+    """The closure on packed vesicles from the packed tubes `fresh`:
+    (tubes, pruned, iterations).  Each tube's operand index grows only as
+    `_round` folds in its frontier's mate operands; the indexes and the
+    round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
     indexes, routes = _operator(system, codec)
-    initial, pruned = admissible(
-        ((t, v) for t in range(system.tubes) for v in system.axioms[t]), bounds)
-    fresh: list[set[int]] = [set() for _ in range(system.tubes)]
-    for t, v in initial:
-        fresh[t].add(codec.encode(v))
+    pruned = False
     iterations = 0
     while True:
         # admit the fresh vesicles; unless the population cap cut them,
@@ -291,15 +285,23 @@ def results_of_state(system: TestTubeSystem, state: TTSState) -> set[Multiset]:
 # -- text format -------------------------------------------------------------
 
 
+def render_header(system, kind: str, count_head: str, count: int, outputs) -> list[str]:
+    """The lines both `.tts` and `.tp` files open with: `SYSTEM kind`, the
+    ALPHABET and TERMINAL names, `count_head count`, the OUTPUT numbers
+    and each compartment's AXIOM lines, as `parse_system` reads them."""
+    lines = [f"SYSTEM {kind}",
+             "ALPHABET " + " ".join(sorted(system.alphabet)),
+             "TERMINAL " + " ".join(sorted(system.terminal)),
+             f"{count_head} {count}",
+             "OUTPUT " + " ".join(map(str, outputs))]
+    for c in range(count):
+        for ax in sorted(system.axioms[c], key=Multiset.render):
+            lines.append(f"AXIOM {c + 1} {{{ax}}}")
+    return lines
+
+
 def render_tts(system: TestTubeSystem) -> str:
-    lines = ["SYSTEM TTS"]
-    lines.append("ALPHABET " + " ".join(sorted(system.alphabet)))
-    lines.append("TERMINAL " + " ".join(sorted(system.terminal)))
-    lines.append(f"TUBES {system.tubes}")
-    lines.append("OUTPUT " + " ".join(str(i) for i in sorted(system.outputs)))
-    for t in range(system.tubes):
-        for ax in sorted(system.axioms[t], key=Multiset.render):
-            lines.append(f"AXIOM {t + 1} {{{ax}}}")
+    lines = render_header(system, "TTS", "TUBES", system.tubes, sorted(system.outputs))
     for t in range(system.tubes):
         for rule in sorted(system.rules[t], key=lambda r: r.render()):
             lines.append(f"RULE {t + 1} {rule.render()}")

@@ -15,7 +15,6 @@ is at the default bounds (neither run reaches the injected vector (1)).
 
 from __future__ import annotations
 
-
 from .compilers import CompileOptions, compile_machine, term_symbol
 from .multiset import Multiset, value_class
 from .regmach import RegisterMachine, enumerate_accepted
@@ -57,13 +56,15 @@ def vector_of(vesicle: Multiset, k: int) -> Vector:
     return tuple(vesicle.count(term_symbol(i)) for i in range(1, k + 1))
 
 
-def _system_vectors(system, k: int, bounds: Bounds, max_steps: int) -> tuple[set[Vector], bool]:
-    """(vectors, raw truncation flag) for one exploration of the system."""
+def run_system(system, bounds: Bounds, max_steps: int) -> tuple[set[Multiset], bool]:
+    """(results, pruned) of one exploration: `tp_run` for a tissue system,
+    which reads `max_steps`, and `closure` for a tube system.  Both are
+    looked up on this module when called, so a caller can wrap them."""
     if isinstance(system, TissueSystem):
-        result_set, trace = tp_run(system, max_steps, bounds)
-        return {vector_of(v, k) for v in result_set}, trace.pruned
+        results, trace = tp_run(system, max_steps, bounds)
+        return results, trace.pruned
     state = closure(system, bounds)
-    return {vector_of(v, k) for v in results_of_state(system, state)}, state.pruned
+    return results_of_state(system, state), state.pruned
 
 
 def render_vector(vec: Vector) -> str:
@@ -96,15 +97,16 @@ def run_verify(
     system = compile_machine(machine, construction, opts)
     oracle = frozenset(enumerate_accepted(machine, bound, fuel))
 
-    raw, truncated = _system_vectors(system, k, bounds, max_steps)
+    results, truncated = run_system(system, bounds, max_steps)
+    raw = {vector_of(v, k) for v in results}
     boxed = {v for v in raw if all(c <= bound for c in v)}
     beyond = raw - boxed
 
     pruned = False
     if check_stability:
-        loose_raw, _ = _system_vectors(system, k, bounds.loosened(), loose_steps)
-        loose_boxed = {v for v in loose_raw if all(c <= bound for c in v)}
-        pruned = boxed != loose_boxed
+        loose, _ = run_system(system, bounds.loosened(), loose_steps)
+        loose_raw = {vector_of(v, k) for v in loose}
+        pruned = boxed != {v for v in loose_raw if all(c <= bound for c in v)}
 
     excluded: frozenset[Vector] = frozenset()
     if construction in ("cor2", "cor3"):

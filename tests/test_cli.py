@@ -190,6 +190,17 @@ def test_fuel_over_the_limit_exits_2(capsys):
         assert captured.out == ""
 
 
+def test_oracle_work_over_the_limit_exits_2(capsys):
+    # 10**6 vectors at fuel 10**6 pass regmach.MAX_ORACLE_STEPS, refused before any is run
+    for argv in (["rm", "enum", machine_path("even.rm"), "--bound", "999999", "--fuel", "1000000"],
+                 ["verify", "thm1", machine_path("even.rm"), "--bound", "999999",
+                  "--fuel", "1000000"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "steps, over the limit of 100000000" in captured.err
+        assert captured.out == ""
+
+
 def test_unusable_alphabet_names_exit_2(tmp_path, capsys):
     # no axiom or rule could name `b^2`, and a control character is refused too
     for suffix, text, lineno in (

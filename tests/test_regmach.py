@@ -364,3 +364,15 @@ def test_enumerate_refuses_a_box_past_max_vectors(even, eq, monkeypatch):
     assert enumerate_accepted(even, 15, 100) == {(n,) for n in range(0, 16, 2)}
     with pytest.raises(MachineError, match="more than 16 vectors"):
         enumerate_accepted(even, 16, 100)
+
+
+def test_enumerate_refuses_a_box_past_max_oracle_steps(even, eq, monkeypatch):
+    # vectors times fuel: 10**6 vectors at fuel 10**6 are refused before any is run
+    with pytest.raises(MachineError, match="allows 1000000000000 steps, over the limit of 100000000"):
+        enumerate_accepted(even, 999_999, 1_000_000)
+    # a box at exactly the limit runs, one step more is refused
+    monkeypatch.setattr(matedrip.regmach, "MAX_ORACLE_STEPS", 3200)
+    assert enumerate_accepted(eq, 3, 200) == {(0, 0), (1, 1), (2, 2), (3, 3)}
+    with pytest.raises(MachineError, match="^bound 3 over 2 inputs at fuel 201 allows 3216 steps, "
+                                           "over the limit of 3200$"):
+        enumerate_accepted(eq, 3, 201)

@@ -528,6 +528,19 @@ RULE 1 DRIP1 (. | a | . ; a , .) -> 2
 RULE 2 DRIP1 (. | a | . ; a , .) -> 1
 """
 
+# period 3 without empty vesicles: {a} moves from cell 1 to cell 2 to cell 3
+# and back, so no state repeats one 1 or 2 steps back
+ROTATE = """SYSTEM TP
+ALPHABET a
+TERMINAL a
+CELLS 3
+OUTPUT 3
+AXIOM 1 {a}
+RULE 1 DRIP1 (. | a | . ; a , .) -> 2
+RULE 2 DRIP1 (. | a | . ; a , .) -> 3
+RULE 3 DRIP1 (. | a | . ; a , .) -> 1
+"""
+
 
 def _counted_steps(monkeypatch) -> list:
     calls = []
@@ -538,7 +551,8 @@ def _counted_steps(monkeypatch) -> list:
 @pytest.mark.parametrize("text, keep_empty, calls, sizes", [
     (STILL, True, 2, [(1, 2)] * 21),
     (BOUNCE, False, 4, [(1, 0), (0, 1)] * 10 + [(1, 0)]),
-], ids=["still", "bounce"])
+    (ROTATE, False, 20, [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 7),
+], ids=["still", "bounce", "rotate"])
 def test_run_of_a_periodic_system(text, keep_empty, calls, sizes, monkeypatch):
     system, bounds = parse_tp(text), Bounds(keep_empty=keep_empty)
     assert tp_run(system, 20, bounds) == _plain_run(system, 20, bounds)
@@ -570,9 +584,16 @@ def test_a_repeated_state_ends_the_stepping(even, eq, monkeypatch, tmp_path, cap
     assert capsys.readouterr().out == "a\n"
 
 
-@pytest.mark.parametrize("max_steps", [-1, True, False, 2.5, "3", None])
-def test_run_refuses_a_step_budget_that_is_no_count(max_steps):
-    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+@pytest.mark.parametrize("max_steps, message", [
+    (-1, "max_steps must be non-negative, got -1"),
+    (True, "max_steps must be an int, not True"),
+    (False, "max_steps must be an int, not False"),
+    (2.5, "max_steps must be an int, not 2.5"),
+    ("3", "max_steps must be an int, not '3'"),
+    (None, "max_steps must be an int, not None"),
+], ids=["-1", "True", "False", "2.5", "3", "None"])
+def test_run_refuses_a_step_budget_that_is_no_count(max_steps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tp_run(parse_tp(BOUNCE), max_steps, Bounds())
 
 

@@ -70,7 +70,7 @@ def test_negative_max_steps_is_refused(even, construction):
 
 @pytest.mark.parametrize("max_steps", [True, 2.5])
 def test_a_step_budget_that_is_no_int_is_refused(even, max_steps):
-    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+    with pytest.raises(ValueError, match=f"^max_steps must be an int, not {max_steps}$"):
         run_verify(even, "even.rm", "thm4", bound=2, fuel=100,
                    bounds=Bounds(6, 500, 20), max_steps=max_steps)
 
