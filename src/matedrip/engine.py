@@ -17,16 +17,19 @@ that compartment by first token, places whole groups in token order, and
 renders only the group the cut falls in.  Tokens are joined by a space
 and no symbol name holds a character at or below it, so first tokens
 order the texts as the texts themselves do.
-The index keeps each need side's operands in a slot of its own and, in a
-closure, the vesicles each branch of a filter leaving the tube passes.
-A closure round joins that batch against the index and keeps its mate
-operands, and it and the tissue step reach only the rules whose slots the
-batch filed into.  A join streams its fusions into the output set.  The
-index files a vesicle by the plan of its support signature, the symbols
-named in the rules' needs or forbidden by the branches that it holds, so
-a need is tested per vesicle only when it asks for some symbol more than
-once, and no branch is tested per vesicle.  A drip kernel fires once per
-size bucket of its operands.
+The index keeps the operands of each distinct need in one slot, which
+rules with equal needs share, and, in a closure, the vesicles each branch
+of a filter leaving the tube passes.  A closure round joins that batch
+against the index and keeps its mate operands, and it and the tissue step
+reach only the rules whose slots the batch filed into.  A tissue step
+files only the vesicles that arrived in a cell: the slots that did not
+fire are carried to the next step.  A join streams its fusions into the
+output set.  The index files a vesicle by the plan of its support
+signature, the symbols named in the rules' needs or forbidden by the
+branches that it holds, read with one addition, so a need is tested per
+vesicle only when it asks for some symbol more than once, and no branch
+is tested per vesicle.  A drip kernel fires once per size bucket of its
+operands.
 
 This module holds the exploration `Bounds`, the codec, the operand index,
 the mate join, drip firing, the population-capped fill and the state
@@ -297,62 +300,85 @@ class OperandIndex:
     """The operands of a compartment's packed rules, and the vesicles that
     pass each of its filter branches.
 
-    Each need side owns a slot: a mate rule two, its left then its right,
-    and a drip rule one, the vesicles that contain its need.  Each filter
-    branch, given as the mask of the symbols it forbids, owns one more
-    slot, the vesicles that hold none of them; `branches` lists those
-    slots in the order given.  `_slots[i]` holds slot i's vesicles as a
-    size -> packed vesicles map, and `_layout` maps each packed rule, in
-    the order given, to (whether it is a mate, its first slot); a rule
-    given twice is indexed once.  A batch of vesicles is filed by one
-    `extend` call on an `empty()` copy, whose mate operands
-    `rule_productions` appends to its tube's index.
+    Each distinct need owns a slot, the vesicles that contain it: mate
+    sides share a slot when their needs are equal, and so do drips, but a
+    mate side never shares one with a drip, since a closure keeps mate
+    operands and no drip operands.  `_layout` maps each packed rule, in
+    the order given, to its slots: a mate rule's (left, right), a drip
+    rule's (slot,); a rule given twice is indexed once.  `_mates` lists
+    each mate rule with its two slots, `_drips` each drip rule with its
+    slot, and `_kept` the slots of mate sides.  Each filter branch, given
+    as the mask of the symbols it forbids, owns one more slot, the
+    vesicles that hold none of them; `branches` lists those slots in the
+    order given.  `_slots[i]` holds slot i's vesicles as a size -> packed
+    vesicles map.  A batch of vesicles is filed by one `extend` call on an
+    `empty()` copy, whose mate operands `rule_productions` merges into its
+    tube's index.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions or some
-    branch forbids.  The first vesicle of a signature fixes its plan: the
-    needs whose support lies inside the signature and the branches whose
-    forbidden symbols lie outside it.  Holding the support is enough for a
-    need whose counts are all 1, so only a need with a larger count is
-    tested again for each vesicle.  Plans depend on the rules, the branches
-    and the codec alone, and the copies that `empty` makes share them.
+    branch forbids: (v + lift) & relevant, where lift = guards - units
+    raises each field by its guard bit and subtracts 1 from it, so a field
+    keeps its guard bit iff its count is >= 1.  That is one addition, and
+    exact, because a packed vesicle's guard bits are zero.  The first
+    vesicle of a signature fixes its plan: the needs whose support lies
+    inside the signature and the branches whose forbidden symbols lie
+    outside it.  A plan keeps apart its plain slots, which take every
+    vesicle of the signature, and the needs that ask for some symbol more
+    than once, the only ones tested again for each vesicle.  Plans depend
+    on the rules, the branches and the codec alone, and the copies that
+    `empty` makes share them.
     """
 
     def __init__(self, codec: Codec, rules=(), branches=()):
         self._codec = codec
-        self._layout: dict[PackedMate | PackedDrip, tuple[bool, int]] = {}
+        self._lift = codec.guards - codec.units
+        self._layout: dict[PackedMate | PackedDrip, tuple[int, ...]] = {}
         # per slot: (guard bits read, the value they must have in a
-        # signature, (the packed need to test per vesicle, or 0 when the
-        # signature is enough, slot)); a need reads its support and must
-        # hold all of it, a branch reads its forbidden symbols and must
-        # hold none
-        self._entries: list[tuple[int, int, tuple[int, int]]] = []
+        # signature, the packed need to test per vesicle, or 0 when the
+        # signature is enough); a need reads its support and must hold all
+        # of it, a branch reads its forbidden symbols and must hold none
+        self._entries: list[tuple[int, int, int]] = []
         self._relevant = 0  # every guard bit some entry reads
-        for rule in dict.fromkeys(rules):
-            mate = isinstance(rule, PackedMate)
-            self._layout[rule] = mate, len(self._entries)
-            sides = (((rule.rule._left_need, rule.left), (rule.rule._right_need, rule.right))
-                     if mate else ((rule.rule._need, rule.need),))
-            for need, packed in sides:
+        need_slots: dict[tuple[bool, int], int] = {}  # (mate side, packed need) -> slot
+
+        def slot(mate: bool, need: Multiset, packed: int) -> int:
+            i = need_slots.get((mate, packed))
+            if i is None:
+                i = need_slots[mate, packed] = len(self._entries)
                 support = codec.mask(need.support) & codec.guards
-                test = packed if len(need) > len(need.support) else 0
-                self._entries.append((support, support, (test, len(self._entries))))
+                self._entries.append((support, support,
+                                      packed if len(need) > len(need.support) else 0))
                 self._relevant |= support
+            return i
+
+        for rule in dict.fromkeys(rules):
+            if isinstance(rule, PackedMate):
+                self._layout[rule] = (slot(True, rule.rule._left_need, rule.left),
+                                      slot(True, rule.rule._right_need, rule.right))
+            else:
+                self._layout[rule] = (slot(False, rule.rule._need, rule.need),)
+        self._mates = [(rule, *sides) for rule, sides in self._layout.items()
+                       if isinstance(rule, PackedMate)]
+        self._drips = [(rule, sides[0]) for rule, sides in self._layout.items()
+                       if not isinstance(rule, PackedMate)]
+        self._kept = sorted({i for _, left, right in self._mates for i in (left, right)})
         self.branches = range(len(self._entries), len(self._entries) + len(branches))
-        for forbidden, slot in zip(branches, self.branches):
-            self._entries.append((forbidden & codec.guards, 0, (0, slot)))
+        for forbidden in branches:
+            self._entries.append((forbidden & codec.guards, 0, 0))
             self._relevant |= forbidden & codec.guards
-        # signature -> plan, a tuple of (need, slot) entries made from a list:
+        # signature -> plan: () when no slot takes the signature, else
+        # (plain slots, (need, slot) pairs to test), tuples made from lists:
         # one made from a generator is resized, growing CPython's tuple free lists
-        self._plans: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._plans: dict[int, tuple] = {}
         self._slots = [defaultdict(list) for _ in self._entries]
 
     @property
     def operands(self) -> dict:
         """The slots by rule: a mate rule's (left, right) maps, a drip rule's map."""
         slots = self._slots
-        return {rule: (slots[i], slots[i + 1]) if mate else slots[i]
-                for rule, (mate, i) in self._layout.items()}
+        return {rule: tuple(slots[i] for i in sides) if isinstance(rule, PackedMate)
+                else slots[sides[0]] for rule, sides in self._layout.items()}
 
     def empty(self) -> "OperandIndex":
         """An index over the same rules and branches that holds no vesicles
@@ -362,26 +388,38 @@ class OperandIndex:
         index._slots = [defaultdict(list) for _ in self._entries]
         return index
 
+    def _plan(self, signature: int) -> tuple:
+        """The plan of a support signature, as `_plans` keeps it."""
+        taken = [(need, slot) for slot, (bits, held, need) in enumerate(self._entries)
+                 if signature & bits == held]
+        if not taken:
+            return ()
+        return (tuple([slot for need, slot in taken if not need]),
+                tuple([(need, slot) for need, slot in taken if need]))
+
     def extend(self, vesicles):
         """File packed vesicles, each of size below 2**width - 1, in
         iteration order, with one call for the whole batch: each goes to
         the slots of the needs it holds and of the branches it passes."""
-        codec, relevant, plans, slots = self._codec, self._relevant, self._plans, self._slots
-        guards, units, field = codec.guards, codec.units, codec.field
+        lift, relevant, plans, slots = self._lift, self._relevant, self._plans, self._slots
+        guards, field = self._codec.guards, self._codec.field
         for vesicle in vesicles:
-            raised = vesicle | guards
-            # subtracting 1 from each raised field keeps its guard bit iff
-            # its count is >= 1
-            signature = (raised - units) & relevant
+            signature = (vesicle + lift) & relevant
             plan = plans.get(signature)
             if plan is None:
-                plan = plans[signature] = tuple([entry for bits, held, entry in self._entries
-                                                 if signature & bits == held])
+                plan = plans[signature] = self._plan(signature)
             if plan:
+                plain, tested = plan
                 size = vesicle % field
-                for need, slot in plan:
-                    if not need or (raised - need) & guards == guards:
-                        slots[slot][size].append(vesicle)
+                for slot in plain:
+                    slots[slot][size].append(vesicle)
+                if tested:
+                    # the need test of `Codec`: subtracting the need under
+                    # raised guard bits keeps them all iff v holds it
+                    raised = vesicle + guards
+                    for need, slot in tested:
+                        if (raised - need) & guards == guards:
+                            slots[slot][size].append(vesicle)
 
 
 def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) -> bool:
@@ -460,32 +498,31 @@ def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds:
     the batch's mate operands.
 
     Only a rule the batch filed an operand for does any work.  Mates are
-    evaluated semi-naively: new left operands against old right operands,
-    then every left operand, old and new, against the new right ones, each
-    join made only when both its sides hold operands.  A drip fires on the
-    batch's buckets; no later round reads its operands, so `index` keeps
-    none.  Returns whether a result was left out for size.
+    evaluated semi-naively, in three phases, since mate sides share slots:
+    every mate's new left operands against its old right ones; then each
+    new mate slot merged into `index` once; then every mate's left
+    operands, old and new, against its new right ones.  Each join is made
+    only when both its sides hold operands.  A drip fires on the batch's
+    buckets; no later round reads its operands, so `index` keeps none.
+    Returns whether a result was left out for size.
     """
     cut = False
     old, new = index._slots, batch._slots
-    for rule, (mate, i) in index._layout.items():
-        if mate:
-            lefts, rights, added = old[i], old[i + 1], new[i]
-            if added:
-                if rights and join(rule, added, rights, bounds, out):
-                    cut = True
-                for size, vesicles in added.items():
-                    lefts[size] += vesicles
-            added = new[i + 1]
-            if added:
-                for size, vesicles in added.items():
-                    rights[size] += vesicles
-                if lefts and join(rule, lefts, added, bounds, out):
-                    cut = True
-        else:
-            for size, bucket in new[i].items():
-                if drip(rule, size, bucket, bounds, out, codec, kernels):
-                    cut = True
+    mates = index._mates
+    for rule, left, right in mates:
+        if new[left] and old[right] and join(rule, new[left], old[right], bounds, out):
+            cut = True
+    for i in index._kept:
+        slot = old[i]
+        for size, vesicles in new[i].items():
+            slot[size] += vesicles
+    for rule, left, right in mates:
+        if new[right] and old[left] and join(rule, old[left], new[right], bounds, out):
+            cut = True
+    for rule, i in index._drips:
+        for size, bucket in new[i].items():
+            if drip(rule, size, bucket, bounds, out, codec, kernels):
+                cut = True
     return cut
 
 

@@ -10,7 +10,7 @@ accumulated from the output cell as they appear.
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import cycle, filterfalse, islice
 from pathlib import Path
 
 from .engine import (
@@ -23,7 +23,8 @@ from .tts import FormatError, common_problems, parse_system, render_header
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
 # looks the first two up when it starts and calls them at most once per
-# drip rule and size bucket; no engine calls apply_mate.
+# drip firing and size bucket of its slot, which drips with equal needs
+# share; no engine calls apply_mate.
 
 
 @value_class(frozen=True)
@@ -112,24 +113,35 @@ class _Packed:
 
     `cells[c]` holds the packed vesicles of cell c and `log` those of the
     result log.  `anchored[c]` holds an empty operand index over the rules
-    anchored at cell c and those rules' firings as (packed rule, whether it
-    is a mate, its first slot in the index, target cell).  Each step files
-    a cell into a copy of that index, and the copies share its plans, so a
-    support signature is planned once per run.  `nonterminal` masks the
-    symbols a result may not hold.  Valid for the system whose (alphabet,
-    terminal, rules) is `source`.
+    anchored at cell c, those rules' mate firings as (packed rule, left
+    slot, right slot, target cell) and their drip firings as (packed rule,
+    slot, target cell).  A step files each cell into a copy of that index,
+    and the copies share its plans, so a support signature is planned once
+    per run.  `nonterminal` masks the symbols a result may not hold.
+    Valid for the system whose (alphabet, terminal, rules) is `source`.
+
+    `carry`, None when the state was not made by `tp_step`, maps each
+    anchored cell c to what the next step files it from: the slots that
+    did not fire in the step that made this state, as (slot, size ->
+    vesicles map) pairs with the consumed vesicles taken out, and the set
+    of vesicles that step placed in c.  A fired slot is consumed whole, so
+    those are the vesicles of c that some slot takes: the next step files
+    only the arrivals.  Carried maps and lists are shared between states
+    and never changed.
     """
 
-    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log")
+    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log", "carry")
 
     def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
-                 nonterminal: int, cells: list[frozenset[int]], log: frozenset[int]):
+                 nonterminal: int, cells: list[frozenset[int]], log: frozenset[int],
+                 carry: dict[int, tuple] | None):
         self.source = source
         self.codec = codec
         self.anchored = anchored
         self.nonterminal = nonterminal
         self.cells = cells
         self.log = log
+        self.carry = carry
 
     def serves(self, system: TissueSystem, bounds: Bounds) -> bool:
         return (self.codec.largest >= bounds.max_size
@@ -155,31 +167,55 @@ def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]]
     anchored = {}
     for src, pairs in firings.items():
         index = OperandIndex(codec, [rule for rule, _ in pairs])
-        anchored[src] = (index, [(rule, *index._layout[rule], target) for rule, target in pairs])
+        layout = index._layout
+        anchored[src] = (index,
+                         [(rule, *layout[rule], target) for rule, target in pairs
+                          if len(layout[rule]) == 2],
+                         [(rule, *layout[rule], target) for rule, target in pairs
+                          if len(layout[rule]) == 1])
     return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
-                   codec.mask(system.alphabet - system.terminal), cells, log)
+                   codec.mask(system.alphabet - system.terminal), cells, log, None)
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     """The axioms `bounds` admits, placed by `fill` as a step places its
     arrivals, so the population cap holds from step 0.  The state holds
-    only its packed form."""
+    only its packed form, with no carry."""
     codec, cells, pruned = packed_start(
         system.alphabet, [tp.rule for tp in system.rules], system.axioms, bounds)
     packed = _packed_form(system, codec, cells, frozenset())
     cells, cut = fill(cells, bounds, 0, codec)
-    return _packed_state(system, packed, 0, pruned or cut, cells, packed.log)
+    return _packed_state(system, packed, 0, pruned or cut, cells, packed.log, None)
 
 
 def _packed_state(system: TissueSystem, packed: _Packed, step: int, pruned: bool,
-                  cells: list, log: frozenset[int]) -> TPState:
-    """A state holding only its packed form: `cells`, and `log` with the
-    results in the output cell added."""
+                  cells: list, log: frozenset[int], carry: dict[int, tuple] | None) -> TPState:
+    """A state holding only its packed form: `cells`, `carry`, and `log`
+    with the results in the output cell added."""
     log = log | {v for v in cells[system.output_cell - 1] if not v & packed.nonterminal}
     state = object.__new__(TPState)
     state.__dict__.update(step=step, pruned=pruned, _packed=_Packed(
-        packed.source, packed.codec, packed.anchored, packed.nonterminal, cells, log))
+        packed.source, packed.codec, packed.anchored, packed.nonterminal, cells, log, carry))
     return state
+
+
+def _refiled(template: OperandIndex, held, vesicles: set[int]) -> OperandIndex:
+    """A copy of `template` that holds the carried slots `held` and files
+    `vesicles`: a whole cell when nothing is carried, else the arrivals
+    alone.  A carried list that gains vesicles is replaced by a new one,
+    so no carried list changes."""
+    index = template.empty()
+    index.extend(vesicles)
+    slots = index._slots
+    for i, kept in held:
+        slot = slots[i]
+        if not slot:
+            slots[i] = kept
+            continue
+        for size, bucket in kept.items():
+            new = slot.get(size)
+            slot[size] = bucket + new if new else bucket
+    return index
 
 
 def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
@@ -191,45 +227,60 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     its operand lists and consumes all of them.  A mate rule applies to
     every pair of a left and a right operand, so when both kinds are present
     all of them are consumed, oversize fusions included.  Only the fusions
-    that fit `max_size` are built; `pruned` is set when some do not.
+    that fit `max_size` are built; `pruned` is set when some do not.  Rules
+    with equal needs share a slot, and each slot that fires is consumed
+    once.
 
     The step works on packed vesicles and decodes none.  It reuses the
-    packed form the step before left on `state` and returns a state that
-    holds only its packed form.
+    packed form the step before left on `state`.  When that form holds a
+    carry, each anchored cell's index is the carried unfired slots plus its
+    arrivals, the only vesicles filed; otherwise the whole cell is filed.
+    The state returned holds only its packed form, with the carry for the
+    next step.
     """
     packed = state._packed
     if packed is None or not packed.serves(system, bounds):
         codec, (*cells, log) = pack(system.alphabet, [tp.rule for tp in system.rules],
                                     (*state.contents, state.result_log), bounds.max_size)
         packed = _packed_form(system, codec, cells, log)
-    codec = packed.codec
+    codec, carry = packed.codec, packed.carry
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
     pruned = state.pruned
     used: list[set[int]] = [set() for _ in range(system.cells)]
     arrivals: list[set[int]] = [set() for _ in range(system.cells)]
+    held: dict[int, list] = {}  # per anchored cell: its unfired slots, less `used`
 
-    for src, (template, firings) in packed.anchored.items():
+    for src, (template, mates, drips) in packed.anchored.items():
         cell = packed.cells[src]
         if not cell:
+            held[src] = []
             continue
-        index = template.empty()
-        index.extend(cell)
+        index = _refiled(template, *(((), cell) if carry is None else carry[src]))
         slots, gone = index._slots, used[src]
-        for rule, mate, i, target in firings:
-            if mate:
-                lefts, rights = slots[i], slots[i + 1]
-                if lefts and rights:
-                    for bucket in lefts.values():
-                        gone.update(bucket)
-                    for bucket in rights.values():
-                        gone.update(bucket)
-                    if join(rule, lefts, rights, bounds, arrivals[target]):
-                        pruned = True
-            else:
+        fired = set()
+        for rule, left, right, target in mates:
+            lefts, rights = slots[left], slots[right]
+            if lefts and rights:
+                fired.update((left, right))
+                if join(rule, lefts, rights, bounds, arrivals[target]):
+                    pruned = True
+        for rule, i, target in drips:
+            if slots[i]:
+                fired.add(i)
                 for size, bucket in slots[i].items():
-                    gone.update(bucket)
                     if drip(rule, size, bucket, bounds, arrivals[target], codec, kernels):
                         pruned = True
+        for i in fired:
+            for bucket in slots[i].values():
+                gone.update(bucket)
+        held[src] = unfired = []
+        for i, slot in enumerate(slots):
+            if slot and i not in fired:
+                if gone:
+                    slot = {size: rest for size, bucket in slot.items()
+                            if (rest := list(filterfalse(gone.__contains__, bucket)))}
+                if slot:
+                    unfired.append((i, slot))
 
     kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
     for new, cell in zip(arrivals, kept):
@@ -237,8 +288,8 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     placed, cut = fill(arrivals, bounds, sum(map(len, kept)), codec)
     pruned |= cut
     cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
-
-    return _packed_state(system, packed, state.step + 1, pruned, cells, packed.log)
+    carry = {src: (held[src], placed[src]) for src in packed.anchored}
+    return _packed_state(system, packed, state.step + 1, pruned, cells, packed.log, carry)
 
 
 # The largest tissue step budget: a run's trace keeps a population per step.

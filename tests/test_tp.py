@@ -8,6 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matedrip.tp
+
 from conftest import (
     HALF, machine_path, small_alphabets, small_bounds, small_multisets, small_rules)
 from matedrip import (
@@ -37,7 +39,7 @@ from matedrip import (
     validate_tp,
 )
 from matedrip.cli import main
-from matedrip.engine import Codec
+from matedrip.engine import Codec, OperandIndex
 from matedrip.tp import MAX_STEPS
 from test_compilers import rand_machine
 
@@ -463,6 +465,145 @@ def test_stepped_states_are_freed_without_the_cycle_collector(even):
             assert freed() is None
     finally:
         gc.enable()
+
+
+def _carried(state):
+    """A copy of the carry `state` holds, each carried bucket as a list."""
+    return {src: ([(i, {size: list(bucket) for size, bucket in slot.items()}) for i, slot in held],
+                  set(arrivals))
+            for src, (held, arrivals) in state._packed.carry.items()}
+
+
+def test_a_carried_state_stays_a_value(even, monkeypatch):
+    # every state is stepped twice and must keep its carry as it was:
+    # equal states alone would not show a step that appended its arrivals
+    # to carried lists, since a duplicate in a bucket changes no result, so
+    # every index a step files is checked for duplicates too
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=400)
+    filed = []
+    refiled = matedrip.tp._refiled
+
+    def checked(*args):
+        index = refiled(*args)
+        filed.append(index)
+        for slot in index._slots:
+            for bucket in slot.values():
+                assert len(set(bucket)) == len(bucket)
+        return index
+
+    monkeypatch.setattr(matedrip.tp, "_refiled", checked)
+    start = initial_state(system, bounds)
+    state, reference = tp_step(system, start, bounds), _naive_tp_step(system, start, bounds)
+    for _ in range(28):
+        before = _carried(state)
+        first, again = tp_step(system, state, bounds), tp_step(system, state, bounds)
+        reference = _naive_tp_step(system, reference, bounds)
+        assert first == again == reference
+        assert _carried(state) == before
+        state = again
+    assert filed
+
+
+# a mate's left operand {L} waits in cell 1 beside {idle}, which no rule
+# uses, while cell 2 drips {a} to {b} to {c} and then sends {R} to cell 1
+WAITING = """SYSTEM TP
+ALPHABET L R a b c idle
+TERMINAL L R
+CELLS 3
+OUTPUT 3
+AXIOM 1 {L}
+AXIOM 1 {idle}
+AXIOM 2 {a}
+RULE 1 MATE (L | . , . | R ; .) -> 3
+RULE 2 DRIP1 (. | a | . ; b , .) -> 2
+RULE 2 DRIP1 (. | b | . ; c , .) -> 2
+RULE 2 DRIP1 (. | c | . ; R , .) -> 1
+"""
+
+
+def test_a_waiting_operand_is_carried_until_its_partner_arrives():
+    system, bounds = parse_tp(WAITING), Bounds(max_size=4, keep_empty=False)
+    state = reference = initial_state(system, bounds)
+    waited = 0
+    for step in range(6):
+        state = tp_step(system, state, bounds)
+        reference = _naive_tp_step(system, reference, bounds)
+        assert state == reference
+        held, _ = state._packed.carry[0]
+        waited += bool(held)
+    assert waited >= 3
+    assert state.contents[0] == fs(ms("idle")) and state.result_log == {ms("L R")}
+
+
+def test_carried_states_are_freed_without_the_cycle_collector(even):
+    # 12 faithful steps in, a mate side waits in a carried slot
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=400)
+    state = _stepped(system, bounds, 12)
+    assert any(i in state._packed.anchored[src][0]._kept
+               for src, (held, _) in state._packed.carry.items() for i, _ in held)
+    del state
+    gc.disable()
+    try:
+        state = _stepped(system, bounds, 12)
+        freed = weakref.ref(state)
+        del state
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def _needs(rule):
+    """The needs of a rule's sides: a mate's left and right, a drip's one."""
+    if isinstance(rule, MateRule):
+        return rule.u + rule.a, rule.b + rule.v
+    return (rule.u + rule.c + rule.v,)
+
+
+def test_a_run_files_only_arrivals(even, monkeypatch):
+    # each cell is filed whole once, at the first step; later steps file
+    # only the vesicles the step before placed in a cell that anchors rules
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=8, max_population=400)
+    filed = []
+    extend = OperandIndex.extend
+    monkeypatch.setattr(OperandIndex, "extend",
+                        lambda index, vesicles: filed.append(len(vesicles)) or extend(index, vesicles))
+    anchored = {tp.source - 1 for tp in system.rules}
+    states = [initial_state(system, bounds)]
+    for _ in range(10):
+        states.append(tp_step(system, states[-1], bounds))
+
+    def arrivals(before, after, c):
+        # the vesicles of cell c after the step that are not ones left
+        # unused before it
+        used = set()
+        for tp in system.rules:
+            rule = tp.rule
+            if tp.source - 1 != c:
+                continue
+            operands = [[v for v in before if v.contains(need)] for need in _needs(rule)]
+            if all(operands):
+                used.update(v for side in operands for v in side)
+        return after - (before - used)
+
+    expected = sum(len(states[0].contents[c]) for c in anchored)
+    # step k files the arrivals of step k - 1; the last step's are not filed
+    for before, after in zip(states[:-2], states[1:-1]):
+        expected += sum(len(arrivals(before.contents[c], after.contents[c], c))
+                        for c in anchored)
+    assert sum(filed) == expected
+
+    # one slot per distinct need: 67 over the anchored cells, where the
+    # rules have 98 need sides
+    indexes = {c: index for c, (index, *_) in states[0]._packed.anchored.items()}
+    for c, index in indexes.items():
+        needs = {(isinstance(tp.rule, MateRule), need) for tp in system.rules
+                 if tp.source - 1 == c for need in _needs(tp.rule)}
+        assert len(index._entries) == len(needs)
+    assert sum(len(index._entries) for index in indexes.values()) == 67
+    assert sum(len(_needs(rule)) for _, rule in {(tp.source, tp.rule) for tp in system.rules}) == 98
 
 
 # -- runs: a repeated state ends the stepping --------------------------------

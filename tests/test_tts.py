@@ -437,6 +437,43 @@ def test_symbol_index_operands_match_brute_force():
             assert decoded(operands) == by_size(rule.u + rule.c + rule.v)
 
 
+# Two mates share their left need X p, and the last mate's two sides share
+# the need X, so the index keeps 4 slots for 6 need sides.
+_SHARED_SLOT_RULES = [
+    parse_rule("MATE (X | p , q | . ; .)"),
+    parse_rule("MATE (X | p , r | . ; s)"),
+    parse_rule("MATE (X | . , X | . ; .)"),
+]
+
+
+@pytest.mark.parametrize("bounds", [
+    Bounds(max_size=6, max_population=3000, max_iterations=100),
+    # cut by size and by population
+    Bounds(max_size=4, max_population=40, max_iterations=100),
+])
+def test_shared_slots_match_naive_reference(bounds):
+    system = one_tube(_SHARED_SLOT_RULES, [ms("X p"), ms("q"), ms("r"), ms("X"), ms("X^2 q")],
+                      {"X", "p", "q", "r", "s"})
+    codec = Codec(system.alphabet, _SHARED_SLOT_RULES, 4)
+    assert len(OperandIndex(codec, map(codec.compile, _SHARED_SLOT_RULES))._entries) == 4
+    _assert_matches_reference(system, bounds)
+
+
+@pytest.mark.parametrize("fidelity", ["guarded", "faithful"])
+def test_compiled_shared_slots_match_naive_reference(even, fidelity):
+    # thm1's and cor2's tubes hold mates with equal needs, which share slots
+    for construction in ("thm1", "cor2"):
+        system = compile_machine(even, construction, CompileOptions(fidelity=fidelity))
+        codec = Codec(system.alphabet, [rule for rules in system.rules for rule in rules], 8)
+        sides = slots = 0
+        for rules in system.rules:
+            rules = dict.fromkeys(rules)
+            sides += sum(2 if isinstance(rule, MateRule) else 1 for rule in rules)
+            slots += len(OperandIndex(codec, map(codec.compile, rules))._entries)
+        assert slots < sides
+        _assert_matches_reference(system, Bounds(max_size=8, max_population=300, max_iterations=100))
+
+
 def _index_lists(index):
     """Every size bucket of every rule side of `index`."""
     for operands in index.operands.values():
