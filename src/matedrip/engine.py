@@ -22,9 +22,9 @@ rules with equal needs share, and, in a closure, the vesicles each branch
 of a filter leaving the tube passes.  A closure round joins that batch
 against the index and keeps its mate operands, and it and the tissue step
 reach only the rules whose slots the batch filed into.  A tissue step
-files only the vesicles that arrived in a cell: the slots that did not
-fire are carried to the next step.  A join streams its fusions into the
-output set.  The index files a vesicle by the plan of its support
+that finds a cell holding all it held two steps back files only the
+vesicles it gained since, and reuses that step's slots and products.  A
+join streams its fusions into the output set.  The index files a vesicle by the plan of its support
 signature, the symbols named in the rules' needs or forbidden by the
 branches that it holds, read with one addition, so a need is tested per
 vesicle only when it asks for some symbol more than once, and no branch

@@ -10,7 +10,7 @@ accumulated from the output cell as they appear.
 
 from __future__ import annotations
 
-from itertools import cycle, filterfalse, islice
+from itertools import cycle, islice
 from pathlib import Path
 
 from .engine import (
@@ -23,8 +23,9 @@ from .tts import FormatError, common_problems, parse_system, render_header
 # bench/tracer.py wraps the module attributes apply_drip1 and apply_drip
 # (here the packed one-sided and two-sided drips) and apply_mate.  tp_step
 # looks the first two up when it starts and calls them at most once per
-# drip firing and size bucket of its slot, which drips with equal needs
-# share; no engine calls apply_mate.
+# drip firing and size bucket of the vesicles its slot gained since two
+# steps back, or of the whole slot; drips with equal needs share a slot.
+# No engine calls apply_mate.
 
 
 @value_class(frozen=True)
@@ -120,28 +121,27 @@ class _Packed:
     per run.  `nonterminal` masks the symbols a result may not hold.
     Valid for the system whose (alphabet, terminal, rules) is `source`.
 
-    `carry`, None when the state was not made by `tp_step`, maps each
-    anchored cell c to what the next step files it from: the slots that
-    did not fire in the step that made this state, as (slot, size ->
-    vesicles map) pairs with the consumed vesicles taken out, and the set
-    of vesicles that step placed in c.  A fired slot is consumed whole, so
-    those are the vesicles of c that some slot takes: the next step files
-    only the arrivals.  Carried maps and lists are shared between states
-    and never changed.
+    `records` is (made, before): the records of the step that made this
+    state and of the step before it, each a map from an anchored cell that
+    was non-empty before that step to its record, as `_cell_step` returns
+    it.  A state not made by `tp_step` has none.  A record holds no state,
+    so records never chain, and nothing in one is changed once it is made:
+    cells, slot maps, bucket lists and product sets are shared between
+    records and states.
     """
 
-    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log", "carry")
+    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log", "records")
 
     def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
                  nonterminal: int, cells: list[frozenset[int]], log: frozenset[int],
-                 carry: dict[int, tuple] | None):
+                 records: tuple[dict, dict]):
         self.source = source
         self.codec = codec
         self.anchored = anchored
         self.nonterminal = nonterminal
         self.cells = cells
         self.log = log
-        self.carry = carry
+        self.records = records
 
     def serves(self, system: TissueSystem, bounds: Bounds) -> bool:
         return (self.codec.largest >= bounds.max_size
@@ -156,6 +156,8 @@ class _Packed:
 
 TPState.contents = lazy_field("contents", _Packed.contents)
 TPState.result_log = lazy_field("result_log", _Packed.result_log)
+
+_NO_RECORDS = ({}, {})
 
 
 def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]],
@@ -174,48 +176,136 @@ def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]]
                          [(rule, *layout[rule], target) for rule, target in pairs
                           if len(layout[rule]) == 1])
     return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
-                   codec.mask(system.alphabet - system.terminal), cells, log, None)
+                   codec.mask(system.alphabet - system.terminal), cells, log, _NO_RECORDS)
 
 
 def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     """The axioms `bounds` admits, placed by `fill` as a step places its
     arrivals, so the population cap holds from step 0.  The state holds
-    only its packed form, with no carry."""
+    only its packed form, with no records."""
     codec, cells, pruned = packed_start(
         system.alphabet, [tp.rule for tp in system.rules], system.axioms, bounds)
     packed = _packed_form(system, codec, cells, frozenset())
     cells, cut = fill(cells, bounds, 0, codec)
-    return _packed_state(system, packed, 0, pruned or cut, cells, packed.log, None)
+    return _packed_state(system, packed, 0, pruned or cut, cells, packed.log, _NO_RECORDS)
 
 
 def _packed_state(system: TissueSystem, packed: _Packed, step: int, pruned: bool,
-                  cells: list, log: frozenset[int], carry: dict[int, tuple] | None) -> TPState:
-    """A state holding only its packed form: `cells`, `carry`, and `log`
+                  cells: list, log: frozenset[int], records: tuple[dict, dict]) -> TPState:
+    """A state holding only its packed form: `cells`, `records`, and `log`
     with the results in the output cell added."""
     log = log | {v for v in cells[system.output_cell - 1] if not v & packed.nonterminal}
     state = object.__new__(TPState)
     state.__dict__.update(step=step, pruned=pruned, _packed=_Packed(
-        packed.source, packed.codec, packed.anchored, packed.nonterminal, cells, log, carry))
+        packed.source, packed.codec, packed.anchored, packed.nonterminal, cells, log, records))
     return state
 
 
-def _refiled(template: OperandIndex, held, vesicles: set[int]) -> OperandIndex:
-    """A copy of `template` that holds the carried slots `held` and files
-    `vesicles`: a whole cell when nothing is carried, else the arrivals
-    alone.  A carried list that gains vesicles is replaced by a new one,
-    so no carried list changes."""
+@value_class(frozen=True)
+class _Record:
+    """One anchored cell's step, as a function of the cell's pre-step
+    contents `cell` and of the bounds key (max_size, keep_empty): `slots`,
+    the cell's full operand index, every slot whether it fired or not;
+    `products`, each target cell -> the set of admitted products sent
+    there; `oversize`, whether a product was left out for size; `fired`,
+    the slots that fired; and `gone`, the vesicles of `cell` in some slot
+    that fired, which is `cell` itself when that is all of them.  The
+    population cap plays no part: it acts after the firings, in `fill`.
+    Nothing in a record is changed once it is made."""
+
+    key: tuple | None
+    cell: frozenset[int]
+    slots: list[dict] | None
+    products: dict[int, set[int]]
+    oversize: bool
+    fired: set[int]
+    gone: set[int]
+
+
+# the record of an empty cell: a cell stepped from it is filed whole
+_EMPTY = _Record(None, frozenset(), None, {}, False, frozenset(), frozenset())
+
+
+def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
+               earlier: _Record | None) -> _Record:
+    """The record of the firings of the rules `anchored` at one non-empty
+    cell.
+
+    `earlier` is the record made two steps back for this cell, or None.
+    When it was made under the same bounds key from contents C that this
+    cell holds all of, only the new vesicles D = cell - C are filed, into
+    an empty copy of the template, and the step is computed from the
+    record (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
+    This is exact, because each slot's vesicles split disjointly into C's
+    and D's:
+
+    - a slot is the record's map with D's buckets put in as new lists, and
+      a slot that fired on C fires again;
+    - a mate's fusions on C + D are (L + dL) x (R + dR), with L, R its
+      operands in C and dL, dR those in D: L x R are the record's, and
+      dL x (R + dR) and L x dR are joined now; so are the oversize flags,
+      since each join's flag says whether some pair it covers is oversize;
+    - a drip acts on each vesicle alone, so it fires on D's buckets only;
+    - the vesicles consumed are the record's, those of C in a slot that
+      fires now and did not on C, and those of D in a slot that fires.
+
+    Otherwise the cell is stepped from the record of an empty cell: the
+    whole cell is filed.  Nothing of `earlier` is changed: its slot maps
+    and product sets are copied before anything is added to them.
+    """
+    key = (bounds.max_size, bounds.keep_empty)
+    before, new = _EMPTY, cell
+    if earlier is not None and earlier.key == key:
+        gained = cell - earlier.cell
+        if len(cell) - len(gained) == len(earlier.cell):  # the cell holds all of C
+            before, new = earlier, gained
+    template, mates, drips = anchored
     index = template.empty()
-    index.extend(vesicles)
-    slots = index._slots
-    for i, kept in held:
-        slot = slots[i]
-        if not slot:
-            slots[i] = kept
-            continue
-        for size, bucket in kept.items():
-            new = slot.get(size)
-            slot[size] = bucket + new if new else bucket
-    return index
+    index.extend(new)
+    fresh = index._slots
+    if before.slots is None:
+        slots, old = fresh, [{}] * len(fresh)
+    else:
+        old = before.slots
+        slots = [_merged(slot, add) if add else slot for slot, add in zip(old, fresh)]
+    products = {target: set(out) for target, out in before.products.items()}
+    oversize = before.oversize
+    fired = set()
+    for rule, left, right, target in mates:
+        if slots[left] and slots[right]:
+            fired.update((left, right))
+            out = products.setdefault(target, set())
+            if fresh[left] and join(rule, fresh[left], slots[right], bounds, out):
+                oversize = True
+            if fresh[right] and old[left] and join(rule, old[left], fresh[right], bounds, out):
+                oversize = True
+    for rule, i, target in drips:
+        if slots[i]:
+            fired.add(i)
+            out = products.setdefault(target, set())
+            for size, bucket in fresh[i].items():
+                if drip(rule, size, bucket, bounds, out, codec, kernels):
+                    oversize = True
+    gone = set(before.gone)
+    for i in fired - before.fired:
+        for bucket in old[i].values():
+            gone.update(bucket)
+    for i in fired:
+        for bucket in fresh[i].values():
+            gone.update(bucket)
+    if len(gone) == len(cell):  # share the cell, not an equal set
+        gone = cell
+    return _Record(key, cell, slots, products, oversize, fired, gone)
+
+
+def _merged(slot: dict, add: dict) -> dict:
+    """A new size -> vesicles map of the vesicles of `slot` and of `add`,
+    two such maps over disjoint vesicles; a bucket both hold is a new list."""
+    merged = dict(slot)
+    for size, bucket in add.items():
+        held = merged.get(size)
+        merged[size] = held + bucket if held else bucket
+    return merged
 
 
 def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
@@ -232,64 +322,64 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     once.
 
     The step works on packed vesicles and decodes none.  It reuses the
-    packed form the step before left on `state`.  When that form holds a
-    carry, each anchored cell's index is the carried unfired slots plus its
-    arrivals, the only vesicles filed; otherwise the whole cell is filed.
-    The state returned holds only its packed form, with the carry for the
-    next step.
+    packed form the step before left on `state`, and with it the records
+    of the two steps before.  A vesicle passes to its target cell once a
+    rule has acted on it, so working vesicles go back and forth between
+    two cells, and a cell mostly holds all it held two steps back and some
+    more.  `_cell_step` then steps the cell from the record made two steps
+    back, filing and fusing only what is new, which is exact; otherwise it
+    files the whole cell.  The state returned holds only its packed form,
+    with this step's records and those of the step before.  No product
+    set, cell or record it reads is changed: a product set can become a
+    cell, and a cell a record's.
     """
     packed = state._packed
     if packed is None or not packed.serves(system, bounds):
         codec, (*cells, log) = pack(system.alphabet, [tp.rule for tp in system.rules],
                                     (*state.contents, state.result_log), bounds.max_size)
         packed = _packed_form(system, codec, cells, log)
-    codec, carry = packed.codec, packed.carry
+    codec, (recent, earlier) = packed.codec, packed.records
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
     pruned = state.pruned
-    used: list[set[int]] = [set() for _ in range(system.cells)]
-    arrivals: list[set[int]] = [set() for _ in range(system.cells)]
-    held: dict[int, list] = {}  # per anchored cell: its unfired slots, less `used`
+    kept = list(packed.cells)
+    owned = [False] * system.cells  # whether kept[c] is a set this step made
+    sent: list[list] = [[] for _ in range(system.cells)]  # per target: product sets
+    records = {}
+    for src, anchored in packed.anchored.items():
+        cell = kept[src]
+        if cell:
+            record = records[src] = _cell_step(anchored, cell, bounds, codec, kernels,
+                                               earlier.get(src))
+            pruned |= record.oversize
+            if record.gone:
+                kept[src] = cell - record.gone if record.gone is not cell else set()
+                owned[src] = True
+            for target, out in record.products.items():
+                sent[target].append(out)
 
-    for src, (template, mates, drips) in packed.anchored.items():
-        cell = packed.cells[src]
-        if not cell:
-            held[src] = []
-            continue
-        index = _refiled(template, *(((), cell) if carry is None else carry[src]))
-        slots, gone = index._slots, used[src]
-        fired = set()
-        for rule, left, right, target in mates:
-            lefts, rights = slots[left], slots[right]
-            if lefts and rights:
-                fired.update((left, right))
-                if join(rule, lefts, rights, bounds, arrivals[target]):
-                    pruned = True
-        for rule, i, target in drips:
-            if slots[i]:
-                fired.add(i)
-                for size, bucket in slots[i].items():
-                    if drip(rule, size, bucket, bounds, arrivals[target], codec, kernels):
-                        pruned = True
-        for i in fired:
-            for bucket in slots[i].values():
-                gone.update(bucket)
-        held[src] = unfired = []
-        for i, slot in enumerate(slots):
-            if slot and i not in fired:
-                if gone:
-                    slot = {size: rest for size, bucket in slot.items()
-                            if (rest := list(filterfalse(gone.__contains__, bucket)))}
-                if slot:
-                    unfired.append((i, slot))
-
-    kept = [cell - gone if gone else cell for cell, gone in zip(packed.cells, used)]
-    for new, cell in zip(arrivals, kept):
-        new -= cell
+    arrivals = []
+    for cell, outs in zip(kept, sent):
+        if len(outs) > 1:
+            fresh = outs[0].union(*outs[1:])
+            fresh -= cell
+        elif outs:
+            fresh = outs[0] - cell if cell else outs[0]
+        else:
+            fresh = set()
+        arrivals.append(fresh)
     placed, cut = fill(arrivals, bounds, sum(map(len, kept)), codec)
     pruned |= cut
-    cells = [cell | new if new else cell for cell, new in zip(kept, placed)]
-    carry = {src: (held[src], placed[src]) for src in packed.anchored}
-    return _packed_state(system, packed, state.step + 1, pruned, cells, packed.log, carry)
+    cells = []
+    for cell, new, own in zip(kept, placed, owned):
+        if not cell:
+            cell = new
+        elif new and own:
+            cell |= new
+        elif new:
+            cell = cell | new
+        cells.append(cell)
+    return _packed_state(system, packed, state.step + 1, pruned, cells, packed.log,
+                         (records, recent))
 
 
 # The largest tissue step budget: a run's trace keeps a population per step.

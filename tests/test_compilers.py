@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -51,6 +52,22 @@ def rand_machine(rng: random.Random) -> RegisterMachine:
     machine = RegisterMachine(registers, inputs, labels[0], instructions)
     assert machine.validate() == []
     return machine
+
+
+def small_machines(registers: int, instructions: int = 1):
+    """Every machine with one input, `registers` registers, the labels q0 to
+    q<instructions - 1> each holding an ADD or SUB on any register with any
+    targets, and `stop` holding HALT: 6 machines with one register and one
+    instruction, 12 with two registers and one."""
+    labels = [f"q{i}" for i in range(instructions)] + ["stop"]
+    choices = ([Add(r, goto) for r in range(1, registers + 1) for goto in labels]
+               + [Sub(r, goto, zero) for r in range(1, registers + 1)
+                  for goto in labels for zero in labels])
+    for program in itertools.product(choices, repeat=instructions):
+        instructions_of = dict(zip(labels, program), stop=Halt())
+        machine = RegisterMachine(registers, 1, "q0", instructions_of)
+        assert machine.validate() == []
+        yield machine
 
 
 def all_fixture_machines(even, mod3, eq, trap):

@@ -2,13 +2,12 @@ import copy
 import gc
 import random
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import matedrip.tp
 
 from conftest import (
     HALF, machine_path, small_alphabets, small_bounds, small_multisets, small_rules)
@@ -41,7 +40,7 @@ from matedrip import (
 from matedrip.cli import main
 from matedrip.engine import Codec, OperandIndex
 from matedrip.tp import MAX_STEPS
-from test_compilers import rand_machine
+from test_compilers import rand_machine, small_machines
 
 
 def ms(text):
@@ -467,42 +466,37 @@ def test_stepped_states_are_freed_without_the_cycle_collector(even):
         gc.enable()
 
 
-def _carried(state):
-    """A copy of the carry `state` holds, each carried bucket as a list."""
-    return {src: ([(i, {size: list(bucket) for size, bucket in slot.items()}) for i, slot in held],
-                  set(arrivals))
-            for src, (held, arrivals) in state._packed.carry.items()}
+def _recorded(state):
+    """A copy of the records `state` holds, each set, slot map and bucket
+    copied, per generation and cell."""
+    return [{src: (r.key, set(r.cell), [{size: list(bucket) for size, bucket in slot.items()}
+                                        for slot in r.slots],
+                   {target: set(out) for target, out in r.products.items()},
+                   r.oversize, set(r.fired), set(r.gone))
+             for src, r in records.items()}
+            for records in state._packed.records]
 
 
-def test_a_carried_state_stays_a_value(even, monkeypatch):
-    # every state is stepped twice and must keep its carry as it was:
-    # equal states alone would not show a step that appended its arrivals
-    # to carried lists, since a duplicate in a bucket changes no result, so
-    # every index a step files is checked for duplicates too
+def test_a_recorded_state_stays_a_value(even):
+    # every state is stepped twice and must keep its records as they were:
+    # equal states alone would not show a step that appended to a recorded
+    # list, since a duplicate in a bucket changes no result, so every bucket
+    # of every record a step makes is checked for duplicates too
     system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
     bounds = Bounds(max_size=8, max_population=400)
-    filed = []
-    refiled = matedrip.tp._refiled
-
-    def checked(*args):
-        index = refiled(*args)
-        filed.append(index)
-        for slot in index._slots:
-            for bucket in slot.values():
-                assert len(set(bucket)) == len(bucket)
-        return index
-
-    monkeypatch.setattr(matedrip.tp, "_refiled", checked)
     start = initial_state(system, bounds)
     state, reference = tp_step(system, start, bounds), _naive_tp_step(system, start, bounds)
     for _ in range(28):
-        before = _carried(state)
+        before = _recorded(state)
         first, again = tp_step(system, state, bounds), tp_step(system, state, bounds)
         reference = _naive_tp_step(system, reference, bounds)
         assert first == again == reference
-        assert _carried(state) == before
+        assert _recorded(state) == before
+        for record in first._packed.records[0].values():
+            for slot in record.slots:
+                for bucket in slot.values():
+                    assert len(set(bucket)) == len(bucket)
         state = again
-    assert filed
 
 
 # a mate's left operand {L} waits in cell 1 beside {idle}, which no rule
@@ -522,36 +516,73 @@ RULE 2 DRIP1 (. | c | . ; R , .) -> 1
 """
 
 
-def test_a_waiting_operand_is_carried_until_its_partner_arrives():
+def test_a_waiting_operand_is_recorded_until_its_partner_arrives():
+    # cell 1 holds {L idle} before steps 1 to 3 and {L idle R} before step
+    # 4, so steps 3 and 4 reuse the slot of {L} from the record two steps
+    # back, and step 4 fuses only {L} with the new {R}; before steps 5 and
+    # 6 cell 1 holds {idle} alone, and the whole cell is filed again
     system, bounds = parse_tp(WAITING), Bounds(max_size=4, keep_empty=False)
+    (_, left, _, _), = initial_state(system, bounds)._packed.anchored[0][1]
     state = reference = initial_state(system, bounds)
-    waited = 0
-    for step in range(6):
+    reused = []
+    for step in range(1, 7):
+        earlier = state._packed.records[1].get(0)
         state = tp_step(system, state, bounds)
         reference = _naive_tp_step(system, reference, bounds)
         assert state == reference
-        held, _ = state._packed.carry[0]
-        waited += bool(held)
-    assert waited >= 3
+        if earlier and state._packed.records[0][0].slots[left] is earlier.slots[left]:
+            reused.append(step)
+    assert reused == [3, 4]
     assert state.contents[0] == fs(ms("idle")) and state.result_log == {ms("L R")}
 
 
-def test_carried_states_are_freed_without_the_cycle_collector(even):
-    # 12 faithful steps in, a mate side waits in a carried slot
+def test_recorded_states_are_freed_without_the_cycle_collector(even):
+    # 12 faithful steps in, a cell's step shares slot maps with the record
+    # made two steps back
     system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
     bounds = Bounds(max_size=8, max_population=400)
-    state = _stepped(system, bounds, 12)
-    assert any(i in state._packed.anchored[src][0]._kept
-               for src, (held, _) in state._packed.carry.items() for i, _ in held)
-    del state
+    state = _stepped(system, bounds, 11)
+    following = tp_step(system, state, bounds)
+    assert any(now is then for src, record in following._packed.records[0].items()
+               for now, then in zip(record.slots, state._packed.records[1][src].slots))
+    del state, following
     gc.disable()
     try:
-        state = _stepped(system, bounds, 12)
-        freed = weakref.ref(state)
-        del state
-        assert freed() is None
+        state = _stepped(system, bounds, 11)
+        following = tp_step(system, state, bounds)
+        freed = weakref.ref(state), weakref.ref(following)
+        del state, following
+        assert [ref() for ref in freed] == [None, None]
     finally:
         gc.enable()
+
+
+def test_records_never_chain(even):
+    # a state holds the records of its step and of the step before, and a
+    # record holds no state: with the cycle collector off, the state three
+    # steps back is freed; this run repeats with period 4 from step 51, and
+    # over 40 steps of that cycle the traced memory stays flat, where a
+    # record kept per step would add kilobytes
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    bounds = Bounds(max_size=6, max_population=150)
+    state = initial_state(system, bounds)
+    held, traced = [], {}
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for step in range(1, 101):
+            state = tp_step(system, state, bounds)
+            held = [state, *held[:2]]
+            if step >= 4:
+                assert gone() is None
+            gone = weakref.ref(held[-1])
+            if step in (60, 96, 100):
+                traced[step] = tracemalloc.get_traced_memory()[0], state._packed.cells
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert traced[96][1] == traced[100][1]
+    assert traced[100][0] - traced[60][0] < 16_000
 
 
 def _needs(rule):
@@ -561,9 +592,10 @@ def _needs(rule):
     return (rule.u + rule.c + rule.v,)
 
 
-def test_a_run_files_only_arrivals(even, monkeypatch):
-    # each cell is filed whole once, at the first step; later steps file
-    # only the vesicles the step before placed in a cell that anchors rules
+def test_a_run_files_only_what_is_new_since_two_steps_back(even, monkeypatch):
+    # a step files an anchored cell whole, unless the cell holds all it held
+    # two steps back, when the step before made a record of it: then only
+    # the vesicles it gained since are filed
     system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
     bounds = Bounds(max_size=8, max_population=400)
     filed = []
@@ -575,25 +607,14 @@ def test_a_run_files_only_arrivals(even, monkeypatch):
     for _ in range(10):
         states.append(tp_step(system, states[-1], bounds))
 
-    def arrivals(before, after, c):
-        # the vesicles of cell c after the step that are not ones left
-        # unused before it
-        used = set()
-        for tp in system.rules:
-            rule = tp.rule
-            if tp.source - 1 != c:
-                continue
-            operands = [[v for v in before if v.contains(need)] for need in _needs(rule)]
-            if all(operands):
-                used.update(v for side in operands for v in side)
-        return after - (before - used)
-
-    expected = sum(len(states[0].contents[c]) for c in anchored)
-    # step k files the arrivals of step k - 1; the last step's are not filed
-    for before, after in zip(states[:-2], states[1:-1]):
-        expected += sum(len(arrivals(before.contents[c], after.contents[c], c))
-                        for c in anchored)
-    assert sum(filed) == expected
+    expected = whole = 0
+    for k, state in enumerate(states[:-1]):
+        for c in anchored:
+            cell = state.contents[c]
+            earlier = states[k - 2].contents[c] if k >= 2 else frozenset()
+            expected += len(cell - earlier) if earlier <= cell else len(cell)
+            whole += len(cell)
+    assert sum(filed) == expected < whole / 2
 
     # one slot per distinct need: 67 over the anchored cells, where the
     # rules have 98 need sides
@@ -604,6 +625,65 @@ def test_a_run_files_only_arrivals(even, monkeypatch):
         assert len(index._entries) == len(needs)
     assert sum(len(index._entries) for index in indexes.values()) == 67
     assert sum(len(_needs(rule)) for _, rule in {(tp.source, tp.rule) for tp in system.rules}) == 98
+
+
+def test_a_changed_bound_files_the_whole_cell(even):
+    # a record is reused only under the bounds it was made under: a state
+    # stepped under Bounds(10, ...) is stepped under a smaller max_size, and
+    # a system that makes an empty vesicle every other step under
+    # keep_empty=False, and both steps equal the reference
+    system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
+    state = _stepped(system, Bounds(10, 20000), 12)
+    for bounds in (Bounds(8, 20000), Bounds(10, 20000, keep_empty=False)):
+        assert tp_step(system, state, bounds) == _naive_tp_step(system, state, bounds)
+    empties = parse_tp(EMPTIES)
+    state = _stepped(empties, Bounds(10, 20000), 4)
+    assert state.contents == (fs(ms("a"), EMPTY), fs())
+    bounds = Bounds(10, 20000, keep_empty=False)
+    assert tp_step(empties, state, bounds) == _naive_tp_step(empties, state, bounds)
+
+
+# cell 1 drips {a} to {a} and {} in cell 2, and cell 2 sends back every
+# vesicle and a {} with it, so from step 2 on cell 1 holds {a} and {}: its
+# step sends {} to cell 2, which is empty every other step
+EMPTIES = """SYSTEM TP
+ALPHABET a
+TERMINAL a
+CELLS 2
+OUTPUT 2
+AXIOM 1 {a}
+RULE 1 DRIP1 (. | a | . ; a , .) -> 2
+RULE 2 DRIP1 (. | . | . ; . , .) -> 1
+"""
+
+
+def small_machine_systems():
+    """thm4 in both fidelities over each of the 18 small-scope machines."""
+    return [compile_machine(machine, "thm4", CompileOptions(fidelity=fidelity))
+            for registers in (1, 2) for machine in small_machines(registers)
+            for fidelity in ("guarded", "faithful")]
+
+
+@pytest.mark.parametrize("bounds", [Bounds(8, 20000), Bounds(8, 40)], ids=["uncapped", "capped"])
+def test_small_machines_step_like_naive_reference(bounds):
+    # many of these cells lose a vesicle between two steps, so their steps
+    # file the whole cell, and the others reuse the record two steps back
+    covered = uncovered = 0
+    for system in small_machine_systems():
+        states = [initial_state(system, bounds)]
+        reference = states[0]
+        for _ in range(14):
+            states.append(tp_step(system, states[-1], bounds))
+            reference = _naive_tp_step(system, reference, bounds)
+            assert states[-1] == reference
+        for before, state in zip(states, states[2:-1]):
+            for c in {tp.source - 1 for tp in system.rules}:
+                if before.contents[c] and state.contents[c]:
+                    if before.contents[c] <= state.contents[c]:
+                        covered += 1
+                    else:
+                        uncovered += 1
+    assert covered > uncovered > 0
 
 
 # -- runs: a repeated state ends the stepping --------------------------------
