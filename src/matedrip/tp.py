@@ -63,11 +63,7 @@ class TPState:
 
     @property
     def population(self) -> int:
-        return sum(self._cell_sizes())
-
-    def _cell_sizes(self) -> tuple[int, ...]:
-        cells = self.contents if self._packed is None else self._packed.cells
-        return tuple(map(len, cells))
+        return sum(map(len, self.contents if self._packed is None else self._packed.cells))
 
 
 @value_class(frozen=True)
@@ -109,6 +105,7 @@ def _problems(system: TissueSystem) -> tuple[list[tuple], list[str]]:
     return problems, warnings
 
 
+@value_class
 class _Packed:
     """A tissue state's contents and result log in packed form.
 
@@ -119,7 +116,9 @@ class _Packed:
     slot, target cell).  A step files each cell into a copy of that index,
     and the copies share its plans, so a support signature is planned once
     per run.  `nonterminal` masks the symbols a result may not hold.
-    Valid for the system whose (alphabet, terminal, rules) is `source`.
+    Valid for the system and bounds whose (alphabet, terminal, cells,
+    rules, max_size, keep_empty) is `source`: the codec is sized for that
+    max_size, and the records were made under those bounds.
 
     `records` is (made, before): the records of the step that made this
     state and of the step before it, each a map from an anchored cell that
@@ -130,22 +129,16 @@ class _Packed:
     records and states.
     """
 
-    __slots__ = ("source", "codec", "anchored", "nonterminal", "cells", "log", "records")
-
-    def __init__(self, source: tuple, codec: Codec, anchored: dict[int, tuple],
-                 nonterminal: int, cells: list[frozenset[int]], log: frozenset[int],
-                 records: tuple[dict, dict]):
-        self.source = source
-        self.codec = codec
-        self.anchored = anchored
-        self.nonterminal = nonterminal
-        self.cells = cells
-        self.log = log
-        self.records = records
+    source: tuple
+    codec: Codec
+    anchored: dict[int, tuple]
+    nonterminal: int
+    cells: list[frozenset[int]]
+    log: frozenset[int]
+    records: tuple[dict, dict]
 
     def serves(self, system: TissueSystem, bounds: Bounds) -> bool:
-        return (self.codec.largest >= bounds.max_size
-                and self.source == (system.alphabet, system.terminal, system.rules))
+        return self.source == _source(system, bounds)
 
     def contents(self) -> tuple[frozenset[Multiset], ...]:
         return tuple(frozenset(map(self.codec.decode, cell)) for cell in self.cells)
@@ -160,9 +153,15 @@ TPState.result_log = lazy_field("result_log", _Packed.result_log)
 _NO_RECORDS = ({}, {})
 
 
-def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]],
-                 log: frozenset[int]) -> _Packed:
-    """The packed form of the cells and result log that `codec` packed."""
+def _source(system: TissueSystem, bounds: Bounds) -> tuple:
+    return (system.alphabet, system.terminal, system.cells, system.rules,
+            bounds.max_size, bounds.keep_empty)
+
+
+def _packed_form(system: TissueSystem, bounds: Bounds, codec: Codec,
+                 cells: list[frozenset[int]], log: frozenset[int]) -> _Packed:
+    """The packed form of the cells and result log that `codec` packed
+    for `bounds`."""
     firings: dict[int, list] = {}
     for tp in system.rules:
         firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
@@ -175,7 +174,7 @@ def _packed_form(system: TissueSystem, codec: Codec, cells: list[frozenset[int]]
                           if len(layout[rule]) == 2],
                          [(rule, *layout[rule], target) for rule, target in pairs
                           if len(layout[rule]) == 1])
-    return _Packed((system.alphabet, system.terminal, system.rules), codec, anchored,
+    return _Packed(_source(system, bounds), codec, anchored,
                    codec.mask(system.alphabet - system.terminal), cells, log, _NO_RECORDS)
 
 
@@ -185,7 +184,7 @@ def initial_state(system: TissueSystem, bounds: Bounds) -> TPState:
     only its packed form, with no records."""
     codec, cells, pruned = packed_start(
         system.alphabet, [tp.rule for tp in system.rules], system.axioms, bounds)
-    packed = _packed_form(system, codec, cells, frozenset())
+    packed = _packed_form(system, bounds, codec, cells, frozenset())
     cells, cut = fill(cells, bounds, 0, codec)
     return _packed_state(system, packed, 0, pruned or cut, cells, packed.log, _NO_RECORDS)
 
@@ -204,7 +203,7 @@ def _packed_state(system: TissueSystem, packed: _Packed, step: int, pruned: bool
 @value_class(frozen=True)
 class _Record:
     """One anchored cell's step, as a function of the cell's pre-step
-    contents `cell` and of the bounds key (max_size, keep_empty): `slots`,
+    contents `cell` and of the bounds its packed form was made for: `slots`,
     the cell's full operand index, every slot whether it fired or not;
     `products`, each target cell -> the set of admitted products sent
     there; `oversize`, whether a product was left out for size; `fired`,
@@ -213,7 +212,6 @@ class _Record:
     population cap plays no part: it acts after the firings, in `fill`.
     Nothing in a record is changed once it is made."""
 
-    key: tuple | None
     cell: frozenset[int]
     slots: list[dict] | None
     products: dict[int, set[int]]
@@ -223,7 +221,7 @@ class _Record:
 
 
 # the record of an empty cell: a cell stepped from it is filed whole
-_EMPTY = _Record(None, frozenset(), None, {}, False, frozenset(), frozenset())
+_EMPTY = _Record(frozenset(), None, {}, False, frozenset(), frozenset())
 
 
 def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
@@ -231,9 +229,9 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
     """The record of the firings of the rules `anchored` at one non-empty
     cell.
 
-    `earlier` is the record made two steps back for this cell, or None.
-    When it was made under the same bounds key from contents C that this
-    cell holds all of, only the new vesicles D = cell - C are filed, into
+    `earlier` is the record made two steps back for this cell, under the
+    same bounds, or None.  When it was made from contents C that this cell
+    holds all of, only the new vesicles D = cell - C are filed, into
     an empty copy of the template, and the step is computed from the
     record (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
     This is exact, because each slot's vesicles split disjointly into C's
@@ -253,9 +251,8 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
     whole cell is filed.  Nothing of `earlier` is changed: its slot maps
     and product sets are copied before anything is added to them.
     """
-    key = (bounds.max_size, bounds.keep_empty)
     before, new = _EMPTY, cell
-    if earlier is not None and earlier.key == key:
+    if earlier is not None:
         gained = cell - earlier.cell
         if len(cell) - len(gained) == len(earlier.cell):  # the cell holds all of C
             before, new = earlier, gained
@@ -295,7 +292,7 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
             gone.update(bucket)
     if len(gone) == len(cell):  # share the cell, not an equal set
         gone = cell
-    return _Record(key, cell, slots, products, oversize, fired, gone)
+    return _Record(cell, slots, products, oversize, fired, gone)
 
 
 def _merged(slot: dict, add: dict) -> dict:
@@ -323,10 +320,12 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
 
     The step works on packed vesicles and decodes none.  It reuses the
     packed form the step before left on `state`, and with it the records
-    of the two steps before.  A vesicle passes to its target cell once a
-    rule has acted on it, so working vesicles go back and forth between
-    two cells, and a cell mostly holds all it held two steps back and some
-    more.  `_cell_step` then steps the cell from the record made two steps
+    of the two steps before, when that form was made for this system and
+    these bounds; otherwise it packs the state's contents anew, with no
+    records, and refuses a state whose cell count is not the system's.  A
+    vesicle passes to its target cell once a rule has acted on it, so
+    working vesicles go back and forth between two cells, and a cell mostly
+    holds all it held two steps back and some more.  `_cell_step` then steps the cell from the record made two steps
     back, filing and fusing only what is new, which is exact; otherwise it
     files the whole cell.  The state returned holds only its packed form,
     with this step's records and those of the step before.  No product
@@ -335,9 +334,11 @@ def tp_step(system: TissueSystem, state: TPState, bounds: Bounds) -> TPState:
     """
     packed = state._packed
     if packed is None or not packed.serves(system, bounds):
+        if len(state.contents) != system.cells:
+            raise ValueError(f"state has {len(state.contents)} cells, system has {system.cells}")
         codec, (*cells, log) = pack(system.alphabet, [tp.rule for tp in system.rules],
                                     (*state.contents, state.result_log), bounds.max_size)
-        packed = _packed_form(system, codec, cells, log)
+        packed = _packed_form(system, bounds, codec, cells, log)
     codec, (recent, earlier) = packed.codec, packed.records
     kernels = (apply_drip1, apply_drip)  # looked up per call, so bench/tracer.py sees them
     pruned = state.pruned
@@ -395,30 +396,30 @@ def tp_run(system: TissueSystem, max_steps: int, bounds: Bounds) -> tuple[set[Mu
     """Run max_steps synchronous steps from the axioms; results accumulate.
     Only the final result log is decoded.
 
-    Stepping stops once the packed cells equal those 1 or 2 steps back; the
-    rest of `populations` repeats that period.  This is exact: a step's
-    cells, results and share of `pruned` depend only on the cells before it
-    (the fill order is fixed as compartment, then render), so every later
-    step repeats one whose results and cuts are already logged.  The one
-    earlier state held for this is one whose cell sizes equal those 1 or 2
-    steps before it; it is dropped once the two steps after it differ.
+    Stepping stops at the first state whose packed cells equal those 1 or
+    2 steps back; the rest of `populations` repeats that period.  This is
+    exact: a step's cells, results and share of `pruned` depend only on the
+    cells before it (the fill order is fixed as compartment, then render),
+    so every later step repeats one whose results and cuts are already
+    logged.  The cells are compared only when their sizes are equal.
     """
     problems, _ = validate_tp(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
     check_steps(max_steps)
     state = initial_state(system, bounds)
-    populations = [state._cell_sizes()]
-    held = None  # (step, packed cells) of the state a later one may repeat
+    back = [state._packed.cells]  # the packed cells 1 and 2 steps back
+    populations = [tuple(map(len, back[0]))]
     for step in range(1, max_steps + 1):
         state = tp_step(system, state, bounds)
-        sizes, cells = state._cell_sizes(), state._packed.cells
-        populations.append(sizes)
-        if held and cells == held[1]:
-            populations.extend(islice(cycle(populations[held[0] + 1:]), max_steps - step))
+        cells = state._packed.cells
+        populations.append(tuple(map(len, cells)))
+        lag = next((lag for lag, seen in enumerate(back, 1)
+                    if populations[-1 - lag] == populations[-1] and seen == cells), 0)
+        if lag:
+            populations.extend(islice(cycle(populations[-lag:]), max_steps - step))
             break
-        if not held or step - held[0] == 2:
-            held = (step, cells) if sizes in populations[-3:-1] else None
+        back = [cells, back[0]]
     return set(state.result_log), TPTrace(tuple(populations), max_steps, state.pruned)
 
 

@@ -82,16 +82,14 @@ class TTSState:
         return sum(map(len, self.contents if self._packed is None else self._packed.tubes))
 
 
+@value_class
 class _Packed:
     """A closure state's tubes as sets of packed vesicles, with their codec.
     Decoding empties the sets, so the decoded tubes take their place, for
     any copy of the state that shares this form."""
 
-    __slots__ = ("codec", "tubes")
-
-    def __init__(self, codec: Codec, tubes: list[set[int]]):
-        self.codec = codec  # None once the tubes are decoded
-        self.tubes = tubes
+    codec: Codec  # None once the tubes are decoded
+    tubes: list[set[int]]
 
     def contents(self) -> tuple[frozenset[Multiset], ...]:
         if self.codec is not None:
@@ -262,8 +260,16 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) 
         iterations += 1
 
 
+def _check_tubes(system: TestTubeSystem, state: TTSState) -> None:
+    """Refuse a state whose tube count is not the system's."""
+    tubes = state.contents if state._packed is None else state._packed.tubes
+    if len(tubes) != system.tubes:
+        raise ValueError(f"state has {len(tubes)} tubes, system has {system.tubes}")
+
+
 def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool:
     """True when no admissible rule result or filter passage is missing."""
+    _check_tubes(system, state)
     return not any(v not in state.contents[t] and bounds.keeps(len(v))
                    for t, v in _productions(system, state.contents, bounds.max_size))
 
@@ -271,6 +277,7 @@ def is_fixpoint(system: TestTubeSystem, state: TTSState, bounds: Bounds) -> bool
 def results_of_state(system: TestTubeSystem, state: TTSState) -> set[Multiset]:
     """Terminal-support vesicles sitting in the output tubes.  Of a state
     whose tubes are still packed, only these vesicles are decoded."""
+    _check_tubes(system, state)
     packed = state._packed
     if packed is None or packed.codec is None:
         return {v for f in system.outputs for v in state.contents[f - 1]

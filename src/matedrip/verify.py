@@ -87,11 +87,10 @@ def run_verify(
     bounds: Bounds,
     max_steps: int = DEFAULT_MAX_STEPS,
     opts: CompileOptions = CompileOptions(),
-    check_stability: bool = True,
 ) -> VerifyReport:
     check_steps(max_steps)
     loose_steps = max_steps + 10  # the stability re-run's step budget
-    if check_stability and loose_steps > MAX_STEPS:
+    if loose_steps > MAX_STEPS:
         raise ValueError(f"max_steps {max_steps} takes the stability re-run over {MAX_STEPS} steps")
     k = machine.inputs
     system = compile_machine(machine, construction, opts)
@@ -102,11 +101,9 @@ def run_verify(
     boxed = {v for v in raw if all(c <= bound for c in v)}
     beyond = raw - boxed
 
-    pruned = False
-    if check_stability:
-        loose, _ = run_system(system, bounds.loosened(), loose_steps)
-        loose_raw = {vector_of(v, k) for v in loose}
-        pruned = boxed != {v for v in loose_raw if all(c <= bound for c in v)}
+    loose, _ = run_system(system, bounds.loosened(), loose_steps)
+    loose_raw = {vector_of(v, k) for v in loose}
+    pruned = boxed != {v for v in loose_raw if all(c <= bound for c in v)}
 
     excluded: frozenset[Vector] = frozenset()
     if construction in ("cor2", "cor3"):

@@ -120,8 +120,7 @@ def test_criterion_2_language_equivalence(even, mod3, eq):
 
 def test_criterion_3_injection_anomaly(trap):
     faithful = run_verify(trap, "trap.rm", "thm1", bound=2, fuel=200,
-                          bounds=Bounds(4, 4000, 100), opts=FAITHFUL,
-                          check_stability=False)
+                          bounds=Bounds(4, 4000, 100), opts=FAITHFUL)
     assert faithful.oracle == frozenset()
     assert faithful.system == {(1,)}
     assert not faithful.matched

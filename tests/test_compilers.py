@@ -286,8 +286,7 @@ def test_faithful_guarded_agreement_without_drain(even):
             report = run_verify(
                 even, "even.rm", construction, bound=4, fuel=200,
                 bounds=Bounds(10, 60000, 400), max_steps=40,
-                opts=CompileOptions(fidelity=fidelity, normalize=False),
-                check_stability=False)
+                opts=CompileOptions(fidelity=fidelity, normalize=False))
             assert report.matched
             results[fidelity] = report.system
         assert results["faithful"] == results["guarded"] == expected

@@ -7,7 +7,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     HALF, machine_path, small_alphabets, small_bounds, small_multisets, small_rules)
@@ -469,8 +469,8 @@ def test_stepped_states_are_freed_without_the_cycle_collector(even):
 def _recorded(state):
     """A copy of the records `state` holds, each set, slot map and bucket
     copied, per generation and cell."""
-    return [{src: (r.key, set(r.cell), [{size: list(bucket) for size, bucket in slot.items()}
-                                        for slot in r.slots],
+    return [{src: (set(r.cell), [{size: list(bucket) for size, bucket in slot.items()}
+                                 for slot in r.slots],
                    {target: set(out) for target, out in r.products.items()},
                    r.oversize, set(r.fired), set(r.gone))
              for src, r in records.items()}
@@ -692,10 +692,10 @@ def test_small_machines_step_like_naive_reference(bounds):
 def _plain_run(system, max_steps, bounds):
     """tp_run's outputs from a loop of max_steps tp_step calls."""
     state = initial_state(system, bounds)
-    populations = [state._cell_sizes()]
+    populations = [tuple(map(len, state._packed.cells))]
     for _ in range(max_steps):
         state = tp_step(system, state, bounds)
-        populations.append(state._cell_sizes())
+        populations.append(tuple(map(len, state._packed.cells)))
     return set(state.result_log), TPTrace(tuple(populations), state.step, state.pruned)
 
 
@@ -770,8 +770,8 @@ def _counted_steps(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("text, keep_empty, calls, sizes", [
-    (STILL, True, 2, [(1, 2)] * 21),
-    (BOUNCE, False, 4, [(1, 0), (0, 1)] * 10 + [(1, 0)]),
+    (STILL, True, 1, [(1, 2)] * 21),
+    (BOUNCE, False, 2, [(1, 0), (0, 1)] * 10 + [(1, 0)]),
     (ROTATE, False, 20, [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 7),
 ], ids=["still", "bounce", "rotate"])
 def test_run_of_a_periodic_system(text, keep_empty, calls, sizes, monkeypatch):
@@ -787,7 +787,7 @@ def test_a_repeated_state_ends_the_stepping(even, eq, monkeypatch, tmp_path, cap
     calls = _counted_steps(monkeypatch)
     guarded = compile_machine(eq, "thm4", CompileOptions())
     _, trace = tp_run(guarded, 60, Bounds(16, 30000, 300))
-    assert len(calls) <= 53 and len(trace.populations) == 61 and trace.steps == 60
+    assert len(calls) == 51 and len(trace.populations) == 61 and trace.steps == 60
 
     calls.clear()
     faithful = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
@@ -796,7 +796,7 @@ def test_a_repeated_state_ends_the_stepping(even, eq, monkeypatch, tmp_path, cap
 
     calls.clear()
     results, trace = tp_run(parse_tp(BOUNCE), 10**6, Bounds(keep_empty=False))
-    assert len(calls) == 4 and results == {ms("a")}
+    assert len(calls) == 2 and results == {ms("a")}
     assert len(trace.populations) == 10**6 + 1 and trace.populations[-2:] == ((0, 1), (1, 0))
 
     path = tmp_path / "bounce.tp"
@@ -962,6 +962,51 @@ def test_random_systems_step_like_naive_reference(system, bounds):
         state = tp_step(system, state, bounds)
         reference = _naive_tp_step(system, reference, bounds)
         assert state == reference
+
+
+@settings(max_examples=50)
+@given(small_tp_systems(), small_bounds())
+@example(parse_tp(BOUNCE), Bounds(keep_empty=False))
+@example(parse_tp(ROTATE), Bounds(keep_empty=False))
+def test_a_run_stops_at_its_first_repeated_state(system, bounds):
+    # a run steps up to the first state whose cells equal those of one of
+    # the two states before it, or through its budget when none does; most
+    # drawn systems repeat the state one step back, BOUNCE repeats the one
+    # two steps back, and ROTATE, of period 3, neither
+    budget = 12
+    states = [initial_state(system, bounds)]
+    for _ in range(budget):
+        states.append(tp_step(system, states[-1], bounds))
+    cells = [state.contents for state in states]
+    first = next((step for step in range(1, budget + 1)
+                  if cells[step] in cells[max(step - 2, 0):step]), budget)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counted_steps(patch)
+        run = tp_run(system, budget, bounds)
+    assert run == _plain_run(system, budget, bounds)
+    assert len(calls) == first
+
+
+# cell 1 drips {a} to itself; the other cells stay empty
+SELF = """SYSTEM TP
+ALPHABET a
+TERMINAL a
+CELLS {}
+OUTPUT 1
+AXIOM 1 {{a}}
+RULE 1 DRIP1 (. | a | . ; a , .) -> 1
+"""
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["too-few", "too-many"])
+def test_a_state_with_the_wrong_cell_count_is_refused(count):
+    # a state built by hand, and a packed one of a system with the same
+    # rules and another cell count
+    system = parse_tp(SELF.format(2))
+    for state in (TPState(0, (fs(ms("a")),) * count, fs(), False),
+                  initial_state(parse_tp(SELF.format(count)), Bounds())):
+        with pytest.raises(ValueError, match=f"^state has {count} cells, system has 2$"):
+            tp_step(system, state, Bounds())
 
 
 @settings(max_examples=100)

@@ -172,6 +172,22 @@ def test_results_respects_terminal_support():
     assert results_of_state(system, closure(system, Bounds())) == set()
 
 
+def tubes_of(count):
+    return TestTubeSystem(frozenset("a"), frozenset("a"), count, (fs(ms("a")),) * count,
+                          ((),) * count, (), frozenset({count}))
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["too-few", "too-many"])
+def test_a_state_with_the_wrong_tube_count_is_refused(count):
+    # a state built by hand, and one packed by the closure of another system
+    system = tubes_of(2)
+    for state in (TTSState((fs(ms("a")),) * count, False, 0), closure(tubes_of(count), Bounds())):
+        for read in (lambda: is_fixpoint(system, state, Bounds()),
+                     lambda: results_of_state(system, state)):
+            with pytest.raises(ValueError, match=f"^state has {count} tubes, system has 2$"):
+                read()
+
+
 def test_keep_empty_false_drops_empty_results():
     drip = parse_rule("DRIP (. | c | . ; a , .)")
     system = one_tube([drip], [ms("c")], {"a", "c"}, terminal={"a"})

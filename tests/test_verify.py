@@ -38,8 +38,7 @@ def test_verify_excludes_zero_vector_for_seeded(even):
 def test_verify_mismatch_reported(even, trap):
     report = run_verify(trap, "trap.rm", "thm1", bound=2, fuel=200,
                         bounds=Bounds(6, 4000, 100),
-                        opts=CompileOptions(fidelity="faithful"),
-                        check_stability=False)
+                        opts=CompileOptions(fidelity="faithful"))
     assert not report.matched
     assert report.oracle == frozenset()
     assert (1,) in report.system
@@ -56,7 +55,7 @@ def test_verify_trap_guarded_matches(trap):
 def test_verify_reports_beyond_bound(even):
     # a slightly looser size cap reaches a1^6, which lies beyond the bound box
     report = run_verify(even, "even.rm", "thm1", bound=4, fuel=400,
-                        bounds=Bounds(16, 30000, 300), check_stability=False)
+                        bounds=Bounds(16, 30000, 300))
     assert report.matched
     assert (6,) in report.beyond
 
