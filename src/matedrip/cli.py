@@ -30,7 +30,31 @@ def _add_engine_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                         help="step budget for tissue systems (default %(default)s)")
     parser.add_argument("--no-keep-empty", action="store_true",
-                        help="drop empty vesicles instead of keeping them")
+                        help="drop empty vesicles (default: keep them)")
+
+
+def _add_machine_flags(parser: argparse.ArgumentParser, bound: bool):
+    """--fuel, and --bound when `bound` holds, for a command that runs a
+    register machine."""
+    if bound:
+        parser.add_argument("--bound", type=int, default=4,
+                            help="largest value of each input coordinate (default %(default)s)")
+    parser.add_argument("--fuel", type=int, default=10000,
+                        help="step budget of each machine run (default %(default)s)")
+
+
+def _add_compile_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--faithful", action="store_true",
+                        help="literal transcription; no loading guard (default: guarded)")
+    parser.add_argument("--no-normalize", action="store_true",
+                        help="do not add the register draining tail before HALT "
+                             "(default: add it)")
+
+
+def _compile_options(args) -> CompileOptions:
+    """The compile flags' options, for `compile` and `verify`."""
+    return CompileOptions(fidelity="faithful" if args.faithful else "guarded",
+                          normalize=not args.no_normalize)
 
 
 def _bounds_from(args) -> Bounds:
@@ -67,21 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     rm_sub = rm.add_subparsers(dest="rm_command", required=True)
     rm_run = rm_sub.add_parser("run", help="run one input vector")
     rm_run.add_argument("file")
-    rm_run.add_argument("--input", default="", help="comma separated input vector")
-    rm_run.add_argument("--fuel", type=int, default=10000)
+    rm_run.add_argument("--input", default="", help="comma separated input vector (default: empty)")
+    _add_machine_flags(rm_run, bound=False)
     rm_enum = rm_sub.add_parser("enum", help="enumerate accepted vectors up to a bound")
     rm_enum.add_argument("file")
-    rm_enum.add_argument("--bound", type=int, default=4)
-    rm_enum.add_argument("--fuel", type=int, default=10000)
+    _add_machine_flags(rm_enum, bound=True)
 
     comp = sub.add_parser("compile", help="compile a register machine to a system file")
     comp.add_argument("construction", choices=CONSTRUCTIONS)
     comp.add_argument("file")
     comp.add_argument("-o", "--output", help="output file (default: stdout)")
-    comp.add_argument("--faithful", action="store_true",
-                      help="literal transcription; no loading guard")
-    comp.add_argument("--no-normalize", action="store_true",
-                      help="do not add the register draining tail before HALT")
+    _add_compile_flags(comp)
 
     met = sub.add_parser("metrics", help="print descriptional metrics of a system file")
     met.add_argument("file")
@@ -93,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="compare a compiled system against the machine")
     ver.add_argument("construction", choices=CONSTRUCTIONS)
     ver.add_argument("file")
-    ver.add_argument("--bound", type=int, default=4)
-    ver.add_argument("--fuel", type=int, default=10000)
-    ver.add_argument("--faithful", action="store_true")
-    ver.add_argument("--no-normalize", action="store_true")
+    _add_machine_flags(ver, bound=True)
+    _add_compile_flags(ver)
     _add_engine_flags(ver)
     return parser
 
@@ -118,9 +136,7 @@ def cmd_rm(args) -> int:
 
 def cmd_compile(args) -> int:
     machine = load_machine(args.file)
-    opts = CompileOptions(fidelity="faithful" if args.faithful else "guarded",
-                          normalize=not args.no_normalize)
-    system = compile_machine(machine, args.construction, opts)
+    system = compile_machine(machine, args.construction, _compile_options(args))
     text = render_tp(system) if isinstance(system, TissueSystem) else render_tts(system)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -154,8 +170,6 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     machine = load_machine(args.file)
-    opts = CompileOptions(fidelity="faithful" if args.faithful else "guarded",
-                          normalize=not args.no_normalize)
     report = run_verify(
         machine,
         args.file,
@@ -164,7 +178,7 @@ def cmd_verify(args) -> int:
         fuel=args.fuel,
         bounds=_bounds_from(args),
         max_steps=args.max_steps,
-        opts=opts,
+        opts=_compile_options(args),
     )
     print(format_report(report))
     return 0 if report.matched else 1

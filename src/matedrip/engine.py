@@ -17,14 +17,16 @@ that compartment by first token, places whole groups in token order, and
 renders only the group the cut falls in.  Tokens are joined by a space
 and no symbol name holds a character at or below it, so first tokens
 order the texts as the texts themselves do.
-The index keeps the operands of each distinct need in one slot, which
-rules with equal needs share, and, in a closure, the vesicles each branch
-of a filter leaving the tube passes.  A closure round joins that batch
-against the index and keeps its mate operands, and it and the tissue step
-reach only the rules whose slots the batch filed into.  A tissue step
-that finds a cell holding all it held two steps back files only the
-vesicles it gained since, and reuses that step's slots and products.  A
-join streams its fusions into the output set.  The index files a vesicle by the plan of its support
+The index is a compartment's firing table: it keeps the operands of each
+distinct need in one slot, which rules with equal needs share, and, in a
+closure, the vesicles each branch of a filter leaving the tube passes,
+and it lists each rule and branch with the compartment it sends to.  A
+closure round joins that batch against the index and keeps its mate
+operands, and it and the tissue step reach only the rules whose slots
+the batch filed into.  A tissue step that finds a cell holding all it
+held two steps back files only the vesicles it gained since, and reuses
+that step's slots and products.  A join streams its fusions into the
+output set.  The index files a vesicle by the plan of its support
 signature, the symbols named in the rules' needs or forbidden by the
 branches that it holds, read with one addition, so a need is tested per
 vesicle only when it asks for some symbol more than once, and no branch
@@ -297,23 +299,29 @@ def drip2(rule: PackedDrip, vesicles: list, size: int, codec: Codec) -> list[tup
 
 
 class OperandIndex:
-    """The operands of a compartment's packed rules, and the vesicles that
-    pass each of its filter branches.
+    """A compartment's firing table: the operands of its packed rules, the
+    vesicles that pass each of its filter branches, and where each rule
+    and branch sends what it makes.
 
-    Each distinct need owns a slot, the vesicles that contain it: mate
-    sides share a slot when their needs are equal, and so do drips, but a
-    mate side never shares one with a drip, since a closure keeps mate
-    operands and no drip operands.  `_layout` maps each packed rule, in
-    the order given, to its slots: a mate rule's (left, right), a drip
-    rule's (slot,); a rule given twice is indexed once.  `_mates` lists
-    each mate rule with its two slots, `_drips` each drip rule with its
-    slot, and `_kept` the slots of mate sides.  Each filter branch, given
-    as the mask of the symbols it forbids, owns one more slot, the
-    vesicles that hold none of them; `branches` lists those slots in the
-    order given.  `_slots[i]` holds slot i's vesicles as a size -> packed
-    vesicles map.  A batch of vesicles is filed by one `extend` call on an
-    `empty()` copy, whose mate operands `rule_productions` merges into its
-    tube's index.
+    `firings` are (packed rule, target) pairs and `branches` (forbidden
+    mask, target) pairs, a target being a 0-based compartment; a firing
+    given twice is listed once.  Each distinct need owns a slot, the
+    vesicles that contain it: mate sides share a slot when their needs are
+    equal, and so do drips, but a mate side never shares one with a drip,
+    since a closure keeps mate operands and no drip operands.  `_layout`
+    maps each packed rule, in the order given, to its slots: a mate rule's
+    (left, right), a drip rule's (slot,); a rule given for several targets
+    gets one set of slots.  `_mates` lists each mate firing as (rule, left
+    slot, right slot, target), `_drips` each drip firing as (rule, slot,
+    target), and `_kept` the slots of mate sides.  Each filter branch, given
+    as the mask of the symbols it forbids, owns one more slot, the vesicles
+    that hold none of them; `routes` lists each branch's (slot, target) in
+    the order given.  `_slots[i]` holds slot i's vesicles as a size ->
+    packed vesicles map.  A batch of vesicles is filed by one `extend` call
+    on an `empty()` copy, whose mate operands `rule_productions` merges
+    into its tube's index.  The closure lists a tube's rules with the tube
+    as their target and the branches of the filters leaving it with theirs;
+    the tissue step lists a cell's anchored rules with their target cells.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions or some
@@ -330,7 +338,7 @@ class OperandIndex:
     `empty` makes share them.
     """
 
-    def __init__(self, codec: Codec, rules=(), branches=()):
+    def __init__(self, codec: Codec, firings=(), branches=()):
         self._codec = codec
         self._lift = codec.guards - codec.units
         self._layout: dict[PackedMate | PackedDrip, tuple[int, ...]] = {}
@@ -352,19 +360,21 @@ class OperandIndex:
                 self._relevant |= support
             return i
 
-        for rule in dict.fromkeys(rules):
+        firings = dict.fromkeys(firings)
+        for rule in dict.fromkeys(rule for rule, _ in firings):
             if isinstance(rule, PackedMate):
                 self._layout[rule] = (slot(True, rule.rule._left_need, rule.left),
                                       slot(True, rule.rule._right_need, rule.right))
             else:
                 self._layout[rule] = (slot(False, rule.rule._need, rule.need),)
-        self._mates = [(rule, *sides) for rule, sides in self._layout.items()
+        self._mates = [(rule, *self._layout[rule], target) for rule, target in firings
                        if isinstance(rule, PackedMate)]
-        self._drips = [(rule, sides[0]) for rule, sides in self._layout.items()
+        self._drips = [(rule, *self._layout[rule], target) for rule, target in firings
                        if not isinstance(rule, PackedMate)]
-        self._kept = sorted({i for _, left, right in self._mates for i in (left, right)})
-        self.branches = range(len(self._entries), len(self._entries) + len(branches))
-        for forbidden in branches:
+        self._kept = sorted({i for _, left, right, _ in self._mates for i in (left, right)})
+        self.routes = []
+        for forbidden, target in branches:
+            self.routes.append((len(self._entries), target))
             self._entries.append((forbidden & codec.guards, 0, 0))
             self._relevant |= forbidden & codec.guards
         # signature -> plan: () when no slot takes the signature, else
@@ -490,12 +500,13 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     return oversize
 
 
-def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds: Bounds,
+def rule_productions(index: OperandIndex, batch: OperandIndex, outs: list[set], bounds: Bounds,
                      codec: Codec, kernels) -> bool:
-    """Add to `out` the admitted results of the index's rules inside one
-    compartment that involve at least one vesicle of `batch`, an `empty()`
-    copy of `index` that holds the new vesicles, and extend `index` with
-    the batch's mate operands.
+    """Add to `outs[target]` the admitted results of each of the index's
+    firings inside one compartment that involve at least one vesicle of
+    `batch`, an `empty()` copy of `index` that holds the new vesicles, and
+    extend `index` with the batch's mate operands.  `outs` holds one set
+    per compartment, and a firing's target indexes it.
 
     Only a rule the batch filed an operand for does any work.  Mates are
     evaluated semi-naively, in three phases, since mate sides share slots:
@@ -509,19 +520,19 @@ def rule_productions(index: OperandIndex, batch: OperandIndex, out: set, bounds:
     cut = False
     old, new = index._slots, batch._slots
     mates = index._mates
-    for rule, left, right in mates:
-        if new[left] and old[right] and join(rule, new[left], old[right], bounds, out):
+    for rule, left, right, target in mates:
+        if new[left] and old[right] and join(rule, new[left], old[right], bounds, outs[target]):
             cut = True
     for i in index._kept:
         slot = old[i]
         for size, vesicles in new[i].items():
             slot[size] += vesicles
-    for rule, left, right in mates:
-        if new[right] and old[left] and join(rule, old[left], new[right], bounds, out):
+    for rule, left, right, target in mates:
+        if new[right] and old[left] and join(rule, old[left], new[right], bounds, outs[target]):
             cut = True
-    for rule, i in index._drips:
+    for rule, i, target in index._drips:
         for size, bucket in new[i].items():
-            if drip(rule, size, bucket, bounds, out, codec, kernels):
+            if drip(rule, size, bucket, bounds, outs[target], codec, kernels):
                 cut = True
     return cut
 

@@ -110,12 +110,12 @@ class _Packed:
     """A tissue state's contents and result log in packed form.
 
     `cells[c]` holds the packed vesicles of cell c and `log` those of the
-    result log.  `anchored[c]` holds an empty operand index over the rules
-    anchored at cell c, those rules' mate firings as (packed rule, left
-    slot, right slot, target cell) and their drip firings as (packed rule,
-    slot, target cell).  A step files each cell into a copy of that index,
-    and the copies share its plans, so a support signature is planned once
-    per run.  `nonterminal` masks the symbols a result may not hold.
+    result log.  `anchored[c]` is cell c's firing table, an empty
+    `OperandIndex` over the rules anchored at cell c, each listed with its
+    0-based target cell; a rule with several targets has one set of slots.
+    A step files each cell into a copy of that index, and the copies share
+    its plans, so a support signature is planned once per run.
+    `nonterminal` masks the symbols a result may not hold.
     Valid for the system and bounds whose (alphabet, terminal, cells,
     rules, max_size, keep_empty) is `source`: the codec is sized for that
     max_size, and the records were made under those bounds.
@@ -131,7 +131,7 @@ class _Packed:
 
     source: tuple
     codec: Codec
-    anchored: dict[int, tuple]
+    anchored: dict[int, OperandIndex]
     nonterminal: int
     cells: list[frozenset[int]]
     log: frozenset[int]
@@ -165,15 +165,7 @@ def _packed_form(system: TissueSystem, bounds: Bounds, codec: Codec,
     firings: dict[int, list] = {}
     for tp in system.rules:
         firings.setdefault(tp.source - 1, []).append((codec.compile(tp.rule), tp.target - 1))
-    anchored = {}
-    for src, pairs in firings.items():
-        index = OperandIndex(codec, [rule for rule, _ in pairs])
-        layout = index._layout
-        anchored[src] = (index,
-                         [(rule, *layout[rule], target) for rule, target in pairs
-                          if len(layout[rule]) == 2],
-                         [(rule, *layout[rule], target) for rule, target in pairs
-                          if len(layout[rule]) == 1])
+    anchored = {src: OperandIndex(codec, pairs) for src, pairs in firings.items()}
     return _Packed(_source(system, bounds), codec, anchored,
                    codec.mask(system.alphabet - system.terminal), cells, log, _NO_RECORDS)
 
@@ -224,10 +216,11 @@ class _Record:
 _EMPTY = _Record(frozenset(), None, {}, False, frozenset(), frozenset())
 
 
-def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
+def _cell_step(anchored: OperandIndex, cell, bounds: Bounds, codec: Codec, kernels,
                earlier: _Record | None) -> _Record:
-    """The record of the firings of the rules `anchored` at one non-empty
-    cell.
+    """The record of the firings of one non-empty cell, whose firing table
+    `anchored` lists its mate firings (`_mates`) and drip firings
+    (`_drips`), each with its target cell.
 
     `earlier` is the record made two steps back for this cell, under the
     same bounds, or None.  When it was made from contents C that this cell
@@ -248,7 +241,8 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
       fires now and did not on C, and those of D in a slot that fires.
 
     Otherwise the cell is stepped from the record of an empty cell: the
-    whole cell is filed.  Nothing of `earlier` is changed: its slot maps
+    whole cell is filed.  Each firing's products go to the record's set
+    for its target.  Nothing of `earlier` is changed: its slot maps
     and product sets are copied before anything is added to them.
     """
     before, new = _EMPTY, cell
@@ -256,8 +250,7 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
         gained = cell - earlier.cell
         if len(cell) - len(gained) == len(earlier.cell):  # the cell holds all of C
             before, new = earlier, gained
-    template, mates, drips = anchored
-    index = template.empty()
+    index = anchored.empty()
     index.extend(new)
     fresh = index._slots
     if before.slots is None:
@@ -268,7 +261,7 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
     products = {target: set(out) for target, out in before.products.items()}
     oversize = before.oversize
     fired = set()
-    for rule, left, right, target in mates:
+    for rule, left, right, target in anchored._mates:
         if slots[left] and slots[right]:
             fired.update((left, right))
             out = products.setdefault(target, set())
@@ -276,7 +269,7 @@ def _cell_step(anchored: tuple, cell, bounds: Bounds, codec: Codec, kernels,
                 oversize = True
             if fresh[right] and old[left] and join(rule, old[left], fresh[right], bounds, out):
                 oversize = True
-    for rule, i, target in drips:
+    for rule, i, target in anchored._drips:
         if slots[i]:
             fired.add(i)
             out = products.setdefault(target, set())

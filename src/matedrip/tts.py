@@ -164,38 +164,36 @@ def _problems(system: TestTubeSystem) -> list[tuple]:
     return problems
 
 
-def _operator(system: TestTubeSystem, codec: Codec) -> tuple[list[OperandIndex], list[list]]:
-    """Per tube, an empty operand index over its rules and the branches of
-    the filters leaving it, and the (slot, target) of each such branch,
-    with 0-based tubes."""
+def _operator(system: TestTubeSystem, codec: Codec) -> list[OperandIndex]:
+    """Per tube, an empty operand index, the tube's firing table: its rules,
+    each sending to the tube itself, and the branches of the filters
+    leaving it, each sending to its filter's target, with 0-based tubes."""
     leaving: list[list] = [[] for _ in system.rules]  # per tube: (forbidden mask, target)
     for i, filt, j in system.filters:
         leaving[i - 1] += [(mask, j - 1) for mask in codec.filter(filt)]
-    indexes = [OperandIndex(codec, map(codec.compile, rules), [mask for mask, _ in branches])
-               for rules, branches in zip(system.rules, leaving)]
-    routes = [[(slot, target) for slot, (_, target) in zip(index.branches, branches)]
-              for index, branches in zip(indexes, leaving)]
-    return indexes, routes
+    return [OperandIndex(codec, [(codec.compile(rule), t) for rule in rules], branches)
+            for t, (rules, branches) in enumerate(zip(system.rules, leaving))]
 
 
-def _round(indexes: list[OperandIndex], routes: list[list], frontier: list[set[int]],
-           bounds: Bounds, codec: Codec) -> tuple[list[set[int]], bool]:
+def _round(indexes: list[OperandIndex], frontier: list[set[int]], bounds: Bounds,
+           codec: Codec) -> tuple[list[set[int]], bool]:
     """(produced, cut): per tube, the rule productions that involve a
     frontier vesicle and the frontier vesicles that pass a filter into it,
     and whether a production was left out for size.  Each tube's frontier
     is filed in a batch of its own, which `rule_productions` joins against
-    the tube's index and folds into it; the batch's branch slots hold the
-    vesicles each filter branch passes."""
+    the tube's index and folds into it, sending each firing's products to
+    its target; each of the index's `routes` sends the vesicles its branch
+    slot holds in the batch to its target."""
     kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
     produced: list[set[int]] = [set() for _ in frontier]
     cut = False
-    for index, passes, new, out in zip(indexes, routes, frontier, produced):
+    for index, new in zip(indexes, frontier):
         if new and index._entries:
             batch = index.empty()
             batch.extend(new)
-            if rule_productions(index, batch, out, bounds, codec, kernels):
+            if rule_productions(index, batch, produced, bounds, codec, kernels):
                 cut = True
-            for slot, target in passes:
+            for slot, target in index.routes:
                 for bucket in batch._slots[slot].values():
                     produced[target].update(bucket)
     return produced, cut
@@ -207,8 +205,7 @@ def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[i
     packed by `pack`, which sizes the codec's fields from them too."""
     codec, pool = pack(system.alphabet, [r for rules in system.rules for r in rules], contents,
                        max_size)
-    indexes, routes = _operator(system, codec)
-    produced, _ = _round(indexes, routes, pool, Bounds(max_size=max_size), codec)
+    produced, _ = _round(_operator(system, codec), pool, Bounds(max_size=max_size), codec)
     return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
 
@@ -238,7 +235,7 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) 
     `_round` folds in its frontier's mate operands; the indexes and the
     round's sets are dropped on return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
-    indexes, routes = _operator(system, codec)
+    indexes = _operator(system, codec)
     pruned = False
     iterations = 0
     while True:
@@ -249,7 +246,7 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) 
             tube |= new
         if cut:
             return contents, True, iterations
-        produced, cut = _round(indexes, routes, fresh, bounds, codec)
+        produced, cut = _round(indexes, fresh, bounds, codec)
         pruned = pruned or cut
         fresh = [p - c for p, c in zip(produced, contents)]
         del produced  # not held while the next round produces

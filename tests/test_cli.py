@@ -1,3 +1,5 @@
+import argparse
+
 from matedrip import Bounds
 from matedrip.cli import _bounds_from, build_parser, main
 
@@ -258,3 +260,23 @@ def test_counts_past_maxsize_exit_2(tmp_path, capsys):
 def test_engine_flags_default_to_bounds():
     for argv in (["run", "system.tts"], ["verify", "thm1", "machine.rm"]):
         assert _bounds_from(build_parser().parse_args(argv)) == Bounds()
+
+
+def _parsers(parser):
+    """`parser` and every subcommand parser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_option_has_help_that_states_its_default():
+    # each option that `verify --help`, `rm run --help` and the other
+    # commands list, but --help itself, says what it does and its default
+    parsers = {parser.prog: parser for parser in _parsers(build_parser())}
+    assert {"matedrip verify", "matedrip rm run", "matedrip rm enum"} <= set(parsers)
+    for prog, parser in parsers.items():
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert action.help and "default" in action.help, (prog, action.option_strings)

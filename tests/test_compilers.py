@@ -6,24 +6,30 @@ import pytest
 
 from matedrip import (
     Add,
+    Bounds,
     DripRule,
     Halt,
     MateRule,
     Multiset,
     RegisterMachine,
     Sub,
+    closure,
     compile_cor2,
     compile_cor3,
     compile_machine,
     compile_thm1,
     compile_thm4,
+    enumerate_accepted,
     load_machine,
     metrics,
     parse_machine,
     render_tp,
     render_tts,
+    results_of_state,
+    tp_run,
     validate_tp,
     validate_tts,
+    vector_of,
 )
 from matedrip.compilers import CompileError, CompileOptions
 
@@ -299,6 +305,55 @@ def test_empty_metrics():
     got = metrics(empty)
     assert (got.max_axiom_weight, got.max_mate_weight, got.max_drip_weight,
             got.max_drip1_weight) == (0, 0, 0, 0)
+
+
+# -- small scope: every one-instruction machine through every construction ---
+
+# The guarded thm4 cases that miss accepted vectors: each zero-tests register
+# 1 while register 2 may be nonzero, and cell 3's kill rule then takes the
+# zero guess about register 1 (ROADMAP item 1).
+THM4_MISSES = {Add(2, "stop"), Sub(2, "q0", "stop"), Sub(2, "stop", "stop")}
+
+
+def _instruction_text(instruction) -> str:
+    if isinstance(instruction, Add):
+        return f"ADD_{instruction.register}_{instruction.next_label}"
+    return f"SUB_{instruction.register}_{instruction.nonzero}_{instruction.zero}"
+
+
+def _one_instruction_cases():
+    """(machine, construction) for the 18 machines of `small_machines(1)`
+    and `small_machines(2)` and each construction, with ids such as
+    `thm4-r2-ADD_2_stop`."""
+    for registers in (1, 2):
+        for machine in small_machines(registers):
+            q0 = machine.instructions["q0"]
+            for construction in ("thm1", "cor2", "cor3", "thm4"):
+                misses = construction == "thm4" and registers == 2 and q0 in THM4_MISSES
+                marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 1: thm4's cell-3 "
+                                           "zero check kills the zero guess of another register")]
+                yield pytest.param(machine, construction, marks=marks if misses else [],
+                                   id=f"{construction}-r{registers}-{_instruction_text(q0)}")
+
+
+@pytest.mark.parametrize("machine, construction", _one_instruction_cases())
+def test_every_one_instruction_machine_matches_its_oracle(machine, construction):
+    # the vectors a guarded run boxes at bound 2 are the oracle's, without
+    # the zero vector for cor2 and cor3, and no closure is cut by the
+    # population or iteration cap
+    bounds = Bounds(12, 20000, 200)
+    system = compile_machine(machine, construction, CompileOptions())
+    if construction == "thm4":
+        results, _ = tp_run(system, 40, bounds)
+    else:
+        state = closure(system, bounds)
+        assert state.population < bounds.max_population
+        assert state.iterations < bounds.max_iterations
+        results = results_of_state(system, state)
+    excluded = {(0,)} if construction in ("cor2", "cor3") else set()
+    vectors = {vector_of(vesicle, 1) for vesicle in results}
+    boxed = {vector for vector in vectors if vector[0] <= 2}
+    assert boxed - excluded == enumerate_accepted(machine, 2, 200) - excluded
 
 
 # -- compiled text pinned byte for byte ----------------------------------------

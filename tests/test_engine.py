@@ -337,7 +337,7 @@ def test_planned_index_matches_brute_force(rules, pool, data):
     # such a need
     codec = Codec(SYMBOLS, rules, 4)
     packed = [codec.compile(rule) for rule in rules]
-    index = OperandIndex(codec, packed)
+    index = OperandIndex(codec, [(rule, 0) for rule in packed])
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
     batches = [[codec.encode(v) for v in pool[start:end]]
                for start, end in zip([0, *cuts], [*cuts, len(pool)])]
@@ -345,7 +345,7 @@ def test_planned_index_matches_brute_force(rules, pool, data):
         index.extend(batch)
     # a copy from `empty` plans with the first index's memo and must file
     # like a fresh index, leaving the first index as it was
-    copy, fresh = index.empty(), OperandIndex(codec, packed)
+    copy, fresh = index.empty(), OperandIndex(codec, [(rule, 0) for rule in packed])
     for batch in batches:
         copy.extend(batch)
         fresh.extend(batch)
@@ -371,12 +371,12 @@ def test_semi_naive_fold_matches_one_batch(rules, pool, max_size, keep_empty, da
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
 
     def fold(batches):
-        index = OperandIndex(codec, map(codec.compile, rules))
+        index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in rules])
         out, cut = set(), False
         for vesicles in batches:
             batch = index.empty()
             batch.extend(codec.encode(v) for v in vesicles)
-            if rule_productions(index, batch, out, bounds, codec, (drip1, drip2)):
+            if rule_productions(index, batch, [out], bounds, codec, (drip1, drip2)):
                 cut = True
         # no later round reads a drip operand, so the index keeps none
         assert not any(operands for operands in index.operands.values()
@@ -408,13 +408,13 @@ def test_a_batch_that_files_into_no_rule_changes_nothing(rules, pool, strays, ma
               if not any(v.contains(need) for rule in rules for need in _needs(rule))]
     codec = Codec(SYMBOLS + ("z",), rules, max(4, max_size))
     bounds = Bounds(max_size)
-    index = OperandIndex(codec, map(codec.compile, rules))
+    index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in rules])
     out = set()
 
     def file(vesicles):
         batch = index.empty()
         batch.extend(map(codec.encode, vesicles))
-        return rule_productions(index, batch, out, bounds, codec, (drip1, drip2))
+        return rule_productions(index, batch, [out], bounds, codec, (drip1, drip2))
 
     file(pool)
     before = set(out), {key: {size: list(bucket) for size, bucket in operands.items()}

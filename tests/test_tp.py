@@ -522,7 +522,7 @@ def test_a_waiting_operand_is_recorded_until_its_partner_arrives():
     # back, and step 4 fuses only {L} with the new {R}; before steps 5 and
     # 6 cell 1 holds {idle} alone, and the whole cell is filed again
     system, bounds = parse_tp(WAITING), Bounds(max_size=4, keep_empty=False)
-    (_, left, _, _), = initial_state(system, bounds)._packed.anchored[0][1]
+    (_, left, _, _), = initial_state(system, bounds)._packed.anchored[0]._mates
     state = reference = initial_state(system, bounds)
     reused = []
     for step in range(1, 7):
@@ -618,7 +618,7 @@ def test_a_run_files_only_what_is_new_since_two_steps_back(even, monkeypatch):
 
     # one slot per distinct need: 67 over the anchored cells, where the
     # rules have 98 need sides
-    indexes = {c: index for c, (index, *_) in states[0]._packed.anchored.items()}
+    indexes = states[0]._packed.anchored
     for c, index in indexes.items():
         needs = {(isinstance(tp.rule, MateRule), need) for tp in system.rules
                  if tp.source - 1 == c for need in _needs(tp.rule)}
@@ -964,15 +964,41 @@ def test_random_systems_step_like_naive_reference(system, bounds):
         assert state == reference
 
 
-@settings(max_examples=50)
-@given(small_tp_systems(), small_bounds())
-@example(parse_tp(BOUNCE), Bounds(keep_empty=False))
-@example(parse_tp(ROTATE), Bounds(keep_empty=False))
-def test_a_run_stops_at_its_first_repeated_state(system, bounds):
+@st.composite
+def ring_runs(draw, grow: bool):
+    """(system, bounds) of 2-4 cells in a ring, each passing every vesicle
+    that holds the alphabet's first symbol m to the next cell by the drip1
+    rule (. | m | . ; m , .), or, when it `grow`s, by (. | m | . ; m g , .),
+    which adds one g, the second symbol, each time.  Cell 1 holds {m}, and
+    each cell up to two more axioms of size at most 4.  A steady ring comes
+    with `small_bounds()`, and mostly repeats with the ring's period, 2 to
+    4; a growing one with bounds that keep every vesicle of 12 steps, so no
+    state of those steps repeats an earlier one."""
+    names = draw(small_alphabets())
+    mover, grown = names[:2]
+    cells = draw(st.integers(2, 4))
+    rule = parse_rule(f"DRIP1 (. | {mover} | . ; {mover} {grown if grow else ''} , .)")
+    axioms = tuple(frozenset(draw(st.lists(small_multisets(names, 4), max_size=2)))
+                   | ({Multiset.of(mover)} if c == 1 else set()) for c in range(1, cells + 1))
+    system = TissueSystem(alphabet=frozenset(names), terminal=frozenset(names[:2]), cells=cells,
+                          axioms=axioms, output_cell=cells,
+                          rules=tuple(TPRule(c, rule, c % cells + 1) for c in range(1, cells + 1)))
+    bounds = Bounds(16, 1000, keep_empty=draw(st.booleans())) if grow else draw(small_bounds())
+    return system, bounds
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.tuples(small_tp_systems(), small_bounds()), ring_runs(grow=False),
+                 ring_runs(grow=True)))
+@example((parse_tp(BOUNCE), Bounds(keep_empty=False)))
+@example((parse_tp(ROTATE), Bounds(keep_empty=False)))
+def test_a_run_stops_at_its_first_repeated_state(run):
     # a run steps up to the first state whose cells equal those of one of
     # the two states before it, or through its budget when none does; most
-    # drawn systems repeat the state one step back, BOUNCE repeats the one
-    # two steps back, and ROTATE, of period 3, neither
+    # small systems repeat the state one step back, rings of 2 cells, and
+    # BOUNCE, the one two steps back, and longer or growing rings, and
+    # ROTATE, of period 3, neither
+    system, bounds = run
     budget = 12
     states = [initial_state(system, bounds)]
     for _ in range(budget):

@@ -430,7 +430,7 @@ _SHARED_NEED_RULES = [
 def test_symbol_index_operands_match_brute_force():
     pool = [ms("X p"), ms("q"), ms("X q"), ms("X^2 p q"), ms("p r"), EMPTY, ms("q^2 r")]
     codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
-    index = OperandIndex(codec, map(codec.compile, _SHARED_NEED_RULES))
+    index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in _SHARED_NEED_RULES])
     index.extend(map(codec.encode, pool))
     assert [packed.rule for packed in index.operands] == _SHARED_NEED_RULES[:4]
 
@@ -471,7 +471,8 @@ def test_shared_slots_match_naive_reference(bounds):
     system = one_tube(_SHARED_SLOT_RULES, [ms("X p"), ms("q"), ms("r"), ms("X"), ms("X^2 q")],
                       {"X", "p", "q", "r", "s"})
     codec = Codec(system.alphabet, _SHARED_SLOT_RULES, 4)
-    assert len(OperandIndex(codec, map(codec.compile, _SHARED_SLOT_RULES))._entries) == 4
+    index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in _SHARED_SLOT_RULES])
+    assert len(index._entries) == 4
     _assert_matches_reference(system, bounds)
 
 
@@ -485,7 +486,7 @@ def test_compiled_shared_slots_match_naive_reference(even, fidelity):
         for rules in system.rules:
             rules = dict.fromkeys(rules)
             sides += sum(2 if isinstance(rule, MateRule) else 1 for rule in rules)
-            slots += len(OperandIndex(codec, map(codec.compile, rules))._entries)
+            slots += len(OperandIndex(codec, [(codec.compile(rule), 0) for rule in rules])._entries)
         assert slots < sides
         _assert_matches_reference(system, Bounds(max_size=8, max_population=300, max_iterations=100))
 
@@ -501,7 +502,7 @@ def _index_lists(index):
 @given(st.lists(small_multisets(("X", "p", "q", "r"), 4), unique=True, max_size=12), st.data())
 def test_batched_index_matches_brute_force(pool, data):
     codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
-    index = OperandIndex(codec, map(codec.compile, _SHARED_NEED_RULES))
+    index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in _SHARED_NEED_RULES])
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
     for start, end in zip([0, *cuts], [*cuts, len(pool)]):
         batch = set(map(codec.encode, pool[start:end]))
@@ -709,9 +710,8 @@ def test_round_filter_passage_matches_tube_filter(round_input):
         passage[j - 1] |= {v for v in frontier[i - 1] if filt.passes(v)}
 
     def round_of(system):
-        indexes, routes = _operator(system, codec)
         packed = [set(map(codec.encode, tube)) for tube in frontier]
-        produced, _ = _round(indexes, routes, packed, bounds, codec)
+        produced, _ = _round(_operator(system, codec), packed, bounds, codec)
         return [set(map(codec.decode, tube)) for tube in produced]
 
     ruleless = TestTubeSystem(system.alphabet, system.terminal, system.tubes, system.axioms,
