@@ -9,21 +9,22 @@ subtracts and unions do not walk long probe chains.  Vesicles are
 decoded to `Multiset`s only at the boundary: for a closure state's contents
 and a tissue state's contents and result log when they are read, and for
 the results a closure state is asked for.  Admission is batched: a
-compartment's new vesicles are filed in one `OperandIndex.extend` call on
-an empty copy of its index, and a fill that fits the cap is a set union.
+compartment's new vesicles are filed in one `OperandIndex.file` call,
+which makes new slot maps for them, and a fill that fits the cap is a set
+union.
 A fill that the cap cuts selects from the one compartment it splits by
 the text `Codec.render` writes straight from the packed fields: it groups
 that compartment by first token, places whole groups in token order, and
 renders only the group the cut falls in.  Tokens are joined by a space
 and no symbol name holds a character at or below it, so first tokens
 order the texts as the texts themselves do.
-The index is a compartment's firing table: it keeps the operands of each
-distinct need in one slot, which rules with equal needs share, and, in a
-closure, the vesicles each branch of a filter leaving the tube passes,
-and it lists each rule and branch with the compartment it sends to.  A
-closure round joins that batch against the index and keeps its mate
-operands, and it and the tissue step reach only the rules whose slots
-the batch filed into.  A tissue step that finds a cell holding all it
+The index is a compartment's firing table: it gives each distinct need
+one slot, which rules with equal needs share, and, in a closure, each
+branch of a filter leaving the tube one more, and it lists each rule and
+branch with the compartment it sends to.  A closure round joins the
+batch's slot maps against the mate operands the tube held before and
+merges them in, and it and the tissue step reach only the rules whose
+slots the batch filed into.  A tissue step that finds a cell holding all it
 held two steps back files only the vesicles it gained since, and reuses
 that step's slots and products.  A join streams its fusions into the
 output set.  The index files a vesicle by the plan of its support
@@ -190,9 +191,8 @@ class Codec:
 
     def __init__(self, alphabet, rules, largest: int):
         self.names = tuple(sorted(alphabet))
-        self.largest = largest
         heaviest = max((rule.weight for rule in rules), default=0)
-        self.width = width = (largest + heaviest).bit_length() + 1
+        width = (largest + heaviest).bit_length() + 1
         self.field = field = (1 << width) - 1
         self.salt = {name: field * _multiplier(i) for i, name in enumerate(self.names)}
         span = (largest + heaviest) * max(self.salt.values(), default=0)
@@ -299,29 +299,28 @@ def drip2(rule: PackedDrip, vesicles: list, size: int, codec: Codec) -> list[tup
 
 
 class OperandIndex:
-    """A compartment's firing table: the operands of its packed rules, the
-    vesicles that pass each of its filter branches, and where each rule
-    and branch sends what it makes.
+    """A compartment's firing table: a slot for the operands of each need
+    of its packed rules and for the vesicles that pass each of its filter
+    branches, and where each rule and branch sends what it makes.
 
     `firings` are (packed rule, target) pairs and `branches` (forbidden
     mask, target) pairs, a target being a 0-based compartment; a firing
     given twice is listed once.  Each distinct need owns a slot, the
     vesicles that contain it: mate sides share a slot when their needs are
     equal, and so do drips, but a mate side never shares one with a drip,
-    since a closure keeps mate operands and no drip operands.  `_layout`
-    maps each packed rule, in the order given, to its slots: a mate rule's
-    (left, right), a drip rule's (slot,); a rule given for several targets
-    gets one set of slots.  `_mates` lists each mate firing as (rule, left
-    slot, right slot, target), `_drips` each drip firing as (rule, slot,
-    target), and `_kept` the slots of mate sides.  Each filter branch, given
-    as the mask of the symbols it forbids, owns one more slot, the vesicles
-    that hold none of them; `routes` lists each branch's (slot, target) in
-    the order given.  `_slots[i]` holds slot i's vesicles as a size ->
-    packed vesicles map.  A batch of vesicles is filed by one `extend` call
-    on an `empty()` copy, whose mate operands `rule_productions` merges
-    into its tube's index.  The closure lists a tube's rules with the tube
-    as their target and the branches of the filters leaving it with theirs;
-    the tissue step lists a cell's anchored rules with their target cells.
+    since a closure keeps mate operands and no drip operands.  `_mates`
+    lists each mate firing as (rule, left slot, right slot, target) and
+    `_drips` each drip firing as (rule, slot, target), in the order given;
+    a rule given for several targets gets one set of slots.  `_kept` lists
+    the slots of mate sides.  Each filter branch, given as the mask of the
+    symbols it forbids, owns one more slot, the vesicles that hold none of
+    them; `routes` lists each branch's (slot, target) in the order given.
+    The index holds no vesicles: `file` files a batch into a new list of
+    slot maps, one per slot, each a size -> packed vesicles map.  The
+    closure lists a tube's rules with the tube as their target and the
+    branches of the filters leaving it with theirs, and keeps the tube's
+    mate operands in slot maps of its own; the tissue step lists a cell's
+    anchored rules with their target cells.
 
     A vesicle is classified by its support signature, the guard bits of the
     fields it holds among the symbols that some need mentions or some
@@ -334,14 +333,13 @@ class OperandIndex:
     outside it.  A plan keeps apart its plain slots, which take every
     vesicle of the signature, and the needs that ask for some symbol more
     than once, the only ones tested again for each vesicle.  Plans depend
-    on the rules, the branches and the codec alone, and the copies that
-    `empty` makes share them.
+    on the rules, the branches and the codec alone, so the index keeps
+    them for every batch it files.
     """
 
     def __init__(self, codec: Codec, firings=(), branches=()):
         self._codec = codec
         self._lift = codec.guards - codec.units
-        self._layout: dict[PackedMate | PackedDrip, tuple[int, ...]] = {}
         # per slot: (guard bits read, the value they must have in a
         # signature, the packed need to test per vesicle, or 0 when the
         # signature is enough); a need reads its support and must hold all
@@ -360,17 +358,13 @@ class OperandIndex:
                 self._relevant |= support
             return i
 
-        firings = dict.fromkeys(firings)
-        for rule in dict.fromkeys(rule for rule, _ in firings):
+        self._mates, self._drips = [], []
+        for rule, target in dict.fromkeys(firings):
             if isinstance(rule, PackedMate):
-                self._layout[rule] = (slot(True, rule.rule._left_need, rule.left),
-                                      slot(True, rule.rule._right_need, rule.right))
+                self._mates.append((rule, slot(True, rule.rule._left_need, rule.left),
+                                    slot(True, rule.rule._right_need, rule.right), target))
             else:
-                self._layout[rule] = (slot(False, rule.rule._need, rule.need),)
-        self._mates = [(rule, *self._layout[rule], target) for rule, target in firings
-                       if isinstance(rule, PackedMate)]
-        self._drips = [(rule, *self._layout[rule], target) for rule, target in firings
-                       if not isinstance(rule, PackedMate)]
+                self._drips.append((rule, slot(False, rule.rule._need, rule.need), target))
         self._kept = sorted({i for _, left, right, _ in self._mates for i in (left, right)})
         self.routes = []
         for forbidden, target in branches:
@@ -381,22 +375,6 @@ class OperandIndex:
         # (plain slots, (need, slot) pairs to test), tuples made from lists:
         # one made from a generator is resized, growing CPython's tuple free lists
         self._plans: dict[int, tuple] = {}
-        self._slots = [defaultdict(list) for _ in self._entries]
-
-    @property
-    def operands(self) -> dict:
-        """The slots by rule: a mate rule's (left, right) maps, a drip rule's map."""
-        slots = self._slots
-        return {rule: tuple(slots[i] for i in sides) if isinstance(rule, PackedMate)
-                else slots[sides[0]] for rule, sides in self._layout.items()}
-
-    def empty(self) -> "OperandIndex":
-        """An index over the same rules and branches that holds no vesicles
-        and shares this one's plans."""
-        index = object.__new__(OperandIndex)
-        index.__dict__.update(self.__dict__)
-        index._slots = [defaultdict(list) for _ in self._entries]
-        return index
 
     def _plan(self, signature: int) -> tuple:
         """The plan of a support signature, as `_plans` keeps it."""
@@ -407,11 +385,12 @@ class OperandIndex:
         return (tuple([slot for need, slot in taken if not need]),
                 tuple([(need, slot) for need, slot in taken if need]))
 
-    def extend(self, vesicles):
-        """File packed vesicles, each of size below 2**width - 1, in
-        iteration order, with one call for the whole batch: each goes to
-        the slots of the needs it holds and of the branches it passes."""
-        lift, relevant, plans, slots = self._lift, self._relevant, self._plans, self._slots
+    def file(self, vesicles) -> list[defaultdict]:
+        """New slot maps, one per slot, that hold packed `vesicles`, each of
+        size below 2**width - 1, filed in iteration order: each goes to the
+        slots of the needs it holds and of the branches it passes."""
+        slots = [defaultdict(list) for _ in self._entries]
+        lift, relevant, plans = self._lift, self._relevant, self._plans
         guards, field = self._codec.guards, self._codec.field
         for vesicle in vesicles:
             signature = (vesicle + lift) & relevant
@@ -430,6 +409,7 @@ class OperandIndex:
                     for need, slot in tested:
                         if (raised - need) & guards == guards:
                             slots[slot][size].append(vesicle)
+        return slots
 
 
 def join(rule: PackedMate, lefts: dict, rights: dict, bounds: Bounds, out: set) -> bool:
@@ -500,38 +480,38 @@ def drip(rule: PackedDrip, size: int, vesicles: list, bounds: Bounds, out: set,
     return oversize
 
 
-def rule_productions(index: OperandIndex, batch: OperandIndex, outs: list[set], bounds: Bounds,
-                     codec: Codec, kernels) -> bool:
+def rule_productions(index: OperandIndex, held: list[dict], batch: list[dict], outs: list[set],
+                     bounds: Bounds, codec: Codec, kernels) -> bool:
     """Add to `outs[target]` the admitted results of each of the index's
     firings inside one compartment that involve at least one vesicle of
-    `batch`, an `empty()` copy of `index` that holds the new vesicles, and
-    extend `index` with the batch's mate operands.  `outs` holds one set
-    per compartment, and a firing's target indexes it.
+    `batch`, the slot maps `index.file` made of the new vesicles, and merge
+    the batch's mate operands into `held`, the compartment's slot maps of
+    the mate operands filed before.  `outs` holds one set per compartment,
+    and a firing's target indexes it.
 
     Only a rule the batch filed an operand for does any work.  Mates are
     evaluated semi-naively, in three phases, since mate sides share slots:
     every mate's new left operands against its old right ones; then each
-    new mate slot merged into `index` once; then every mate's left
+    new mate slot merged into `held` once; then every mate's left
     operands, old and new, against its new right ones.  Each join is made
     only when both its sides hold operands.  A drip fires on the batch's
-    buckets; no later round reads its operands, so `index` keeps none.
+    buckets; no later round reads its operands, so `held` keeps none.
     Returns whether a result was left out for size.
     """
     cut = False
-    old, new = index._slots, batch._slots
     mates = index._mates
     for rule, left, right, target in mates:
-        if new[left] and old[right] and join(rule, new[left], old[right], bounds, outs[target]):
+        if batch[left] and held[right] and join(rule, batch[left], held[right], bounds, outs[target]):
             cut = True
     for i in index._kept:
-        slot = old[i]
-        for size, vesicles in new[i].items():
+        slot = held[i]
+        for size, vesicles in batch[i].items():
             slot[size] += vesicles
     for rule, left, right, target in mates:
-        if new[right] and old[left] and join(rule, old[left], new[right], bounds, outs[target]):
+        if batch[right] and held[left] and join(rule, held[left], batch[right], bounds, outs[target]):
             cut = True
     for rule, i, target in index._drips:
-        for size, bucket in new[i].items():
+        for size, bucket in batch[i].items():
             if drip(rule, size, bucket, bounds, outs[target], codec, kernels):
                 cut = True
     return cut
@@ -541,7 +521,7 @@ def pack(alphabet, rules, compartments, max_size: int) -> tuple[Codec, list[froz
     """A codec over `alphabet` and `rules` sized by max_size and by the
     largest vesicle of `compartments`, collections of Multisets, and each
     compartment packed by it.  A size bounds every count, and
-    `OperandIndex.extend` needs each size below 2**width - 1."""
+    `OperandIndex.file` needs each size below 2**width - 1."""
     largest = max((len(v) for vesicles in compartments for v in vesicles), default=0)
     codec = Codec(alphabet, rules, max(largest, max_size))
     return codec, [frozenset(map(codec.encode, vesicles)) for vesicles in compartments]

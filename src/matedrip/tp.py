@@ -110,11 +110,11 @@ class _Packed:
     """A tissue state's contents and result log in packed form.
 
     `cells[c]` holds the packed vesicles of cell c and `log` those of the
-    result log.  `anchored[c]` is cell c's firing table, an empty
+    result log.  `anchored[c]` is cell c's firing table, an
     `OperandIndex` over the rules anchored at cell c, each listed with its
     0-based target cell; a rule with several targets has one set of slots.
-    A step files each cell into a copy of that index, and the copies share
-    its plans, so a support signature is planned once per run.
+    A step files each cell with that index into new slot maps, and the
+    index keeps its plans, so a support signature is planned once per run.
     `nonterminal` masks the symbols a result may not hold.
     Valid for the system and bounds whose (alphabet, terminal, cells,
     rules, max_size, keep_empty) is `source`: the codec is sized for that
@@ -224,8 +224,8 @@ def _cell_step(anchored: OperandIndex, cell, bounds: Bounds, codec: Codec, kerne
 
     `earlier` is the record made two steps back for this cell, under the
     same bounds, or None.  When it was made from contents C that this cell
-    holds all of, only the new vesicles D = cell - C are filed, into
-    an empty copy of the template, and the step is computed from the
+    holds all of, only the new vesicles D = cell - C are filed, by
+    `anchored.file` into new slot maps, and the step is computed from the
     record (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
     This is exact, because each slot's vesicles split disjointly into C's
     and D's:
@@ -250,9 +250,7 @@ def _cell_step(anchored: OperandIndex, cell, bounds: Bounds, codec: Codec, kerne
         gained = cell - earlier.cell
         if len(cell) - len(gained) == len(earlier.cell):  # the cell holds all of C
             before, new = earlier, gained
-    index = anchored.empty()
-    index.extend(new)
-    fresh = index._slots
+    fresh = anchored.file(new)
     if before.slots is None:
         slots, old = fresh, [{}] * len(fresh)
     else:

@@ -165,7 +165,7 @@ def _problems(system: TestTubeSystem) -> list[tuple]:
 
 
 def _operator(system: TestTubeSystem, codec: Codec) -> list[OperandIndex]:
-    """Per tube, an empty operand index, the tube's firing table: its rules,
+    """Per tube, an operand index, the tube's firing table: its rules,
     each sending to the tube itself, and the branches of the filters
     leaving it, each sending to its filter's target, with 0-based tubes."""
     leaving: list[list] = [[] for _ in system.rules]  # per tube: (forbidden mask, target)
@@ -175,26 +175,26 @@ def _operator(system: TestTubeSystem, codec: Codec) -> list[OperandIndex]:
             for t, (rules, branches) in enumerate(zip(system.rules, leaving))]
 
 
-def _round(indexes: list[OperandIndex], frontier: list[set[int]], bounds: Bounds,
-           codec: Codec) -> tuple[list[set[int]], bool]:
+def _round(indexes: list[OperandIndex], held: list[list[dict]], frontier: list[set[int]],
+           bounds: Bounds, codec: Codec) -> tuple[list[set[int]], bool]:
     """(produced, cut): per tube, the rule productions that involve a
     frontier vesicle and the frontier vesicles that pass a filter into it,
     and whether a production was left out for size.  Each tube's frontier
-    is filed in a batch of its own, which `rule_productions` joins against
-    the tube's index and folds into it, sending each firing's products to
-    its target; each of the index's `routes` sends the vesicles its branch
-    slot holds in the batch to its target."""
+    is filed by its index into slot maps of its own, which
+    `rule_productions` joins against the tube's `held` mate operands and
+    merges into them, sending each firing's products to its target; each
+    of the index's `routes` sends the vesicles its branch slot holds in
+    that batch to its target."""
     kernels = (apply_drip1, apply_drip)  # looked up per round, so bench/tracer.py sees them
     produced: list[set[int]] = [set() for _ in frontier]
     cut = False
-    for index, new in zip(indexes, frontier):
+    for index, slots, new in zip(indexes, held, frontier):
         if new and index._entries:
-            batch = index.empty()
-            batch.extend(new)
-            if rule_productions(index, batch, produced, bounds, codec, kernels):
+            batch = index.file(new)
+            if rule_productions(index, slots, batch, produced, bounds, codec, kernels):
                 cut = True
             for slot, target in index.routes:
-                for bucket in batch._slots[slot].values():
+                for bucket in batch[slot].values():
                     produced[target].update(bucket)
     return produced, cut
 
@@ -202,10 +202,13 @@ def _round(indexes: list[OperandIndex], frontier: list[set[int]], bounds: Bounds
 def _productions(system: TestTubeSystem, contents, max_size: int) -> set[tuple[int, Multiset]]:
     """Everything one application step could add that fits `max_size`,
     computed from scratch: one round with all of `contents` as frontier,
-    packed by `pack`, which sizes the codec's fields from them too."""
+    packed by `pack`, which sizes the codec's fields from them too, and
+    no mate operands held before."""
     codec, pool = pack(system.alphabet, [r for rules in system.rules for r in rules], contents,
                        max_size)
-    produced, _ = _round(_operator(system, codec), pool, Bounds(max_size=max_size), codec)
+    indexes = _operator(system, codec)
+    produced, _ = _round(indexes, [index.file(()) for index in indexes], pool,
+                         Bounds(max_size=max_size), codec)
     return {(t, codec.decode(v)) for t, vesicles in enumerate(produced) for v in vesicles}
 
 
@@ -231,11 +234,13 @@ def closure(system: TestTubeSystem, bounds: Bounds) -> TTSState:
 
 def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) -> tuple:
     """The closure on packed vesicles from the packed tubes `fresh`:
-    (tubes, pruned, iterations).  Each tube's operand index grows only as
-    `_round` folds in its frontier's mate operands; the indexes and the
-    round's sets are dropped on return."""
+    (tubes, pruned, iterations).  `held` keeps each tube's mate operands,
+    slot maps its index filed, which grow only as `_round` merges in its
+    frontier's; they, the indexes and the round's sets are dropped on
+    return."""
     contents: list[set[int]] = [set() for _ in range(system.tubes)]
     indexes = _operator(system, codec)
+    held = [index.file(()) for index in indexes]
     pruned = False
     iterations = 0
     while True:
@@ -246,7 +251,7 @@ def _explore(system: TestTubeSystem, bounds: Bounds, codec: Codec, fresh: list) 
             tube |= new
         if cut:
             return contents, True, iterations
-        produced, cut = _round(indexes, fresh, bounds, codec)
+        produced, cut = _round(indexes, held, fresh, bounds, codec)
         pruned = pruned or cut
         fresh = [p - c for p, c in zip(produced, contents)]
         del produced  # not held while the next round produces

@@ -314,17 +314,18 @@ def test_drip_matches_apply_drip_product_by_product(rule, extras, max_size, keep
 
 
 def _needs(rule):
-    """The needs of a rule's operand maps, in the order `operands` lists them."""
+    """The needs of a rule's operand maps, in the order `_buckets` numbers
+    their sides."""
     if isinstance(rule, MateRule):
         return rule.u + rule.a, rule.b + rule.v
     return (rule.u + rule.c + rule.v,)
 
 
-def _buckets(index):
-    """Every operand map of `index`, keyed by (rule, side)."""
-    return {(packed.rule, side): operands
-            for packed, maps in index.operands.items()
-            for side, operands in enumerate(maps if isinstance(maps, tuple) else (maps,))}
+def _buckets(index, slots):
+    """Every operand map of the slot maps `slots` that `index` filed,
+    keyed by (rule, side)."""
+    return {(packed.rule, side): slots[i] for packed, *sides, _ in index._mates + index._drips
+            for side, i in enumerate(sides)}
 
 
 @settings(max_examples=150)
@@ -341,21 +342,49 @@ def test_planned_index_matches_brute_force(rules, pool, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
     batches = [[codec.encode(v) for v in pool[start:end]]
                for start, end in zip([0, *cuts], [*cuts, len(pool)])]
-    for batch in batches:
-        index.extend(batch)
-    # a copy from `empty` plans with the first index's memo and must file
-    # like a fresh index, leaving the first index as it was
-    copy, fresh = index.empty(), OperandIndex(codec, [(rule, 0) for rule in packed])
-    for batch in batches:
-        copy.extend(batch)
-        fresh.extend(batch)
-    assert _buckets(copy) == _buckets(fresh)
-    for (rule, side), operands in _buckets(index).items():
-        expected = {}
+    filed = [index.file(batch) for batch in batches]
+    # the index plans with the memo those batches warmed and must file them
+    # again as a new index does, leaving the slot maps it made before as
+    # they were
+    fresh = OperandIndex(codec, [(rule, 0) for rule in packed])
+    for batch, slots in zip(batches, filed):
+        assert index.file(batch) == fresh.file(batch) == slots
+    for rule, side in _buckets(index, filed[0]):
+        operands, expected = {}, {}
+        for slots in filed:
+            for size, bucket in _buckets(index, slots)[rule, side].items():
+                operands.setdefault(size, set()).update(bucket)
         for v in pool:
             if v.contains(_needs(rule)[side]):
                 expected.setdefault(len(v), set()).add(codec.encode(v))
-        assert {size: set(bucket) for size, bucket in operands.items()} == expected
+        assert operands == expected
+
+
+@settings(max_examples=100)
+@given(st.lists(small_rules(SYMBOLS), min_size=1, max_size=5),
+       st.lists(st.frozensets(st.sampled_from(SYMBOLS)), max_size=3),
+       st.lists(small_multisets(SYMBOLS, 4), unique=True, max_size=14))
+def test_file_gives_each_batch_slot_maps_of_its_own(rules, forbidden, pool):
+    # filing the same batch twice gives equal slot lists that share no map
+    # and no bucket, and filing changes none of the index's firing table;
+    # an index whose plan memo is warm files a batch as a new index does
+    codec = Codec(SYMBOLS, rules, 4)
+
+    def table():
+        return OperandIndex(codec, [(codec.compile(rule), t) for t, rule in enumerate(rules)],
+                            [(codec.mask(names), t) for t, names in enumerate(forbidden)])
+
+    index = table()
+    before = list(index._entries), list(index._mates), list(index._drips), list(index.routes)
+    batch = [codec.encode(v) for v in pool]
+    first, second = index.file(batch), index.file(batch)
+    assert first is not second and first == second == table().file(batch)
+    assert (index._entries, index._mates, index._drips, index.routes) == before
+    for slot in first:
+        for bucket in slot.values():
+            bucket.clear()
+        slot.clear()
+    assert second == table().file(batch) == index.file(batch)
 
 
 @settings(max_examples=150)
@@ -363,24 +392,23 @@ def test_planned_index_matches_brute_force(rules, pool, data):
        st.lists(small_multisets(SYMBOLS, 4), unique=True, max_size=14),
        st.integers(1, 8), st.booleans(), st.data())
 def test_semi_naive_fold_matches_one_batch(rules, pool, max_size, keep_empty, data):
-    # feeding the pool to `rule_productions` batch by batch, each batch in a
-    # fresh `empty()` copy, gives the productions and cut of one batch that
-    # holds the whole pool, and those of the from-scratch reference
+    # feeding the pool to `rule_productions` batch by batch, each batch in
+    # slot maps `file` makes for it, gives the productions and cut of one
+    # batch that holds the whole pool, and those of the from-scratch reference
     codec = Codec(SYMBOLS, rules, max(4, max_size))
     bounds = Bounds(max_size, keep_empty=keep_empty)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
 
     def fold(batches):
         index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in rules])
+        held = index.file(())
         out, cut = set(), False
         for vesicles in batches:
-            batch = index.empty()
-            batch.extend(codec.encode(v) for v in vesicles)
-            if rule_productions(index, batch, [out], bounds, codec, (drip1, drip2)):
+            batch = index.file(codec.encode(v) for v in vesicles)
+            if rule_productions(index, held, batch, [out], bounds, codec, (drip1, drip2)):
                 cut = True
-        # no later round reads a drip operand, so the index keeps none
-        assert not any(operands for operands in index.operands.values()
-                       if not isinstance(operands, tuple))
+        # no later round reads a drip operand, so `held` keeps none
+        assert not any(held[i] for _, i, _ in index._drips)
         return out, cut
 
     out, cut = fold(pool[start:end] for start, end in zip([0, *cuts], [*cuts, len(pool)]))
@@ -409,20 +437,20 @@ def test_a_batch_that_files_into_no_rule_changes_nothing(rules, pool, strays, ma
     codec = Codec(SYMBOLS + ("z",), rules, max(4, max_size))
     bounds = Bounds(max_size)
     index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in rules])
+    held = index.file(())
     out = set()
 
     def file(vesicles):
-        batch = index.empty()
-        batch.extend(map(codec.encode, vesicles))
-        return rule_productions(index, batch, [out], bounds, codec, (drip1, drip2))
+        batch = index.file(map(codec.encode, vesicles))
+        return rule_productions(index, held, batch, [out], bounds, codec, (drip1, drip2))
 
     file(pool)
     before = set(out), {key: {size: list(bucket) for size, bucket in operands.items()}
-                        for key, operands in _buckets(index).items()}
+                        for key, operands in _buckets(index, held).items()}
     with mock.patch.object(matedrip.engine, "join", _no_call), \
             mock.patch.object(matedrip.engine, "drip", _no_call):
         assert not file(strays)
-    assert (out, _buckets(index)) == before
+    assert (out, _buckets(index, held)) == before
 
 
 def test_joins_and_drips_get_operands(monkeypatch, even):

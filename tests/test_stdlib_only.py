@@ -1,6 +1,7 @@
-"""The runtime imports nothing outside the standard library, nor the
-slow-to-import `dataclasses`; its lower layers import no engine; and each
-test and source module uses every name it imports."""
+"""The runtime and the tools import nothing outside the standard library,
+and the runtime not the slow-to-import `dataclasses`; its lower layers
+import no engine; each test, source and tool module uses every name it
+imports; and each attribute the source stores is read."""
 
 import ast
 import os
@@ -12,11 +13,13 @@ import matedrip
 
 SOURCES = sorted(Path(matedrip.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
 
 
 def test_runtime_imports_only_the_standard_library():
-    assert SOURCES
-    for path in SOURCES:
+    # the tools say they are stdlib only, so they are held to it too
+    assert SOURCES and TOOLS
+    for path in SOURCES + TOOLS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -26,7 +29,7 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
-                assert name.split(".")[0] != "dataclasses", f"{path.name}: {name}"
+                assert path in TOOLS or name.split(".")[0] != "dataclasses", f"{path.name}: {name}"
 
 
 def test_import_loads_no_code_generation():
@@ -85,9 +88,26 @@ def test_test_modules_use_every_name_they_import():
 
 def test_source_modules_use_every_name_they_import():
     # __init__.py imports its names to re-export them, and tts and tp import
-    # apply_mate only as the attribute bench/tracer.py wraps, which no engine calls
+    # apply_mate only as the attribute bench/tracer.py wraps, which no engine
+    # calls; the tools are held to it too
     hooks = {"tts.py": {"apply_mate"}, "tp.py": {"apply_mate"}}
-    for path in SOURCES:
+    for path in SOURCES + TOOLS:
         if path.name != "__init__.py":
             unused = _unused_imports(path) - hooks.get(path.name, set())
             assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
+def test_source_modules_read_every_attribute_they_store():
+    # an attribute stored and never read is dead weight; the dunder methods
+    # that `value_class` installs on a class are read by Python itself
+    stored, loaded = {}, set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, path.name)
+                else:
+                    loaded.add(node.attr)
+    unread = {name: module for name, module in stored.items()
+              if name not in loaded and not name.startswith("__")}
+    assert not unread, f"stored and never read: {unread}"

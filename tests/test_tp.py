@@ -599,9 +599,9 @@ def test_a_run_files_only_what_is_new_since_two_steps_back(even, monkeypatch):
     system = compile_machine(even, "thm4", CompileOptions(fidelity="faithful"))
     bounds = Bounds(max_size=8, max_population=400)
     filed = []
-    extend = OperandIndex.extend
-    monkeypatch.setattr(OperandIndex, "extend",
-                        lambda index, vesicles: filed.append(len(vesicles)) or extend(index, vesicles))
+    file = OperandIndex.file
+    monkeypatch.setattr(OperandIndex, "file",
+                        lambda index, vesicles: filed.append(len(vesicles)) or file(index, vesicles))
     anchored = {tp.source - 1 for tp in system.rules}
     states = [initial_state(system, bounds)]
     for _ in range(10):

@@ -427,12 +427,22 @@ _SHARED_NEED_RULES = [
 ]
 
 
+def _operands(index, slots):
+    """The slot maps `slots` that `index` filed, by packed rule: a mate
+    rule's (left, right) maps, a drip rule's map."""
+    operands = {rule: (slots[left], slots[right]) for rule, left, right, _ in index._mates}
+    operands.update((rule, slots[i]) for rule, i, _ in index._drips)
+    return operands
+
+
 def test_symbol_index_operands_match_brute_force():
     pool = [ms("X p"), ms("q"), ms("X q"), ms("X^2 p q"), ms("p r"), EMPTY, ms("q^2 r")]
     codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
     index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in _SHARED_NEED_RULES])
-    index.extend(map(codec.encode, pool))
-    assert [packed.rule for packed in index.operands] == _SHARED_NEED_RULES[:4]
+    slots = index.file(map(codec.encode, pool))
+    # the mate listed twice fires once
+    assert [packed.rule for packed, *_ in index._mates] == _SHARED_NEED_RULES[0:4:2]
+    assert [packed.rule for packed, *_ in index._drips] == _SHARED_NEED_RULES[1:4:2]
 
     def by_size(need):
         out = {}
@@ -444,7 +454,7 @@ def test_symbol_index_operands_match_brute_force():
     def decoded(operands):
         return {size: [codec.decode(v) for v in bucket] for size, bucket in operands.items()}
 
-    for packed, operands in index.operands.items():
+    for packed, operands in _operands(index, slots).items():
         rule = packed.rule
         if isinstance(rule, MateRule):
             assert tuple(map(decoded, operands)) == (
@@ -491,9 +501,10 @@ def test_compiled_shared_slots_match_naive_reference(even, fidelity):
         _assert_matches_reference(system, Bounds(max_size=8, max_population=300, max_iterations=100))
 
 
-def _index_lists(index):
-    """Every size bucket of every rule side of `index`."""
-    for operands in index.operands.values():
+def _index_lists(index, slots):
+    """Every size bucket of every rule side of the slot maps `slots` that
+    `index` filed."""
+    for operands in _operands(index, slots).values():
         for side in operands if isinstance(operands, tuple) else (operands,):
             yield from side.values()
 
@@ -501,13 +512,18 @@ def _index_lists(index):
 @settings(max_examples=100)
 @given(st.lists(small_multisets(("X", "p", "q", "r"), 4), unique=True, max_size=12), st.data())
 def test_batched_index_matches_brute_force(pool, data):
+    # each batch is filed into slot maps of its own, which are merged into
+    # `held` as a closure merges its mate operands
     codec = Codec({"X", "p", "q", "r"}, _SHARED_NEED_RULES, 4)
     index = OperandIndex(codec, [(codec.compile(rule), 0) for rule in _SHARED_NEED_RULES])
+    held = index.file(())
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pool)), max_size=3)))
     for start, end in zip([0, *cuts], [*cuts, len(pool)]):
         batch = set(map(codec.encode, pool[start:end]))
-        index.extend(batch)
-        for bucket in _index_lists(index):
+        for slot, filed in zip(held, index.file(batch)):
+            for size, bucket in filed.items():
+                slot[size] += bucket
+        for bucket in _index_lists(index, held):
             assert len(set(bucket)) == len(bucket)
 
     def by_size(need):
@@ -520,7 +536,7 @@ def test_batched_index_matches_brute_force(pool, data):
     def as_sets(operands):
         return {size: set(bucket) for size, bucket in operands.items()}
 
-    for packed, operands in index.operands.items():
+    for packed, operands in _operands(index, held).items():
         rule = packed.rule
         if isinstance(rule, MateRule):
             assert tuple(map(as_sets, operands)) == (
@@ -711,7 +727,8 @@ def test_round_filter_passage_matches_tube_filter(round_input):
 
     def round_of(system):
         packed = [set(map(codec.encode, tube)) for tube in frontier]
-        produced, _ = _round(_operator(system, codec), packed, bounds, codec)
+        indexes = _operator(system, codec)
+        produced, _ = _round(indexes, [index.file(()) for index in indexes], packed, bounds, codec)
         return [set(map(codec.decode, tube)) for tube in produced]
 
     ruleless = TestTubeSystem(system.alphabet, system.terminal, system.tubes, system.axioms,
@@ -735,9 +752,9 @@ def test_a_round_fires_each_drip_once_per_size_bucket(even, construction, per_ca
     productions = matedrip.tts.rule_productions
     drip1, drip2 = matedrip.tts.apply_drip1, matedrip.tts.apply_drip
 
-    def spied_productions(index, batch, out, bounds, codec, kernels):
+    def spied_productions(index, held, batch, outs, bounds, codec, kernels):
         batches.append(codec.field)
-        return productions(index, batch, out, bounds, codec, kernels)
+        return productions(index, held, batch, outs, bounds, codec, kernels)
 
     def spy(kernel):
         def call(rule, vesicles, *rest):
